@@ -2,7 +2,8 @@
 // hash routing and its pinned shard count, admission control (fail-fast
 // kOverloaded, deadline waits, oversized-batch rejection, shutdown
 // wakeups), snapshot-consistent cross-shard reads under concurrent
-// ingest, coordinated flush, aggregated health/scrub, and recovery
+// ingest, coordinated flush, aggregated health/scrub, per-shard
+// activity totals against the process-wide registry, and recovery
 // accounting across reopen.
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "db/shard/sharded_engine.h"
+#include "obs/metrics.h"
+#include "util/failpoint.h"
 #include "util/fs.h"
 
 namespace fcbench::db::shard {
@@ -433,6 +436,62 @@ TEST_F(ShardTest, HealthReportsHealthyStore) {
     EXPECT_FALSE(sh.read_only);
     EXPECT_TRUE(sh.error.ok());
   }
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().GetCounter(name)->value();
+}
+
+TEST_F(ShardTest, PerShardStatsAddUpToRegistryCounters) {
+  // Health()'s per-shard EngineStats and the process-wide registry
+  // record the same events: appends attribute to the routed shard, and
+  // summed over shards the flush, compaction and retry totals equal the
+  // registry deltas. One injected flush error, absorbed by the retry
+  // ladder, makes the retry column non-trivial.
+  ASSERT_TRUE(obs::Enabled());
+  ShardOptions opt = TestOptions(4);
+  opt.engine.memtable_bytes = 2048;
+  opt.engine.compact_fanout = 2;
+  auto opened = ShardedIngestEngine::Open(dir_, TestSchema(), opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+
+  const char* kCounters[] = {"lsm.flush.count", "lsm.flush.segment_bytes",
+                             "lsm.compact.count", "lsm.retry.attempts"};
+  uint64_t before[4];
+  for (int i = 0; i < 4; ++i) before[i] = CounterValue(kCounters[i]);
+
+  ASSERT_TRUE(fail::FailPoints::Set("lsm.flush", "err@1").ok());
+  std::vector<uint64_t> routed(4, 0);
+  for (uint64_t round = 0; round < 8; ++round) {
+    for (uint64_t s = 0; s < 16; ++s) {
+      ASSERT_TRUE(eng.AppendBatch(s, Batch(s, round * 20, 20)).ok());
+      ++routed[eng.ShardOf(s)];
+    }
+  }
+  ASSERT_TRUE(eng.Flush().ok());
+  fail::FailPoints::ClearAll();
+
+  const HealthReport h = eng.Health();
+  ASSERT_TRUE(h.all_healthy());
+  ASSERT_EQ(h.shards.size(), 4u);
+  uint64_t sums[4] = {0, 0, 0, 0};
+  for (const auto& sh : h.shards) {
+    EXPECT_EQ(sh.stats.append_batches, routed[sh.shard])
+        << "shard " << sh.shard;
+    sums[0] += sh.stats.flushes;
+    sums[1] += sh.stats.flush_segment_bytes;
+    sums[2] += sh.stats.compactions;
+    sums[3] += sh.stats.retry_attempts;
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(sums[i], CounterValue(kCounters[i]) - before[i])
+        << kCounters[i];
+  }
+  EXPECT_GT(sums[0], 4u) << "every shard flushed more than once";
+  EXPECT_GT(sums[1], 0u);
+  EXPECT_GT(sums[2], 0u) << "fanout 2 merged at least one run";
+  EXPECT_EQ(sums[3], 1u) << "the one injected flush error was retried";
 }
 
 TEST_F(ShardTest, MalformedBatchIsRejected) {
