@@ -500,7 +500,7 @@ int CmdIngest(int argc, char** argv) {
   }
   if (!trace_out.empty()) {
     auto& coll = obs::TraceCollector::Global();
-    const std::string json = coll.ToChromeJson();
+    const std::string json = coll.ToChromeJson(&obs::EventTrace::Global());
     Status wst = WriteFile(
         trace_out, ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
                             json.size()));
@@ -585,7 +585,7 @@ int CmdTrace(int argc, char** argv) {
   ::rmdir(dir.c_str());
 
   auto& coll = obs::TraceCollector::Global();
-  const std::string json = coll.ToChromeJson();
+  const std::string json = coll.ToChromeJson(&obs::EventTrace::Global());
   if (out_path.empty()) {
     std::fputs(json.c_str(), stdout);
     std::fputc('\n', stdout);

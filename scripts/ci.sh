@@ -118,12 +118,20 @@ if [[ "${1:-}" == "--faults" ]]; then
   # run succeeds while the timeline shows errno-tagged io.attempt retry
   # spans), exported as Chrome trace JSON (Perfetto-loadable) and
   # uploaded by the workflow. The python check proves the file parses
-  # before it is called an artifact.
+  # before it is called an artifact, and that spans and lifecycle events
+  # share one timeline: an errno-tagged io.attempt span next to the
+  # retry-backoff instant event the same fault recorded.
   FCBENCH_FAILPOINTS="lsm.flush=err@1" \
     "${BUILD_DIR}-faults/examples/fcbench_cli" trace \
     --out="${BUILD_DIR}-faults/fault_trace.json" --series=16 --rows=1024
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-    "${BUILD_DIR}-faults/fault_trace.json"
+  python3 - "${BUILD_DIR}-faults/fault_trace.json" <<'PY'
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+assert any(e["ph"] == "X" and e["name"] == "io.attempt" and e["args"]["tag"]
+           for e in events), "no errno-tagged io.attempt span"
+assert any(e["ph"] == "i" and e["name"] == "retry-backoff"
+           for e in events), "no retry-backoff instant event"
+PY
   echo "fault-lane trace artifact: ${BUILD_DIR}-faults/fault_trace.json"
   # Pass 2: ASan+UBSan — every injected error path runs under the
   # sanitizers, so a leak or UB on a rarely-taken failure branch fails

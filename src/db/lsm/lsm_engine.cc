@@ -64,6 +64,39 @@ const char* StatusErrnoName(StatusCode code) {
   }
 }
 
+/// The registry counter each EngineStats field mirrors, or nullptr when
+/// the field has none (append_nanos: its registry twin is the
+/// lsm.append_nanos histogram). Count() adds to both sides; stats()
+/// reads the engine side back through this table.
+struct StatCounter {
+  uint64_t EngineStats::*field;
+  const char* counter;
+};
+constexpr StatCounter kStatCounters[] = {
+    {&EngineStats::append_batches, "lsm.append.batches"},
+    {&EngineStats::append_rows, "lsm.append.rows"},
+    {&EngineStats::append_nanos, nullptr},
+    {&EngineStats::flushes, "lsm.flush.count"},
+    {&EngineStats::flush_failures, "lsm.flush.failures"},
+    {&EngineStats::flush_raw_bytes, "lsm.flush.raw_bytes"},
+    {&EngineStats::flush_segment_bytes, "lsm.flush.segment_bytes"},
+    {&EngineStats::compactions, "lsm.compact.count"},
+    {&EngineStats::compact_in_bytes, "lsm.compact.in_bytes"},
+    {&EngineStats::compact_out_bytes, "lsm.compact.out_bytes"},
+    {&EngineStats::retry_attempts, "lsm.retry.attempts"},
+    {&EngineStats::quarantined_segments, "lsm.scrub.quarantined"},
+};
+static_assert(sizeof(EngineStats) ==
+                  std::size(kStatCounters) * sizeof(uint64_t),
+              "every EngineStats field needs a kStatCounters entry");
+
+/// A field's row in kStatCounters, which is also its stats_ cell.
+constexpr size_t StatIndex(uint64_t EngineStats::*field) {
+  size_t i = 0;
+  while (kStatCounters[i].field != field) ++i;
+  return i;
+}
+
 struct ManifestState {
   std::vector<ColumnDef> schema;
   uint64_t next_segment_id = 0;
@@ -71,71 +104,6 @@ struct ManifestState {
   std::vector<SegmentInfo> segments;
   std::vector<QuarantinedSegment> quarantined;
 };
-
-/// Runs `op` up to opt.io_retry_attempts times with exponential backoff,
-/// retrying only transient IO errors (kIoError). ENOSPC (typed
-/// ResourceExhausted) and Corruption are not transient and fail at once.
-/// The backoff is a condition-variable wait on `cancel`, NOT a sleep:
-/// Close()/destruction sets cancel.cancelled and wakes it, so shutting
-/// an engine down never waits out the full backoff ladder. The final
-/// failure is wrapped with `what` and the attempt count so a sticky
-/// background error names both the step and the root cause.
-///
-/// Each retry (attempt beyond the first) bumps `retry_cell` (the owning
-/// engine's per-instance tally), the process-wide lsm.retry.attempts
-/// counter, and records a kRetryBackoff trace event whose detail is
-/// `trace_detail` (the engine dir, so a post-mortem dump attributes the
-/// ladder to a shard).
-template <typename Op>
-Status RetryIo(const EngineOptions& opt, RetryCancel& cancel,
-               const std::string& what, const std::string& trace_detail,
-               std::atomic<uint64_t>& retry_cell, Op&& op) {
-  const int attempts = std::max(1, opt.io_retry_attempts);
-  Status st;
-  for (int i = 0; i < attempts; ++i) {
-    if (i > 0) {
-      retry_cell.fetch_add(1, std::memory_order_relaxed);
-      obs::MetricsRegistry::Global()
-          .GetCounter("lsm.retry.attempts")
-          ->Increment();
-      const uint64_t backoff_ms =
-          opt.io_retry_backoff_ms > 0
-              ? static_cast<uint64_t>(opt.io_retry_backoff_ms) << (i - 1)
-              : 0;
-      obs::EventTrace::Global().Record(obs::EventKind::kRetryBackoff,
-                                       trace_detail,
-                                       static_cast<uint64_t>(i), backoff_ms);
-    }
-    if (i > 0 && opt.io_retry_backoff_ms > 0) {
-      std::unique_lock<std::mutex> lk(cancel.mu);
-      const bool interrupted = cancel.cv.wait_for(
-          lk, std::chrono::milliseconds(opt.io_retry_backoff_ms << (i - 1)),
-          [&] { return cancel.cancelled; });
-      if (interrupted) {
-        return Status(st.ok() ? StatusCode::kIoError : st.code(),
-                      what + " interrupted by Close during retry backoff" +
-                          (st.ok() ? "" : ": " + st.message()));
-      }
-    }
-    {
-      // Every attempt is a child span; a failed one carries the errno
-      // the failpoint (or real IO) produced, so a sampled trace shows
-      // the whole retry ladder with per-attempt causes and the backoff
-      // gaps between them.
-      obs::ScopedSpan attempt("io.attempt", static_cast<uint64_t>(i + 1));
-      st = op();
-      if (!st.ok()) {
-        attempt.SetArgs(static_cast<uint64_t>(i + 1),
-                        static_cast<uint64_t>(StatusErrno(st.code())));
-        attempt.SetTag(StatusErrnoName(st.code()));
-      }
-    }
-    if (st.ok() || st.code() != StatusCode::kIoError) return st;
-  }
-  return Status(st.code(), what + " failed after " +
-                               std::to_string(attempts) +
-                               " attempts: " + st.message());
-}
 
 void SerializeManifest(const ManifestState& m, Buffer* out) {
   PutFixed(out, kEngineMagic);
@@ -405,6 +373,76 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   return eng;
 }
 
+template <uint64_t EngineStats::*Field>
+void IngestEngine::Count(uint64_t n) {
+  constexpr size_t kIndex = StatIndex(Field);
+  stats_[kIndex].fetch_add(n, std::memory_order_relaxed);
+  if constexpr (kStatCounters[kIndex].counter != nullptr) {
+    static obs::Counter* const counter =
+        obs::MetricsRegistry::Global().GetCounter(
+            kStatCounters[kIndex].counter);
+    // Gated on obs::Enabled() inside Add; the engine cell counts always.
+    counter->Add(n);
+  }
+}
+
+/// Runs `op` up to io_retry_attempts times with exponential backoff,
+/// retrying only transient IO errors (kIoError). ENOSPC (typed
+/// ResourceExhausted) and Corruption are not transient and fail at once.
+/// The backoff is a condition-variable wait on retry_cancel_, NOT a
+/// sleep: Close()/destruction sets it cancelled and wakes it, so shutting
+/// an engine down never waits out the full backoff ladder. The final
+/// failure is wrapped with `what` and the attempt count so a sticky
+/// background error names both the step and the root cause.
+///
+/// Each retry (attempt beyond the first) counts retry_attempts and
+/// records a kRetryBackoff trace event whose detail is the engine dir,
+/// so a post-mortem dump attributes the ladder to a shard.
+template <typename Op>
+Status IngestEngine::RetryIo(const std::string& what, Op&& op) {
+  const int attempts = std::max(1, opt_.io_retry_attempts);
+  Status st;
+  for (int i = 0; i < attempts; ++i) {
+    if (i > 0) {
+      Count<&EngineStats::retry_attempts>();
+      const uint64_t backoff_ms =
+          opt_.io_retry_backoff_ms > 0
+              ? static_cast<uint64_t>(opt_.io_retry_backoff_ms) << (i - 1)
+              : 0;
+      obs::EventTrace::Global().Record(obs::EventKind::kRetryBackoff, dir_,
+                                       static_cast<uint64_t>(i), backoff_ms);
+    }
+    if (i > 0 && opt_.io_retry_backoff_ms > 0) {
+      std::unique_lock<std::mutex> lk(retry_cancel_.mu);
+      const bool interrupted = retry_cancel_.cv.wait_for(
+          lk, std::chrono::milliseconds(opt_.io_retry_backoff_ms << (i - 1)),
+          [&] { return retry_cancel_.cancelled; });
+      if (interrupted) {
+        return Status(st.ok() ? StatusCode::kIoError : st.code(),
+                      what + " interrupted by Close during retry backoff" +
+                          (st.ok() ? "" : ": " + st.message()));
+      }
+    }
+    {
+      // Every attempt is a child span; a failed one carries the errno
+      // the failpoint (or real IO) produced, so a sampled trace shows
+      // the whole retry ladder with per-attempt causes and the backoff
+      // gaps between them.
+      obs::ScopedSpan attempt("io.attempt", static_cast<uint64_t>(i + 1));
+      st = op();
+      if (!st.ok()) {
+        attempt.SetArgs(static_cast<uint64_t>(i + 1),
+                        static_cast<uint64_t>(StatusErrno(st.code())));
+        attempt.SetTag(StatusErrnoName(st.code()));
+      }
+    }
+    if (st.ok() || st.code() != StatusCode::kIoError) return st;
+  }
+  return Status(st.code(), what + " failed after " +
+                               std::to_string(attempts) +
+                               " attempts: " + st.message());
+}
+
 IngestEngine::~IngestEngine() { Close(); }
 
 void IngestEngine::InterruptRetries() {
@@ -536,18 +574,12 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
     // call — never as a false negative on an acknowledged batch.
   }
   const uint64_t nanos = append_timer.ElapsedNanos();
-  stats_.append_batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.append_rows.fetch_add(nrows, std::memory_order_relaxed);
-  stats_.append_nanos.fetch_add(nanos, std::memory_order_relaxed);
-  static obs::Counter* batches =
-      obs::MetricsRegistry::Global().GetCounter("lsm.append.batches");
-  static obs::Counter* rows_counter =
-      obs::MetricsRegistry::Global().GetCounter("lsm.append.rows");
+  Count<&EngineStats::append_batches>();
+  Count<&EngineStats::append_rows>(nrows);
+  Count<&EngineStats::append_nanos>(nanos);
   static obs::Histogram* append_nanos =
       obs::MetricsRegistry::Global().GetHistogram("lsm.append_nanos",
                                                   obs::Unit::kNanos);
-  batches->Increment();
-  rows_counter->Add(nrows);
   append_nanos->Record(nanos);
   return Status::OK();
 }
@@ -606,9 +638,8 @@ void IngestEngine::DoFlushAndPublish() {
     specs[c].precision_digits = schema_[c].precision_digits;
     specs[c].values = imm->column(c);
   }
-  Status st = RetryIo(opt_, retry_cancel_,
-                      "lsm: flush of segment " + SegPrefix(seg_id), dir_,
-                      stats_.retry_attempts, [&]() -> Status {
+  Status st = RetryIo("lsm: flush of segment " + SegPrefix(seg_id),
+                      [&]() -> Status {
                         FCB_FAIL_RETURN("lsm.flush", SegPrefix(seg_id));
                         return ColumnStore::Write(SegPrefix(seg_id), specs,
                                                   opt_.page_size);
@@ -623,8 +654,7 @@ void IngestEngine::DoFlushAndPublish() {
       segments_.push_back(SegmentInfo{seg_id, imm->rows(), 0});
       wal_floor_ = floor;
       obs::ScopedSpan manifest_span("lsm.manifest", seg_id);
-      st = RetryIo(opt_, retry_cancel_, "lsm: manifest publish", dir_,
-                   stats_.retry_attempts,
+      st = RetryIo("lsm: manifest publish",
                    [&] { return PersistManifestLocked(); });
       if (!st.ok()) {
         // Publish failed: disk still holds the previous manifest; put
@@ -649,14 +679,10 @@ void IngestEngine::DoFlushAndPublish() {
   }
 
   if (st.ok()) {
-    stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-    stats_.flush_raw_bytes.fetch_add(raw_bytes, std::memory_order_relaxed);
-    stats_.flush_segment_bytes.fetch_add(seg_bytes,
-                                         std::memory_order_relaxed);
+    Count<&EngineStats::flushes>();
+    Count<&EngineStats::flush_raw_bytes>(raw_bytes);
+    Count<&EngineStats::flush_segment_bytes>(seg_bytes);
     auto& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("lsm.flush.count")->Increment();
-    reg.GetCounter("lsm.flush.raw_bytes")->Add(raw_bytes);
-    reg.GetCounter("lsm.flush.segment_bytes")->Add(seg_bytes);
     reg.GetHistogram("lsm.flush_nanos", obs::Unit::kNanos)
         ->Record(flush_timer.ElapsedNanos());
     if (seg_bytes > 0) {
@@ -667,10 +693,10 @@ void IngestEngine::DoFlushAndPublish() {
     obs::EventTrace::Global().Record(obs::EventKind::kFlushPublish, dir_,
                                      seg_id, seg_bytes);
   } else {
-    stats_.flush_failures.fetch_add(1, std::memory_order_relaxed);
-    auto& reg = obs::MetricsRegistry::Global();
-    reg.GetCounter("lsm.flush.failures")->Increment();
-    reg.GetCounter("lsm.degraded.count")->Increment();
+    Count<&EngineStats::flush_failures>();
+    obs::MetricsRegistry::Global()
+        .GetCounter("lsm.degraded.count")
+        ->Increment();
     obs::EventTrace::Global().Record(obs::EventKind::kFlushFail, dir_,
                                      seg_id, raw_bytes);
     obs::EventTrace::Global().Record(obs::EventKind::kDegraded, dir_,
@@ -837,9 +863,8 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     }
   }
   if (st.ok()) {
-    st = RetryIo(opt_, retry_cancel_,
-                 "lsm: compaction write of " + SegPrefix(new_id), dir_,
-                 stats_.retry_attempts, [&]() -> Status {
+    st = RetryIo("lsm: compaction write of " + SegPrefix(new_id),
+                 [&]() -> Status {
                    FCB_FAIL_RETURN("lsm.compact", SegPrefix(new_id));
                    return ColumnStore::Write(SegPrefix(new_id), specs,
                                              opt_.page_size);
@@ -865,8 +890,7 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
       segments_.insert(segments_.begin() + idx,
                        SegmentInfo{new_id, total_rows, max_level + 1});
       obs::ScopedSpan manifest_span("lsm.manifest", new_id);
-      st = RetryIo(opt_, retry_cancel_, "lsm: compaction manifest publish",
-                   dir_, stats_.retry_attempts,
+      st = RetryIo("lsm: compaction manifest publish",
                    [&] { return PersistManifestLocked(); });
       if (!st.ok()) {
         segments_.erase(segments_.begin() + idx);
@@ -899,13 +923,9 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     out_bytes = SegmentDiskBytes(dir_, new_id);
   }
   for (const auto& s : run) ColumnStore::Drop(SegPrefix(s.id));
-  stats_.compactions.fetch_add(1, std::memory_order_relaxed);
-  stats_.compact_in_bytes.fetch_add(in_bytes, std::memory_order_relaxed);
-  stats_.compact_out_bytes.fetch_add(out_bytes, std::memory_order_relaxed);
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("lsm.compact.count")->Increment();
-  reg.GetCounter("lsm.compact.in_bytes")->Add(in_bytes);
-  reg.GetCounter("lsm.compact.out_bytes")->Add(out_bytes);
+  Count<&EngineStats::compactions>();
+  Count<&EngineStats::compact_in_bytes>(in_bytes);
+  Count<&EngineStats::compact_out_bytes>(out_bytes);
   obs::EventTrace::Global().Record(obs::EventKind::kCompact, dir_, run_len,
                                    total_rows);
   *merged = true;
@@ -1027,9 +1047,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
     q.rows = backup.rows;
     q.reason = v.message().substr(0, kMaxReasonBytes);
     quarantined_.push_back(q);
-    Status ps = RetryIo(opt_, retry_cancel_,
-                        "lsm: quarantine manifest publish", dir_,
-                        stats_.retry_attempts,
+    Status ps = RetryIo("lsm: quarantine manifest publish",
                         [&] { return PersistManifestLocked(); });
     if (!ps.ok()) {
       // Roll back to the on-disk manifest's view; the corruption is
@@ -1041,10 +1059,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
     report.quarantined_ids.push_back(q.id);
     report.notes.push_back("segment " + std::to_string(q.id) +
                            " quarantined: " + q.reason);
-    stats_.quarantined_segments.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global()
-        .GetCounter("lsm.scrub.quarantined")
-        ->Increment();
+    Count<&EngineStats::quarantined_segments>();
     obs::EventTrace::Global().Record(obs::EventKind::kQuarantine, dir_,
                                      q.id, q.rows);
     to_move.push_back(q.id);
@@ -1141,25 +1156,9 @@ std::vector<SegmentInfo> IngestEngine::segments() const {
 
 EngineStats IngestEngine::stats() const {
   EngineStats s;
-  s.append_batches = stats_.append_batches.load(std::memory_order_relaxed);
-  s.append_rows = stats_.append_rows.load(std::memory_order_relaxed);
-  s.append_nanos = stats_.append_nanos.load(std::memory_order_relaxed);
-  s.flushes = stats_.flushes.load(std::memory_order_relaxed);
-  s.flush_failures =
-      stats_.flush_failures.load(std::memory_order_relaxed);
-  s.flush_raw_bytes =
-      stats_.flush_raw_bytes.load(std::memory_order_relaxed);
-  s.flush_segment_bytes =
-      stats_.flush_segment_bytes.load(std::memory_order_relaxed);
-  s.compactions = stats_.compactions.load(std::memory_order_relaxed);
-  s.compact_in_bytes =
-      stats_.compact_in_bytes.load(std::memory_order_relaxed);
-  s.compact_out_bytes =
-      stats_.compact_out_bytes.load(std::memory_order_relaxed);
-  s.retry_attempts =
-      stats_.retry_attempts.load(std::memory_order_relaxed);
-  s.quarantined_segments =
-      stats_.quarantined_segments.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < std::size(kStatCounters); ++i) {
+    s.*kStatCounters[i].field = stats_[i].load(std::memory_order_relaxed);
+  }
   return s;
 }
 

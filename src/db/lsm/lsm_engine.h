@@ -1,6 +1,7 @@
 #ifndef FCBENCH_DB_LSM_LSM_ENGINE_H_
 #define FCBENCH_DB_LSM_LSM_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
@@ -107,6 +108,9 @@ struct QuarantinedSegment {
 /// Unlike the process-wide obs::MetricsRegistry — which aggregates over
 /// every engine in the process — these are scoped to one engine, so the
 /// sharded engine's Health() can attribute work to individual shards.
+/// Every field except append_nanos counts the same events as one
+/// registry counter (the field-to-counter table is in lsm_engine.cc);
+/// all fields are uint64_t.
 struct EngineStats {
   uint64_t append_batches = 0;
   uint64_t append_rows = 0;
@@ -291,6 +295,13 @@ class IngestEngine {
   Status CompactOnce(size_t min_run, bool* merged);
   uint64_t SmallRowsThresholdLocked() const;
   Status ApplyWalRecord(const WalRecord& rec, bool* stop);
+  /// Runs `op` under the engine's bounded retry-with-backoff policy;
+  /// see the definition for the retry rules.
+  template <typename Op>
+  Status RetryIo(const std::string& what, Op&& op);
+  /// Adds `n` to one stats() field and to its registry counter.
+  template <uint64_t EngineStats::*Field>
+  void Count(uint64_t n = 1);
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
@@ -325,23 +336,11 @@ class IngestEngine {
   /// Wakes RetryIo backoff waits on Close/InterruptRetries.
   mutable RetryCancel retry_cancel_;
 
-  /// Relaxed-atomic cells behind stats(); written from append, flush,
-  /// compaction, retry and scrub paths without taking mu_.
-  struct StatsCells {
-    std::atomic<uint64_t> append_batches{0};
-    std::atomic<uint64_t> append_rows{0};
-    std::atomic<uint64_t> append_nanos{0};
-    std::atomic<uint64_t> flushes{0};
-    std::atomic<uint64_t> flush_failures{0};
-    std::atomic<uint64_t> flush_raw_bytes{0};
-    std::atomic<uint64_t> flush_segment_bytes{0};
-    std::atomic<uint64_t> compactions{0};
-    std::atomic<uint64_t> compact_in_bytes{0};
-    std::atomic<uint64_t> compact_out_bytes{0};
-    std::atomic<uint64_t> retry_attempts{0};
-    std::atomic<uint64_t> quarantined_segments{0};
-  };
-  StatsCells stats_;
+  /// Relaxed-atomic cells behind stats(), one per EngineStats field;
+  /// written via Count() from append, flush, compaction, retry and
+  /// scrub paths without taking mu_.
+  std::array<std::atomic<uint64_t>, sizeof(EngineStats) / sizeof(uint64_t)>
+      stats_{};
 };
 
 }  // namespace fcbench::db::lsm

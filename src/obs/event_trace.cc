@@ -1,31 +1,12 @@
 #include "obs/event_trace.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "obs/span.h"
 
 namespace fcbench::obs {
-
-namespace {
-
-/// Steady-clock nanos since process start: the span tracer's epoch, so
-/// ring dumps and span timelines use the same time axis.
-uint64_t NowNanos() { return MonotonicNanos(); }
-
-bool StderrDumpEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("FCBENCH_TRACE_DUMP");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-  }();
-  return enabled;
-}
-
-constexpr size_t kDetailWords = EventTrace::kDetailBytes / sizeof(uint64_t);
-
-}  // namespace
 
 const char* EventKindName(EventKind kind) {
   switch (kind) {
@@ -70,27 +51,6 @@ std::string TraceEvent::ToString() const {
   return out;
 }
 
-/// All fields atomic so concurrent write/read of a wrapping slot is a
-/// defined (and TSan-clean) race, resolved by the begin/end stamps: a
-/// reader only trusts a slot whose begin == end == the expected ticket
-/// both before and after copying the payload.
-struct EventTrace::Slot {
-  std::atomic<uint64_t> begin{0};
-  std::atomic<uint64_t> end{0};
-  std::atomic<uint64_t> nanos{0};
-  std::atomic<uint64_t> a{0};
-  std::atomic<uint64_t> b{0};
-  std::atomic<uint64_t> kind{0};
-  std::atomic<uint64_t> trace_id{0};
-  std::atomic<uint64_t> detail[kDetailWords];
-};
-
-EventTrace::EventTrace(size_t capacity)
-    : capacity_(std::bit_ceil(capacity < 8 ? size_t{8} : capacity)),
-      slots_(new Slot[capacity_]) {}
-
-EventTrace::~EventTrace() = default;
-
 EventTrace& EventTrace::Global() {
   static EventTrace* t = new EventTrace(1024);
   return *t;
@@ -98,54 +58,27 @@ EventTrace& EventTrace::Global() {
 
 void EventTrace::Record(EventKind kind, std::string_view detail, uint64_t a,
                         uint64_t b) {
-  const uint64_t nanos = NowNanos();
-  const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed) + 1;
-  Slot& s = slots_[ticket & (capacity_ - 1)];
-  // begin != end marks the slot as in-flux until the final store.
-  s.begin.store(ticket, std::memory_order_release);
-  s.nanos.store(nanos, std::memory_order_relaxed);
-  s.a.store(a, std::memory_order_relaxed);
-  s.b.store(b, std::memory_order_relaxed);
-  s.kind.store(static_cast<uint64_t>(kind), std::memory_order_relaxed);
+  TraceEvent e;
+  // The span tracer's epoch, so ring dumps and span timelines share one
+  // time axis.
+  e.nanos = MonotonicNanos();
+  e.kind = kind;
+  e.a = a;
+  e.b = b;
   // Correlate with any sampled span trace live on this thread.
-  s.trace_id.store(CurrentTraceContext().trace_id, std::memory_order_relaxed);
-  uint64_t words[kDetailWords] = {};
-  const size_t n = detail.size() < kDetailBytes - 1 ? detail.size()
-                                                    : kDetailBytes - 1;
-  std::memcpy(words, detail.data(), n);
-  for (size_t w = 0; w < kDetailWords; ++w) {
-    s.detail[w].store(words[w], std::memory_order_relaxed);
-  }
-  s.end.store(ticket, std::memory_order_release);
+  e.trace_id = CurrentTraceContext().trace_id;
+  std::memcpy(e.detail, detail.data(),
+              std::min(detail.size(), kDetailBytes - 1));
+  ring_.Publish(&e, 1);
 }
 
 std::vector<TraceEvent> EventTrace::Snapshot() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first =
-      head > capacity_ ? head - capacity_ + 1 : uint64_t{1};
   std::vector<TraceEvent> out;
-  out.reserve(head >= first ? static_cast<size_t>(head - first + 1) : 0);
-  for (uint64_t t = first; t <= head; ++t) {
-    const Slot& s = slots_[t & (capacity_ - 1)];
-    if (s.end.load(std::memory_order_acquire) != t) continue;
-    TraceEvent e;
-    e.seq = t;
-    e.nanos = s.nanos.load(std::memory_order_relaxed);
-    e.a = s.a.load(std::memory_order_relaxed);
-    e.b = s.b.load(std::memory_order_relaxed);
-    e.kind = static_cast<EventKind>(s.kind.load(std::memory_order_relaxed));
-    e.trace_id = s.trace_id.load(std::memory_order_relaxed);
-    uint64_t words[kDetailWords];
-    for (size_t w = 0; w < kDetailWords; ++w) {
-      words[w] = s.detail[w].load(std::memory_order_relaxed);
-    }
-    std::memcpy(e.detail, words, kDetailBytes);
-    e.detail[kDetailBytes - 1] = '\0';
-    // Re-validate: a writer lapping the ring while we copied would have
-    // bumped begin first.
-    if (s.begin.load(std::memory_order_acquire) != t) continue;
+  out.reserve(std::min<uint64_t>(recorded(), capacity()));
+  ring_.ForEach([&out](uint64_t ticket, const TraceEvent& e) {
     out.push_back(e);
-  }
+    out.back().seq = ticket;
+  });
   return out;
 }
 
@@ -163,13 +96,8 @@ std::string EventTrace::Dump(size_t max_events) const {
 
 void EventTrace::DumpToStderr(const std::string& why,
                               size_t max_events) const {
-  if (!StderrDumpEnabled()) return;
   std::fprintf(stderr, "fcbench: event trace (%s):\n%s", why.c_str(),
                Dump(max_events).c_str());
-}
-
-uint64_t EventTrace::recorded() const {
-  return head_.load(std::memory_order_relaxed);
 }
 
 }  // namespace fcbench::obs

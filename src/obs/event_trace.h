@@ -1,12 +1,12 @@
 #ifndef FCBENCH_OBS_EVENT_TRACE_H_
 #define FCBENCH_OBS_EVENT_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace fcbench::obs {
 
@@ -46,25 +46,20 @@ struct TraceEvent {
 
 /// Fixed-capacity lock-free flight recorder for structured lifecycle
 /// events (WAL rotate, flush start/publish, compaction, retry/backoff,
-/// read-only degradation, quarantine). Writers claim a ticket with one
-/// fetch_add and fill a slot with relaxed atomic stores — no locks, no
-/// allocation — so it is safe from any engine thread including failure
-/// paths. The ring wraps: only the last `capacity` events are kept,
-/// which is exactly what a post-mortem wants ("the seconds before the
-/// shard degraded"). Readers validate each slot with a begin/end stamp
-/// pair and skip slots being overwritten mid-read.
+/// read-only degradation, quarantine), stored in a SeqlockRing — the
+/// same ring the span TraceCollector uses — so recording is safe from
+/// any engine thread including failure paths. The ring wraps: only the
+/// last `capacity` events are kept, which is exactly what a post-mortem
+/// wants ("the seconds before the shard degraded").
 ///
 /// The engine auto-dumps the tail to stderr when it degrades to
-/// read-only (DumpToStderr); FCBENCH_TRACE_DUMP=0 suppresses that.
+/// read-only (DumpToStderr).
 class EventTrace {
  public:
   static constexpr size_t kDetailBytes = sizeof(TraceEvent::detail);
 
   /// `capacity` is rounded up to a power of two, minimum 8.
-  explicit EventTrace(size_t capacity = 1024);
-  ~EventTrace();
-  EventTrace(const EventTrace&) = delete;
-  EventTrace& operator=(const EventTrace&) = delete;
+  explicit EventTrace(size_t capacity = 1024) : ring_(capacity, 8) {}
 
   /// The process-wide recorder (leaked singleton).
   static EventTrace& Global();
@@ -80,20 +75,15 @@ class EventTrace {
   /// The last `max_events` events as text, oldest first.
   std::string Dump(size_t max_events = 32) const;
 
-  /// Dump() to stderr prefixed with `why`; no-op when
-  /// FCBENCH_TRACE_DUMP=0. The degradation hook.
+  /// Dump() to stderr prefixed with `why`. The degradation hook.
   void DumpToStderr(const std::string& why, size_t max_events = 32) const;
 
   /// Total events ever recorded (not capped by capacity).
-  uint64_t recorded() const;
-  size_t capacity() const { return capacity_; }
+  uint64_t recorded() const { return ring_.recorded(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot;
-
-  const size_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};  // tickets handed out
+  SeqlockRing<TraceEvent> ring_;
 };
 
 }  // namespace fcbench::obs

@@ -1,6 +1,6 @@
 #include "obs/span.h"
 
-#include <bit>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -50,6 +50,12 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Milliseconds (from outside input: env, options) to nanoseconds,
+/// saturating instead of wrapping.
+uint64_t MsToNanos(uint64_t ms) {
+  return ms > UINT64_MAX / 1'000'000ull ? UINT64_MAX : ms * 1'000'000ull;
+}
+
 /// FCBENCH_TRACE_SAMPLE accepts "1/N" or plain "N"; 0/absent = off.
 uint64_t ParseSampleEnv(const char* env) {
   if (env == nullptr || *env == '\0') return 0;
@@ -61,11 +67,8 @@ struct EnvInit {
   EnvInit() {
     g_sample_n.store(ParseSampleEnv(std::getenv("FCBENCH_TRACE_SAMPLE")),
                      std::memory_order_relaxed);
-    if (const char* seed = std::getenv("FCBENCH_TRACE_SEED")) {
-      g_seed.store(std::strtoull(seed, nullptr, 10), std::memory_order_relaxed);
-    }
     if (const char* ms = std::getenv("FCBENCH_SLOW_OP_MS")) {
-      g_slow_ns.store(std::strtoull(ms, nullptr, 10) * 1'000'000ull,
+      g_slow_ns.store(MsToNanos(std::strtoull(ms, nullptr, 10)),
                       std::memory_order_relaxed);
     }
     UpdateActive();
@@ -222,7 +225,7 @@ uint64_t TraceSampleN() {
 }
 
 void SetSlowOpThresholdMs(uint64_t ms) {
-  g_slow_ns.store(ms * 1'000'000ull, std::memory_order_relaxed);
+  g_slow_ns.store(MsToNanos(ms), std::memory_order_relaxed);
   UpdateActive();
 }
 
@@ -347,32 +350,6 @@ void ScopedSpan::SetTag(const char* tag) {
 // TraceCollector
 // ---------------------------------------------------------------------------
 
-/// All fields atomic so a writer lapping the ring while a reader copies
-/// is a defined (TSan-clean) race, resolved by the begin/end stamps —
-/// the same discipline as EventTrace::Slot.
-struct TraceCollector::Slot {
-  static constexpr size_t kNameWords = sizeof(SpanRecord{}.name) / 8;
-  static constexpr size_t kTagWords = sizeof(SpanRecord{}.tag) / 8;
-  std::atomic<uint64_t> begin{0};
-  std::atomic<uint64_t> end{0};
-  std::atomic<uint64_t> trace{0};
-  std::atomic<uint64_t> span{0};
-  std::atomic<uint64_t> parent{0};
-  std::atomic<uint64_t> start{0};
-  std::atomic<uint64_t> dur{0};
-  std::atomic<uint64_t> meta{0};  // tid in the low 32 bits
-  std::atomic<uint64_t> a{0};
-  std::atomic<uint64_t> b{0};
-  std::atomic<uint64_t> name[kNameWords];
-  std::atomic<uint64_t> tag[kTagWords];
-};
-
-TraceCollector::TraceCollector(size_t capacity)
-    : capacity_(std::bit_ceil(capacity < 64 ? size_t{64} : capacity)),
-      slots_(new Slot[capacity_]) {}
-
-TraceCollector::~TraceCollector() = default;
-
 TraceCollector& TraceCollector::Global() {
   static TraceCollector* c = new TraceCollector([] {
     const char* env = std::getenv("FCBENCH_TRACE_CAP");
@@ -383,69 +360,15 @@ TraceCollector& TraceCollector::Global() {
   return *c;
 }
 
-void TraceCollector::PublishBatch(const SpanRecord* recs, size_t n) {
-  if (n == 0) return;
-  // One ticket reservation for the whole batch.
-  const uint64_t base = head_.fetch_add(n, std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t ticket = base + i + 1;
-    const SpanRecord& r = recs[i];
-    Slot& s = slots_[ticket & (capacity_ - 1)];
-    s.begin.store(ticket, std::memory_order_release);
-    s.trace.store(r.trace_id, std::memory_order_relaxed);
-    s.span.store(r.span_id, std::memory_order_relaxed);
-    s.parent.store(r.parent_id, std::memory_order_relaxed);
-    s.start.store(r.start_nanos, std::memory_order_relaxed);
-    s.dur.store(r.dur_nanos, std::memory_order_relaxed);
-    s.meta.store(r.tid, std::memory_order_relaxed);
-    s.a.store(r.a, std::memory_order_relaxed);
-    s.b.store(r.b, std::memory_order_relaxed);
-    uint64_t words[Slot::kNameWords] = {};
-    std::memcpy(words, r.name, sizeof(r.name));
-    for (size_t w = 0; w < Slot::kNameWords; ++w) {
-      s.name[w].store(words[w], std::memory_order_relaxed);
-    }
-    uint64_t tag_words[Slot::kTagWords] = {};
-    std::memcpy(tag_words, r.tag, sizeof(r.tag));
-    for (size_t w = 0; w < Slot::kTagWords; ++w) {
-      s.tag[w].store(tag_words[w], std::memory_order_relaxed);
-    }
-    s.end.store(ticket, std::memory_order_release);
-  }
-}
-
 std::vector<SpanRecord> TraceCollector::Snapshot() const {
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first = head > capacity_ ? head - capacity_ + 1 : uint64_t{1};
   std::vector<SpanRecord> out;
-  out.reserve(head >= first ? static_cast<size_t>(head - first + 1) : 0);
-  for (uint64_t t = first; t <= head; ++t) {
-    const Slot& s = slots_[t & (capacity_ - 1)];
-    if (s.end.load(std::memory_order_acquire) != t) continue;
-    SpanRecord r;
-    r.trace_id = s.trace.load(std::memory_order_relaxed);
-    r.span_id = s.span.load(std::memory_order_relaxed);
-    r.parent_id = s.parent.load(std::memory_order_relaxed);
-    r.start_nanos = s.start.load(std::memory_order_relaxed);
-    r.dur_nanos = s.dur.load(std::memory_order_relaxed);
-    r.tid = static_cast<uint32_t>(s.meta.load(std::memory_order_relaxed));
-    r.a = s.a.load(std::memory_order_relaxed);
-    r.b = s.b.load(std::memory_order_relaxed);
-    uint64_t words[Slot::kNameWords];
-    for (size_t w = 0; w < Slot::kNameWords; ++w) {
-      words[w] = s.name[w].load(std::memory_order_relaxed);
-    }
-    std::memcpy(r.name, words, sizeof(r.name));
-    r.name[sizeof(r.name) - 1] = '\0';
-    uint64_t tag_words[Slot::kTagWords];
-    for (size_t w = 0; w < Slot::kTagWords; ++w) {
-      tag_words[w] = s.tag[w].load(std::memory_order_relaxed);
-    }
-    std::memcpy(r.tag, tag_words, sizeof(r.tag));
-    r.tag[sizeof(r.tag) - 1] = '\0';
-    if (s.begin.load(std::memory_order_acquire) != t) continue;
+  out.reserve(std::min<uint64_t>(recorded(), capacity()));
+  ring_.ForEach([&out](uint64_t, const SpanRecord& r) {
     out.push_back(r);
-  }
+    // PublishBatch takes caller records; never trust their terminators.
+    out.back().name[sizeof(r.name) - 1] = '\0';
+    out.back().tag[sizeof(r.tag) - 1] = '\0';
+  });
   return out;
 }
 
@@ -467,23 +390,24 @@ const char* JsonEscape(const char* in, char* buf, size_t cap) {
 
 }  // namespace
 
-std::string TraceCollector::ToChromeJson() const {
+std::string TraceCollector::ToChromeJson(const EventTrace* events) const {
   const std::vector<SpanRecord> spans = Snapshot();
+  const std::vector<TraceEvent> evs =
+      events != nullptr ? events->Snapshot() : std::vector<TraceEvent>{};
   std::string out;
-  out.reserve(spans.size() * 220 + 64);
+  out.reserve((spans.size() + evs.size()) * 220 + 64);
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[384];
-  char name_esc[52], tag_esc[36];
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& s = spans[i];
+  char name_esc[52], tag_esc[36], detail_esc[100];
+  const char* sep = "";
+  for (const SpanRecord& s : spans) {
     std::snprintf(
         buf, sizeof(buf),
         "%s\n{\"name\":\"%s\",\"cat\":\"fcbench\",\"ph\":\"X\",\"pid\":1,"
         "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace\":\"%llx\","
         "\"span\":\"%llx\",\"parent\":\"%llx\",\"a\":%llu,\"b\":%llu,"
         "\"tag\":\"%s\"}}",
-        i > 0 ? "," : "",
-        JsonEscape(s.name, name_esc, sizeof(name_esc)), s.tid,
+        sep, JsonEscape(s.name, name_esc, sizeof(name_esc)), s.tid,
         static_cast<double>(s.start_nanos) / 1e3,
         static_cast<double>(s.dur_nanos) / 1e3,
         static_cast<unsigned long long>(s.trace_id),
@@ -493,18 +417,27 @@ std::string TraceCollector::ToChromeJson() const {
         static_cast<unsigned long long>(s.b),
         JsonEscape(s.tag, tag_esc, sizeof(tag_esc)));
     out += buf;
+    sep = ",";
+  }
+  // Lifecycle events are not tied to a span thread: process-scoped
+  // instants, stamped on the same MonotonicNanos epoch as the spans.
+  for (const TraceEvent& e : evs) {
+    std::snprintf(
+        buf, sizeof(buf),
+        "%s\n{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"p\","
+        "\"pid\":1,\"tid\":0,\"ts\":%.3f,\"args\":{\"seq\":%llu,\"a\":%llu,"
+        "\"b\":%llu,\"detail\":\"%s\",\"trace\":\"%llx\"}}",
+        sep, EventKindName(e.kind), static_cast<double>(e.nanos) / 1e3,
+        static_cast<unsigned long long>(e.seq),
+        static_cast<unsigned long long>(e.a),
+        static_cast<unsigned long long>(e.b),
+        JsonEscape(e.detail, detail_esc, sizeof(detail_esc)),
+        static_cast<unsigned long long>(e.trace_id));
+    out += buf;
+    sep = ",";
   }
   out += "\n]}\n";
   return out;
-}
-
-uint64_t TraceCollector::recorded() const {
-  return head_.load(std::memory_order_relaxed);
-}
-
-uint64_t TraceCollector::dropped() const {
-  const uint64_t head = head_.load(std::memory_order_relaxed);
-  return head > capacity_ ? head - capacity_ : 0;
 }
 
 std::string DumpOpenSpans() {
@@ -572,7 +505,11 @@ void Watchdog::Impl::Loop(Watchdog* dog) {
     }
     const uint64_t now = MonotonicNanos();
     if (now < next) {
-      cv.wait_for(lk, std::chrono::nanoseconds(next - now));
+      // Capped at an hour: a far deadline's nanosecond count would
+      // overflow the clock arithmetic inside wait_for.
+      constexpr uint64_t kMaxWaitNanos = 3600ull * 1'000'000'000ull;
+      cv.wait_for(lk, std::chrono::nanoseconds(
+                          std::min(next - now, kMaxWaitNanos)));
       continue;  // re-scan: ops may have been armed/disarmed meanwhile
     }
     // Mark everything due as fired while locked, then fire unlocked so
@@ -637,9 +574,11 @@ uint64_t Watchdog::Arm(const char* what, const std::string& detail,
   }
   const uint64_t id = ++impl_->next_id;
   const uint64_t now = MonotonicNanos();
-  impl_->ops.push_back({id, what, detail, now,
-                        now + static_cast<uint64_t>(budget_ms) * 1'000'000ull,
-                        budget_ms, false});
+  const uint64_t budget_ns = MsToNanos(static_cast<uint64_t>(budget_ms));
+  // A deadline of UINT64_MAX is never due (Loop treats it as "none").
+  const uint64_t deadline =
+      budget_ns > UINT64_MAX - now ? UINT64_MAX : now + budget_ns;
+  impl_->ops.push_back({id, what, detail, now, deadline, budget_ms, false});
   impl_->cv.notify_one();
   return id;
 }

@@ -3,9 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace fcbench::obs {
 
@@ -20,9 +21,10 @@ namespace fcbench::obs {
 ///
 /// Sampling is deterministic: FCBENCH_TRACE_SAMPLE=1/N (or just N)
 /// samples every Nth root span per thread, phase-shifted by a seeded
-/// hash of the thread index (FCBENCH_TRACE_SEED, default 1), so two
-/// runs of the same workload sample the same operations. A root span is
-/// a span opened with no enclosing span and no adopted context.
+/// hash of the thread index (seed 1 unless SetTraceSampling says
+/// otherwise), so two runs of the same workload sample the same
+/// operations. A root span is a span opened with no enclosing span and
+/// no adopted context.
 ///
 /// The slow-op log (FCBENCH_SLOW_OP_MS) piggybacks on the same stack:
 /// any span — sampled or not — whose duration crosses the threshold
@@ -42,7 +44,8 @@ void SetTraceSampling(uint64_t n, uint64_t seed = 1);
 uint64_t TraceSampleN();
 
 /// Emit a slow-op JSON line for any span at or over `ms` (0 disables).
-/// Overrides FCBENCH_SLOW_OP_MS.
+/// Overrides FCBENCH_SLOW_OP_MS. Thresholds too large to express in
+/// nanoseconds saturate (SlowOpThresholdMs then reads UINT64_MAX / 1e6).
 void SetSlowOpThresholdMs(uint64_t ms);
 uint64_t SlowOpThresholdMs();
 
@@ -110,48 +113,46 @@ class ScopedSpan {
   bool recording_ = false;
 };
 
-/// Process-wide ring of completed sampled spans. Same slot discipline
-/// as EventTrace: writers reserve tickets with one fetch_add (one per
-/// drained batch, not per span) and fill all-atomic slots guarded by
-/// begin/end stamps; the ring wraps, keeping the newest `capacity`
-/// spans, and dropped() counts what wrapping discarded. Fixed memory:
-/// capacity * sizeof(slot), allocated once.
+class EventTrace;
+
+/// Process-wide ring of completed sampled spans: a SeqlockRing, the
+/// same ring EventTrace uses, with one ticket reservation per drained
+/// batch (not per span). The ring wraps, keeping the newest `capacity`
+/// spans, and dropped() counts what wrapping discarded. Fixed memory,
+/// allocated once.
 class TraceCollector {
  public:
   /// `capacity` is rounded up to a power of two, minimum 64.
-  explicit TraceCollector(size_t capacity = 8192);
-  ~TraceCollector();
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
+  explicit TraceCollector(size_t capacity = 8192) : ring_(capacity, 64) {}
 
   /// The process-wide collector (leaked singleton). Capacity from
   /// FCBENCH_TRACE_CAP (spans, default 8192).
   static TraceCollector& Global();
 
   /// Publish `n` completed spans with one ticket reservation.
-  void PublishBatch(const SpanRecord* recs, size_t n);
+  void PublishBatch(const SpanRecord* recs, size_t n) {
+    ring_.Publish(recs, n);
+  }
 
   /// The retained spans, oldest first. Torn slots are skipped.
   std::vector<SpanRecord> Snapshot() const;
 
   /// Chrome-trace / Perfetto-loadable JSON: {"traceEvents": [...]} with
-  /// "ph":"X" complete events (ts/dur in microseconds). Load at
+  /// the spans as "ph":"X" complete events (ts/dur in microseconds) and,
+  /// when `events` is non-null, its retained lifecycle events as "ph":"i"
+  /// instant events on the same epoch — one timeline. Load at
   /// https://ui.perfetto.dev or chrome://tracing. Nesting on a track is
   /// by time containment; cross-thread causality travels in
   /// args.trace/args.parent.
-  std::string ToChromeJson() const;
+  std::string ToChromeJson(const EventTrace* events) const;
 
-  uint64_t recorded() const;
+  uint64_t recorded() const { return ring_.recorded(); }
   /// Spans lost to ring wraparound (recorded - capacity, floored at 0).
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
+  uint64_t dropped() const { return ring_.dropped(); }
+  size_t capacity() const { return ring_.capacity(); }
 
  private:
-  struct Slot;
-
-  const size_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};  // tickets handed out
+  SeqlockRing<SpanRecord> ring_;
 };
 
 /// Every thread's currently-open span stack as text (one line per
@@ -173,8 +174,9 @@ class Watchdog {
   static int64_t DefaultBudgetMs();
 
   /// Registers an operation. `what` must be a string literal;
-  /// `budget_ms` 0 means DefaultBudgetMs(), negative disables. Returns
-  /// a handle for Disarm (0 when disabled).
+  /// `budget_ms` 0 means DefaultBudgetMs(), negative disables; a budget
+  /// past the steady clock's range never fires. Returns a handle for
+  /// Disarm (0 when disabled).
   uint64_t Arm(const char* what, const std::string& detail,
                int64_t budget_ms = 0);
   void Disarm(uint64_t handle);

@@ -1,7 +1,8 @@
 // Tests for the observability subsystem (src/obs/): metric primitives
 // under concurrency, histogram bucket math and snapshot algebra, the
 // registry's conflict detection and self-check, the exposition formats,
-// and the EventTrace ring's wraparound and seqlock behavior.
+// the shared SeqlockRing's wraparound and seqlock behavior (through
+// EventTrace and TraceCollector), span tracing, and the watchdog.
 
 #include <gtest/gtest.h>
 
@@ -613,11 +614,28 @@ TEST(Span, CollectorCapsMemoryAndCountsDrops) {
   }
   EXPECT_EQ(coll.recorded(), 300u);
   EXPECT_EQ(coll.dropped(), 300u - 128u);
-  const std::vector<SpanRecord> snap = coll.Snapshot();
+  std::vector<SpanRecord> snap = coll.Snapshot();
   EXPECT_EQ(snap.size(), 128u);
   // The ring keeps the newest spans: ids 173..300.
   EXPECT_EQ(snap.front().span_id, 173u);
   EXPECT_EQ(snap.back().span_id, 300u);
+
+  // One batch larger than the whole ring laps it within a single ticket
+  // reservation: exactly its newest capacity() records survive.
+  std::vector<SpanRecord> big(300);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i].trace_id = 2;
+    big[i].span_id = 301 + i;
+  }
+  coll.PublishBatch(big.data(), big.size());
+  EXPECT_EQ(coll.recorded(), 600u);
+  EXPECT_EQ(coll.dropped(), 600u - 128u);
+  snap = coll.Snapshot();
+  ASSERT_EQ(snap.size(), 128u);
+  for (size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(snap[i].span_id, 473u + i);
+    EXPECT_EQ(snap[i].trace_id, 2u);
+  }
 }
 
 /// Minimal JSON syntax validator: enough to prove ToChromeJson emits a
@@ -749,8 +767,13 @@ TEST(Span, ChromeJsonIsWellFormedAndPreservesNesting) {
   std::snprintf(other.name, sizeof(other.name), "solo");
   const SpanRecord recs[] = {child, parent, other};
   coll.PublishBatch(recs, 3);
+  // Lifecycle events join the same timeline as instant events.
+  EventTrace events(8);
+  events.Record(EventKind::kRetryBackoff, "shard\"0", 1, 2);
 
-  const std::string json = coll.ToChromeJson();
+  EXPECT_EQ(coll.ToChromeJson(nullptr).find("\"ph\":\"i\""),
+            std::string::npos);
+  const std::string json = coll.ToChromeJson(&events);
   size_t pos = 0;
   EXPECT_TRUE(ValidJson(json, &pos)) << json;
   SkipWs(json, &pos);
@@ -782,6 +805,15 @@ TEST(Span, ChromeJsonIsWellFormedAndPreservesNesting) {
   const size_t inner_at = json.find("\"inner\"");
   const size_t parent_arg = json.find("\"parent\":\"a\"", inner_at);
   EXPECT_NE(parent_arg, std::string::npos) << "parent id 10 = hex a";
+  // The event: an instant on the span epoch, detail escaped.
+  const size_t ev_at = json.find("\"retry-backoff\"");
+  ASSERT_NE(ev_at, std::string::npos) << json;
+  EXPECT_NE(json.find("\"ph\":\"i\"", ev_at), std::string::npos);
+  EXPECT_NE(json.find("shard\\\"0", ev_at), std::string::npos);
+  const size_t ts_at = json.find("\"ts\":", ev_at);
+  ASSERT_NE(ts_at, std::string::npos);
+  EXPECT_NEAR(std::atof(json.c_str() + ts_at + 5),
+              static_cast<double>(events.Snapshot()[0].nanos) / 1e3, 1e-3);
 }
 
 TEST(Span, ContextPropagatesAcrossThreads) {
@@ -863,6 +895,33 @@ TEST(Span, WatchdogFiresOnceOnOverdueOpAndNotOnFastOp) {
   EXPECT_EQ(dog.stalls_fired(), before + 1);
   // Negative budget disables arming entirely.
   EXPECT_EQ(dog.Arm("test.off", "disabled", -1), 0u);
+}
+
+TEST(Span, HugeWatchdogBudgetSaturatesInsteadOfFiring) {
+  // Budgets whose nanosecond deadline overflows u64 (or the clock's
+  // signed range) must mean "far future", never "already due".
+  Watchdog& dog = Watchdog::Global();
+  const uint64_t before = dog.stalls_fired();
+  const uint64_t h1 = dog.Arm("test.huge", "huge-op", INT64_MAX);
+  const uint64_t h2 =
+      dog.Arm("test.far", "far-op", int64_t{10'000'000'000'000});
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(dog.stalls_fired(), before);
+  dog.Disarm(h1);
+  dog.Disarm(h2);
+}
+
+TEST(Span, SlowOpThresholdRoundTripsOrSaturates) {
+  SamplingGuard guard;
+  constexpr uint64_t kMaxMs = UINT64_MAX / 1'000'000ull;
+  SetSlowOpThresholdMs(250);
+  EXPECT_EQ(SlowOpThresholdMs(), 250u);
+  SetSlowOpThresholdMs(kMaxMs);
+  EXPECT_EQ(SlowOpThresholdMs(), kMaxMs);
+  SetSlowOpThresholdMs(UINT64_MAX / 1000);
+  EXPECT_EQ(SlowOpThresholdMs(), kMaxMs);
+  SetSlowOpThresholdMs(UINT64_MAX);
+  EXPECT_EQ(SlowOpThresholdMs(), kMaxMs);
 }
 
 }  // namespace
