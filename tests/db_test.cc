@@ -19,8 +19,11 @@ std::string TempPath(const std::string& tag) {
   return std::string(::testing::TempDir()) + "/fcbench_" + tag + ".fcbf";
 }
 
+// The method is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which ASLR changes on every run, and that text
+// lands in the test names that gtest_discover_tests registers with CTest.
 class PagedFileRoundTrip : public ::testing::TestWithParam<
-                               std::tuple<const char*, size_t>> {};
+                               std::tuple<std::string, size_t>> {};
 
 TEST_P(PagedFileRoundTrip, WriteReadIdentity) {
   auto [method, page_size] = GetParam();
