@@ -87,6 +87,54 @@ Result<Manifest> ReadManifest(const std::string& prefix) {
   return m;
 }
 
+/// Widens stored little-endian elements into `dst` (one pass; f64 is a
+/// plain copy). `bytes` holds exactly dst.size() elements.
+void ToDoubles(const Buffer& bytes, DType dtype, std::span<double> dst) {
+  if (dst.empty()) return;
+  if (dtype == DType::kFloat32) {
+    const float* src = reinterpret_cast<const float*>(bytes.data());
+    for (size_t r = 0; r < dst.size(); ++r) dst[r] = src[r];
+  } else {
+    std::memcpy(dst.data(), bytes.data(), dst.size() * sizeof(double));
+  }
+}
+
+/// The shared half of ReadRows/ReadRowsInto: one manifest read, then one
+/// read of the column file, which also yields its dtype.
+Result<Buffer> ReadRowBytes(const std::string& prefix,
+                            const std::string& column, uint64_t row_begin,
+                            uint64_t row_count, ColumnStore::ReadStats* stats,
+                            DType* dtype) {
+  FCB_ASSIGN_OR_RETURN(Manifest m, ReadManifest(prefix));
+  size_t idx = m.names.size();
+  for (size_t i = 0; i < m.names.size(); ++i) {
+    if (m.names[i] == column) {
+      idx = i;
+      break;
+    }
+  }
+  if (idx == m.names.size()) {
+    return Status::InvalidArgument("column_store: no column '" + column +
+                                   "'");
+  }
+
+  const std::string path = ColumnPath(prefix, idx);
+  PagedFile::ReadTiming timing;
+  DataDesc desc;
+  FCB_ASSIGN_OR_RETURN(
+      Buffer bytes, PagedFile::ReadElementRange(path, row_begin, row_count,
+                                                &timing, &desc));
+  if (stats != nullptr) {
+    stats->io_seconds += timing.io_seconds;
+    stats->decode_seconds += timing.decode_seconds;
+    stats->bytes_decoded += timing.decoded_bytes;  // whole touched pages
+    auto fs = PagedFile::FileSize(path);
+    if (fs.ok()) stats->bytes_on_disk += fs.value();
+  }
+  *dtype = desc.dtype;
+  return bytes;
+}
+
 }  // namespace
 
 Status ColumnStore::Write(const std::string& prefix,
@@ -225,8 +273,8 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
   for (size_t idx : wanted) {
     const std::string path = ColumnPath(prefix, idx);
     PagedFile::ReadTiming timing;
-    FCB_ASSIGN_OR_RETURN(Buffer bytes, PagedFile::Read(path, &timing));
-    FCB_ASSIGN_OR_RETURN(DataDesc desc, PagedFile::ReadDesc(path));
+    DataDesc desc;
+    FCB_ASSIGN_OR_RETURN(Buffer bytes, PagedFile::Read(path, &timing, &desc));
     if (stats != nullptr) {
       stats->io_seconds += timing.io_seconds;
       stats->decode_seconds += timing.decode_seconds;
@@ -235,18 +283,24 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
       if (fs.ok()) stats->bytes_on_disk += fs.value();
     }
 
-    const size_t rows = bytes.size() / DTypeSize(desc.dtype);
-    std::vector<double> col(rows);
-    if (desc.dtype == DType::kFloat32) {
-      const float* src = reinterpret_cast<const float*>(bytes.data());
-      for (size_t r = 0; r < rows; ++r) col[r] = src[r];
-    } else {
-      std::memcpy(col.data(), bytes.data(), rows * 8);
-    }
+    std::vector<double> col(bytes.size() / DTypeSize(desc.dtype));
+    ToDoubles(bytes, desc.dtype, col);
     out_names.push_back(m.names[idx]);
     out_cols.push_back(std::move(col));
   }
   return DataFrame::FromColumns(std::move(out_names), std::move(out_cols));
+}
+
+Status ColumnStore::ReadRowsInto(const std::string& prefix,
+                                 const std::string& column,
+                                 uint64_t row_begin, std::span<double> dst,
+                                 ReadStats* stats) {
+  DType dtype = DType::kFloat64;
+  FCB_ASSIGN_OR_RETURN(
+      Buffer bytes, ReadRowBytes(prefix, column, row_begin, dst.size(),
+                                 stats, &dtype));
+  ToDoubles(bytes, dtype, dst);
+  return Status::OK();
 }
 
 Result<std::vector<double>> ColumnStore::ReadRows(const std::string& prefix,
@@ -254,42 +308,14 @@ Result<std::vector<double>> ColumnStore::ReadRows(const std::string& prefix,
                                                   uint64_t row_begin,
                                                   uint64_t row_count,
                                                   ReadStats* stats) {
-  FCB_ASSIGN_OR_RETURN(Manifest m, ReadManifest(prefix));
-  size_t idx = m.names.size();
-  for (size_t i = 0; i < m.names.size(); ++i) {
-    if (m.names[i] == column) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == m.names.size()) {
-    return Status::InvalidArgument("column_store: no column '" + column +
-                                   "'");
-  }
-
-  const std::string path = ColumnPath(prefix, idx);
-  FCB_ASSIGN_OR_RETURN(DataDesc desc, PagedFile::ReadDesc(path));
-  const size_t esize = DTypeSize(desc.dtype);
-  PagedFile::ReadTiming timing;
+  // Same read as ReadRowsInto; the vector is sized only after the range
+  // has been checked against the stored column.
+  DType dtype = DType::kFloat64;
   FCB_ASSIGN_OR_RETURN(
       Buffer bytes,
-      PagedFile::ReadByteRange(path, row_begin * esize, row_count * esize,
-                               &timing));
-  if (stats != nullptr) {
-    stats->io_seconds += timing.io_seconds;
-    stats->decode_seconds += timing.decode_seconds;
-    stats->bytes_decoded += timing.decoded_bytes;  // whole touched pages
-    auto fs = PagedFile::FileSize(path);
-    if (fs.ok()) stats->bytes_on_disk += fs.value();
-  }
-
+      ReadRowBytes(prefix, column, row_begin, row_count, stats, &dtype));
   std::vector<double> out(row_count);
-  if (desc.dtype == DType::kFloat32) {
-    const float* src = reinterpret_cast<const float*>(bytes.data());
-    for (uint64_t r = 0; r < row_count; ++r) out[r] = src[r];
-  } else if (row_count > 0) {
-    std::memcpy(out.data(), bytes.data(), row_count * 8);
-  }
+  ToDoubles(bytes, dtype, out);
   return out;
 }
 

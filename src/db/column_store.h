@@ -1,6 +1,7 @@
 #ifndef FCBENCH_DB_COLUMN_STORE_H_
 #define FCBENCH_DB_COLUMN_STORE_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,10 +73,21 @@ class ColumnStore {
                                 const std::vector<std::string>& names = {},
                                 ReadStats* stats = nullptr);
 
-  /// Reads rows [row_begin, row_begin + row_count) of one column,
-  /// decoding only the pages that overlap the range (chunk-granular
-  /// pushdown for point/range queries; the rest of the column is never
-  /// decompressed).
+  /// Reads rows [row_begin, row_begin + dst.size()) of one column into
+  /// `dst`, decoding only the pages that overlap the range
+  /// (chunk-granular pushdown for point/range queries; the rest of the
+  /// column is never decompressed). Cost: one manifest read, one read of
+  /// the column file, the page decode, and one copy (f64) or widening
+  /// pass (f32) into `dst` — so a caller assembling many segments can
+  /// decode each straight into its slice of one preallocated output. On
+  /// error `dst` may be partially written.
+  static Status ReadRowsInto(const std::string& prefix,
+                             const std::string& column, uint64_t row_begin,
+                             std::span<double> dst,
+                             ReadStats* stats = nullptr);
+
+  /// ReadRowsInto into a vector of `row_count` values, allocated once
+  /// the range has been checked against the stored column.
   static Result<std::vector<double>> ReadRows(const std::string& prefix,
                                               const std::string& column,
                                               uint64_t row_begin,

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "db/column_store.h"
 #include "obs/event_trace.h"
@@ -848,18 +849,15 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     specs[c].compressor = opt_.compact_compressor;
     specs[c].dtype = schema_[c].dtype;
     specs[c].precision_digits = schema_[c].precision_digits;
-    specs[c].values.reserve(total_rows);
+    specs[c].values.resize(total_rows);
+    const std::span<double> merged_col(specs[c].values);
+    size_t pos = 0;
     for (const auto& s : run) {
       obs::ScopedSpan read_span("segment.read", s.id, s.rows);
-      auto r = ColumnStore::ReadRows(SegPrefix(s.id), schema_[c].name, 0,
-                                     s.rows);
-      if (!r.ok()) {
-        st = r.status();
-        break;
-      }
-      const auto& vals = r.value();
-      specs[c].values.insert(specs[c].values.end(), vals.begin(),
-                             vals.end());
+      st = ColumnStore::ReadRowsInto(SegPrefix(s.id), schema_[c].name, 0,
+                                     merged_col.subspan(pos, s.rows));
+      if (!st.ok()) break;
+      pos += s.rows;
     }
   }
   if (st.ok()) {
@@ -957,17 +955,23 @@ Result<std::vector<double>> IngestEngine::ReadColumn(
   ++active_readers_;
   lk.unlock();
 
-  std::vector<double> out;
+  // Size the result once; each segment then decodes straight into its
+  // own slice, and the memtables fill the end.
+  uint64_t seg_rows = 0;
+  for (const auto& s : segs) seg_rows += s.rows;
+  const std::vector<double>* imm_col =
+      imm != nullptr ? &imm->column(col) : nullptr;
+  std::vector<double> out(seg_rows + (imm_col ? imm_col->size() : 0) +
+                          tail.size());
+  const std::span<double> dst(out);
   Status st;
+  size_t pos = 0;
   for (const auto& s : segs) {
     obs::ScopedSpan read_span("segment.read", s.id, s.rows);
-    auto r = ColumnStore::ReadRows(SegPrefix(s.id), column, 0, s.rows);
-    if (!r.ok()) {
-      st = r.status();
-      break;
-    }
-    const auto& vals = r.value();
-    out.insert(out.end(), vals.begin(), vals.end());
+    st = ColumnStore::ReadRowsInto(SegPrefix(s.id), column, 0,
+                                   dst.subspan(pos, s.rows));
+    if (!st.ok()) break;
+    pos += s.rows;
   }
 
   lk.lock();
@@ -976,12 +980,10 @@ Result<std::vector<double>> IngestEngine::ReadColumn(
   lk.unlock();
   if (!st.ok()) return st;
 
-  if (imm != nullptr) {
-    for (double v : imm->column(col)) {
-      out.push_back(RoundTripValue(v, dtype));
-    }
+  if (imm_col != nullptr) {
+    for (double v : *imm_col) out[pos++] = RoundTripValue(v, dtype);
   }
-  for (double v : tail) out.push_back(RoundTripValue(v, dtype));
+  for (double v : tail) out[pos++] = RoundTripValue(v, dtype);
   return out;
 }
 

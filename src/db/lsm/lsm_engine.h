@@ -228,6 +228,15 @@ class IngestEngine {
   /// Keeps serving after a background error (read-only degradation):
   /// every acknowledged row is either in a published segment, in a
   /// memtable (WAL-backed), or both.
+  ///
+  /// The segment list and memtables are captured under the engine lock;
+  /// segment files are then read off-lock while a reader pin holds
+  /// compaction from deleting them. The result is sized once, and each
+  /// segment is decoded straight into its slice (ColumnStore::
+  /// ReadRowsInto: one column-file read, one copy). Decoding may fan out
+  /// on ThreadPool::Shared(), whose callers never run queued tasks, so a
+  /// reader cannot end up executing a flush or compaction that waits on
+  /// its own pin.
   Result<std::vector<double>> ReadColumn(const std::string& column) const;
 
   /// Integrity scrub: re-reads every published segment and verifies its

@@ -185,7 +185,8 @@ Result<ParsedHeader> ParseHeader(ByteSpan file) {
 
 }  // namespace
 
-Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing) {
+Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing,
+                               DataDesc* desc) {
   Timer io_timer;
   auto file_r = fs::ReadFile(path);
   if (!file_r.ok()) return file_r.status();
@@ -195,6 +196,7 @@ Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing) {
   auto hr = ParseHeader(file.span());
   if (!hr.ok()) return hr.status();
   const ParsedHeader& h = hr.value();
+  if (desc != nullptr) *desc = h.desc;
 
   const bool raw = h.compressor == "none";
   std::unique_ptr<Compressor> comp;
@@ -236,9 +238,10 @@ Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing) {
   return out;
 }
 
-Result<Buffer> PagedFile::ReadByteRange(const std::string& path,
-                                        uint64_t offset, uint64_t length,
-                                        ReadTiming* timing) {
+Result<Buffer> PagedFile::ReadElementRange(const std::string& path,
+                                           uint64_t first, uint64_t count,
+                                           ReadTiming* timing,
+                                           DataDesc* desc) {
   Timer io_timer;
   auto file_r = fs::ReadFile(path);
   if (!file_r.ok()) return file_r.status();
@@ -248,14 +251,21 @@ Result<Buffer> PagedFile::ReadByteRange(const std::string& path,
   auto hr = ParseHeader(file.span());
   if (!hr.ok()) return hr.status();
   const ParsedHeader& h = hr.value();
+  if (desc != nullptr) *desc = h.desc;
+  // The byte range depends on the stored dtype, known only now. The
+  // header bounds the array at kMaxTotalBytes, so the multiplications
+  // below cannot overflow once the element range is inside it.
+  const uint64_t esize = DTypeSize(h.desc.dtype);
   const uint64_t total_bytes = h.desc.num_bytes();
-  if (offset > total_bytes || length > total_bytes - offset) {
-    return Status::OutOfRange("paged file: byte range past end of array");
+  const uint64_t total_elems = total_bytes / esize;
+  if (first > total_elems || count > total_elems - first) {
+    return Status::OutOfRange("paged file: range past end of array");
   }
+  const uint64_t offset = first * esize;
+  const uint64_t length = count * esize;
 
   Timer decode_timer;
-  Buffer out;
-  if (length == 0) return out;
+  if (length == 0) return Buffer();
   const size_t first_page = static_cast<size_t>(offset / h.page);
   const size_t last_page = static_cast<size_t>((offset + length - 1) / h.page);
   if (last_page >= h.page_sizes.size()) {
@@ -272,8 +282,11 @@ Result<Buffer> PagedFile::ReadByteRange(const std::string& path,
 
   size_t page_start = h.payload_offset;
   for (size_t p = 0; p < first_page; ++p) page_start += h.page_sizes[p];
-  uint64_t page_raw_begin = static_cast<uint64_t>(first_page) * h.page;
+  const uint64_t page_raw_begin = static_cast<uint64_t>(first_page) * h.page;
+  const uint64_t page_raw_end =
+      std::min<uint64_t>(total_bytes, uint64_t(last_page + 1) * h.page);
   Buffer decoded;  // raw bytes of the touched pages only
+  decoded.Reserve(static_cast<size_t>(page_raw_end - page_raw_begin));
   for (size_t p = first_page; p <= last_page; ++p) {
     if (h.page_sizes[p] > file.size() - page_start) {
       return Status::Corruption("paged file: truncated pages");
@@ -296,20 +309,19 @@ Result<Buffer> PagedFile::ReadByteRange(const std::string& path,
   if (decoded.size() < offset - page_raw_begin + length) {
     return Status::Corruption("paged file: short page decode");
   }
-  out.Append(decoded.data() + (offset - page_raw_begin), length);
   if (timing != nullptr) {
     timing->decode_seconds = decode_timer.ElapsedSeconds();
     timing->decoded_bytes = decoded.size();
   }
+  // A range that starts on a page boundary is a prefix of the decoded
+  // pages: trim the tail instead of copying the slice out.
+  if (offset == page_raw_begin) {
+    decoded.Resize(static_cast<size_t>(length));
+    return decoded;
+  }
+  Buffer out;
+  out.Append(decoded.data() + (offset - page_raw_begin), length);
   return out;
-}
-
-Result<DataDesc> PagedFile::ReadDesc(const std::string& path) {
-  auto file_r = fs::ReadFile(path);
-  if (!file_r.ok()) return file_r.status();
-  auto hr = ParseHeader(file_r.value().span());
-  if (!hr.ok()) return hr.status();
-  return hr.value().desc;
 }
 
 Result<uint64_t> PagedFile::FileSize(const std::string& path) {

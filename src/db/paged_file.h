@@ -37,8 +37,8 @@ class PagedFile {
   struct ReadTiming {
     double io_seconds = 0;
     double decode_seconds = 0;
-    /// Raw bytes actually decompressed. For ReadByteRange this counts the
-    /// whole touched pages, not just the returned slice — the honest
+    /// Raw bytes actually decompressed. For ReadElementRange this counts
+    /// the whole touched pages, not just the returned slice — the honest
     /// decode cost of a pushdown read.
     uint64_t decoded_bytes = 0;
   };
@@ -61,20 +61,26 @@ class PagedFile {
                       WriteInfo* info = nullptr);
 
   /// Reads the container back: file I/O and per-page decompression are
-  /// timed separately. Returns the raw little-endian element bytes.
-  static Result<Buffer> Read(const std::string& path, ReadTiming* timing);
+  /// timed separately. Returns the raw little-endian element bytes. The
+  /// file is read once; when `desc` is non-null it receives the stored
+  /// array descriptor parsed from that same read.
+  static Result<Buffer> Read(const std::string& path, ReadTiming* timing,
+                             DataDesc* desc = nullptr);
 
-  /// Reads raw bytes [offset, offset + length) of the stored array,
-  /// decoding only the pages that overlap the range (chunk-granular
-  /// pushdown: a point or range query touches one page, not the column).
-  /// The file is still read whole — the saving is decode work, which
-  /// dominates for compressed columns (§6.2.2).
-  static Result<Buffer> ReadByteRange(const std::string& path,
-                                      uint64_t offset, uint64_t length,
-                                      ReadTiming* timing = nullptr);
-
-  /// Reads only the stored metadata (no page decode).
-  static Result<DataDesc> ReadDesc(const std::string& path);
+  /// Reads the raw bytes of elements [first, first + count) of the
+  /// stored array, decoding only the pages that overlap the range
+  /// (chunk-granular pushdown: a point or range query touches one page,
+  /// not the column). The range is in elements because the element size
+  /// is stored in the header. The file is read whole, once — the saving
+  /// is decode work, which dominates for compressed columns (§6.2.2) —
+  /// and `desc`, when non-null, receives the stored descriptor from that
+  /// read. The decode buffer is sized for the touched pages up front; a
+  /// range starting on a page boundary is returned in it directly,
+  /// without copying the slice out.
+  static Result<Buffer> ReadElementRange(const std::string& path,
+                                         uint64_t first, uint64_t count,
+                                         ReadTiming* timing = nullptr,
+                                         DataDesc* desc = nullptr);
 
   /// Total on-disk size of the container, or error.
   static Result<uint64_t> FileSize(const std::string& path);

@@ -7,6 +7,7 @@
 #include "obs/span.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace fcbench::db::shard {
@@ -245,13 +246,25 @@ ShardedIngestEngine::SnapshotReadShards(const std::string& column) const {
   // off-gate and truncating yields the state as of the capture instant
   // even while ingest continues. (A concurrent scrub that quarantines a
   // segment can shrink a shard below its cut — the one documented
-  // exception.)
+  // exception.) One pool task per shard: a shard read that lands on a
+  // worker decodes its pages inline, so the per-page fan-out is replaced
+  // by shard-level parallelism.
   std::vector<std::vector<double>> out(shards_.size());
+  std::vector<Status> status(shards_.size());
+  ThreadPool::Shared().ParallelFor(
+      shards_.size(),
+      [&](size_t k) {
+        auto r = shards_[k]->ReadColumn(column);
+        if (!r.ok()) {
+          status[k] = r.status();
+          return;
+        }
+        out[k] = std::move(r).value();
+        if (out[k].size() > cut[k]) out[k].resize(cut[k]);
+      },
+      {/*grain=*/1});
   for (size_t k = 0; k < shards_.size(); ++k) {
-    auto r = shards_[k]->ReadColumn(column);
-    if (!r.ok()) return Annotate(k, r.status());
-    out[k] = std::move(r).value();
-    if (out[k].size() > cut[k]) out[k].resize(cut[k]);
+    if (!status[k].ok()) return Annotate(k, status[k]);
   }
   return out;
 }

@@ -101,9 +101,9 @@ struct ScrubSummary {
 ///
 ///  - Snapshot-consistent cross-shard reads. SnapshotReadShards briefly
 ///    gates appenders out (shared_mutex), captures every shard's row
-///    count at one instant, then reads off-gate and truncates each
-///    shard to its captured count — no torn batches, no shard ahead of
-///    another relative to the capture instant.
+///    count at one instant, then reads the shards concurrently off-gate
+///    and truncates each to its captured count — no torn batches, no
+///    shard ahead of another relative to the capture instant.
 ///
 ///  - Coordinated Flush/Close. Flush schedules every shard's background
 ///    flush first (they overlap on ThreadPool::Shared()) and only then
@@ -149,8 +149,13 @@ class ShardedIngestEngine {
   /// Snapshot-consistent read: one vector per shard, each truncated to
   /// the shard's row count captured at a single instant with no append
   /// in flight. Concurrent ingest never tears a batch into the result.
-  /// Caveat: a scrub that quarantines a segment between capture and
-  /// read can make a shard return fewer rows than captured.
+  /// The cut is captured under the gate; the per-shard ReadColumn calls
+  /// then run concurrently on ThreadPool::Shared() (one task per shard,
+  /// the calling thread taking part). Every shard is read even when one
+  /// fails; the error returned is the lowest-indexed failing shard's,
+  /// annotated with that index. Caveat: a scrub that quarantines a
+  /// segment between capture and read can make a shard return fewer
+  /// rows than captured.
   Result<std::vector<std::vector<double>>> SnapshotReadShards(
       const std::string& column) const;
 

@@ -29,12 +29,17 @@ obs::Gauge* QueueDepthGauge() {
 thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 /// Per-ParallelFor shared state: a dynamic work cursor plus a private
-/// join, so concurrent ParallelFor calls on the same (shared) pool never
-/// wait on each other's tasks.
+/// join over the helpers that actually started, so concurrent
+/// ParallelFor calls on the same (shared) pool never wait on each
+/// other's tasks, nor on helper stubs still queued behind them.
 struct ForState {
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
-  size_t helpers_pending = 0;
+  /// Helpers currently inside the work loop.
+  size_t helpers_running = 0;
+  /// Set by the caller once its own drain is done; a stub that starts
+  /// afterwards returns without touching the caller's `fn`.
+  bool closed = false;
   std::exception_ptr first_exception;
   std::mutex mu;
   std::condition_variable cv;
@@ -145,10 +150,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   const size_t helpers = std::min(participants - 1, chunks - 1);
 
   auto state = std::make_shared<ForState>();
-  state->helpers_pending = helpers;
 
-  // The caller blocks until every helper finishes, so `fn` (a reference)
-  // and `state` outlive all users.
+  // `fn` is a reference into the caller's frame: only helpers that
+  // registered before the caller closed the call may use it, and the
+  // caller waits for exactly those.
   auto drain = [state, n, grain, &fn] {
     for (;;) {
       if (state->failed.load(std::memory_order_relaxed)) return;
@@ -170,10 +175,15 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
 
   for (size_t h = 0; h < helpers; ++h) {
     Submit([state, drain] {
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (state->closed) return;
+        ++state->helpers_running;
+      }
       drain();
       {
         std::lock_guard<std::mutex> lock(state->mu);
-        --state->helpers_pending;
+        --state->helpers_running;
       }
       state->cv.notify_all();
     });
@@ -181,39 +191,15 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
 
   drain();
 
-  // The cursor is exhausted, but queued helper stubs must still be
-  // dequeued before `state` and `fn` can die. Rather than sleeping while
-  // they sit behind unrelated work on a shared pool, the caller helps
-  // drain the queue: its own stubs are in there somewhere, and executing
-  // the tasks ahead of them is at worst the same work the pool would do
-  // serially anyway. Once the queue is empty our stubs are either done or
-  // running on a worker, and a plain wait is bounded by one drain pass.
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (state->helpers_pending == 0) break;
-    }
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      }
-    }
-    if (task) {
-      QueueDepthGauge()->Add(-1);
-      RunTask(task);
-    } else {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&state] { return state->helpers_pending == 0; });
-      break;
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (state->first_exception) std::rethrow_exception(state->first_exception);
-  }
+  // The cursor is exhausted. Wait only for helpers already inside the
+  // loop (each is bounded by the chunk it holds); stubs still queued
+  // behind unrelated work become no-ops. The caller never runs a queued
+  // task itself: a foreign task (say, a background flush waiting on a
+  // lock or reader count the caller holds) could block it forever.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->closed = true;
+  state->cv.wait(lock, [&state] { return state->helpers_running == 0; });
+  if (state->first_exception) std::rethrow_exception(state->first_exception);
 }
 
 void ThreadPool::ParallelRanges(
@@ -239,34 +225,11 @@ void ThreadPool::ParallelRanges(
               {/*grain=*/1, /*max_parallelism=*/parts});
 }
 
-void ThreadPool::RunTask(const std::function<void()>& task) {
+void ThreadPool::WorkerLoop() {
+  tls_worker_pool = this;
   static obs::Histogram* task_nanos =
       obs::MetricsRegistry::Global().GetHistogram("pool.task_nanos",
                                                   obs::Unit::kNanos);
-  const bool timed = obs::Enabled();
-  Timer timer;
-  try {
-    task();
-  } catch (...) {
-    // Raw Submit() tasks have no caller left to rethrow into; dying with
-    // a diagnostic beats the bare std::terminate an escaping exception
-    // used to cause. ParallelFor wraps its work in its own try/catch, so
-    // only contract violations reach this handler.
-    std::fprintf(stderr,
-                 "fcbench: ThreadPool task threw an exception; tasks must "
-                 "be no-throw (see util/thread_pool.h)\n");
-    std::terminate();
-  }
-  if (timed) task_nanos->Record(timer.ElapsedNanos());
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    --inflight_;
-    if (inflight_ == 0) cv_done_.notify_all();
-  }
-}
-
-void ThreadPool::WorkerLoop() {
-  tls_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -277,7 +240,26 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     QueueDepthGauge()->Add(-1);
-    RunTask(task);
+    const bool timed = obs::Enabled();
+    Timer timer;
+    try {
+      task();
+    } catch (...) {
+      // Raw Submit() tasks have no caller left to rethrow into; dying
+      // with a diagnostic beats the bare std::terminate an escaping
+      // exception used to cause. ParallelFor wraps its work in its own
+      // try/catch, so only contract violations reach this handler.
+      std::fprintf(stderr,
+                   "fcbench: ThreadPool task threw an exception; tasks "
+                   "must be no-throw (see util/thread_pool.h)\n");
+      std::terminate();
+    }
+    if (timed) task_nanos->Record(timer.ElapsedNanos());
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      --inflight_;
+      if (inflight_ == 0) cv_done_.notify_all();
+    }
   }
 }
 

@@ -26,7 +26,7 @@ namespace fcbench {
 /// receive it). `ParallelFor`/`ParallelRanges` are stricter and safer:
 /// the first exception thrown by `fn` is captured, remaining chunks are
 /// abandoned, and the exception is rethrown on the calling thread once
-/// every helper has drained.
+/// every started helper has returned.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -79,9 +79,14 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
   /// Chunks of `grain` indices are claimed dynamically (atomic cursor), so
   /// unevenly-sized blocks do not leave workers idle. The calling thread
-  /// participates in the work. When invoked from inside a task of this
-  /// same pool, execution degrades to inline (serial) instead of
-  /// deadlocking on the occupied workers.
+  /// participates in the work and, once the cursor is exhausted, waits
+  /// only for helpers that already started; helper stubs still queued
+  /// behind other work return without calling `fn` when they run. The
+  /// caller never executes a queued task of its own or anyone else's, so
+  /// a caller holding a lock or reader pin cannot end up running a task
+  /// that waits on it. When invoked from inside a task of this same
+  /// pool, execution degrades to inline (serial) instead of deadlocking
+  /// on the occupied workers.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                    ForOptions options);
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
@@ -97,10 +102,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  /// Runs one dequeued task with the no-throw enforcement and inflight
-  /// bookkeeping; shared by workers and by ParallelFor callers helping
-  /// drain the queue.
-  void RunTask(const std::function<void()>& task);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

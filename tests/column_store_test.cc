@@ -5,11 +5,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "db/column_store.h"
 #include "db/query.h"
+#include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/rng.h"
 
@@ -183,6 +185,61 @@ TEST_F(ColumnStoreTest, ReadRowsPushdownDecodesOnlyTouchedPages) {
   ASSERT_TRUE(one.ok());
   EXPECT_GE(stats.bytes_decoded, 4096u);
   EXPECT_LE(stats.bytes_decoded, 2 * 4096u);
+}
+
+TEST_F(ColumnStoreTest, ReadRowsIntoMatchesFullReadBitForBit) {
+  // 4096-byte pages hold 512 f64 rows or 1024 f32 rows, so the ranges
+  // below start page-aligned for both dtypes (0, 1024), aligned for f64
+  // only (512), and unaligned for both (777, 4090).
+  auto cols = MakeTable(5000);
+  ASSERT_TRUE(ColumnStore::Write(prefix_, cols, /*page_size=*/4096).ok());
+  auto df = ColumnStore::Read(prefix_);
+  ASSERT_TRUE(df.ok());
+  ASSERT_EQ(cols[0].dtype, DType::kFloat64);
+  ASSERT_EQ(cols[1].dtype, DType::kFloat32);
+
+  struct Range {
+    uint64_t begin, count;
+  };
+  for (const auto& [begin, count] :
+       {Range{0, 5000}, Range{1024, 2048}, Range{512, 1000}, Range{777, 300},
+        Range{4090, 10}, Range{0, 1}}) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const double* want = df.value().column(c).data() + begin;
+      std::vector<double> into(count, -1.0);
+      ASSERT_TRUE(
+          ColumnStore::ReadRowsInto(prefix_, cols[c].name, begin, into).ok())
+          << cols[c].name << " [" << begin << ", +" << count << ")";
+      EXPECT_EQ(std::memcmp(into.data(), want, count * sizeof(double)), 0)
+          << cols[c].name << " [" << begin << ", +" << count << ")";
+      auto rows = ColumnStore::ReadRows(prefix_, cols[c].name, begin, count);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      ASSERT_EQ(rows.value().size(), count);
+      EXPECT_EQ(std::memcmp(rows.value().data(), want,
+                            count * sizeof(double)),
+                0)
+          << cols[c].name << " [" << begin << ", +" << count << ")";
+    }
+  }
+  std::vector<double> past_end(20);
+  EXPECT_EQ(ColumnStore::ReadRowsInto(prefix_, "temperature", 4990, past_end)
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST_F(ColumnStoreTest, ReadRowsReadsEachFileOnce) {
+  // One manifest read plus one column-file read: the dtype comes from
+  // the column file's own header, not from a second read of it.
+  auto cols = MakeTable(3000);
+  ASSERT_TRUE(ColumnStore::Write(prefix_, cols, /*page_size=*/4096).ok());
+  fail::FailPoints::EnableCounting(true);
+  fail::FailPoints::ResetCounters();
+  auto rows = ColumnStore::ReadRows(prefix_, "vibration", 100, 2000);
+  const uint64_t reads = fail::FailPoints::HitCount("fs.read");
+  fail::FailPoints::EnableCounting(false);
+  fail::FailPoints::ResetCounters();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(reads, 2u);
 }
 
 TEST_F(ColumnStoreTest, ReadRowsRejectsBadRequests) {

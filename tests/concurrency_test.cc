@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "select/selector.h"
 #include "util/fs.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fcbench {
 namespace {
@@ -522,6 +525,69 @@ TEST(ConcurrencyTest, ScrubAndCompactRaceLiveAppendsWithoutLossOrReorder) {
 
   ASSERT_TRUE(eng.Close().ok());
   lsmrace::RemoveTree(dir);
+}
+
+TEST(ThreadPoolLivenessTest, CallerNeverRunsForeignTasksAndLateStubsSkipFn) {
+  // Both workers are parked, so every helper stub ParallelFor submits
+  // sits in the queue behind a task another thread submitted. The
+  // caller must finish the whole range itself without executing that
+  // foreign task (it could be a flush waiting on a pin the caller
+  // holds), and the stubs, once they finally run, must not call `fn`.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t parked = 0;
+  bool release = false;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+  }
+
+  std::atomic<bool> foreign_ran{false};
+  std::thread::id foreign_thread;
+  std::thread([&] {
+    pool.Submit([&] {
+      foreign_thread = std::this_thread::get_id();
+      foreign_ran = true;
+    });
+  }).join();
+
+  constexpr size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<size_t> calls{0};
+  std::thread::id caller_thread;
+  std::thread caller([&] {
+    caller_thread = std::this_thread::get_id();
+    pool.ParallelFor(
+        kN,
+        [&](size_t i) {
+          hits[i].fetch_add(1);
+          calls.fetch_add(1);
+        },
+        {/*grain=*/1});
+  });
+  caller.join();
+  EXPECT_FALSE(foreign_ran.load()) << "caller ran a foreign queued task";
+  EXPECT_EQ(calls.load(), kN);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.Wait();  // the foreign task and the stale helper stubs all run
+  EXPECT_TRUE(foreign_ran.load());
+  EXPECT_NE(foreign_thread, caller_thread);
+  EXPECT_EQ(calls.load(), kN) << "a late helper stub called fn";
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 }  // namespace

@@ -74,10 +74,15 @@ TEST(PagedFileTest, StoresDescMetadata) {
   ASSERT_TRUE(
       PagedFile::Write(path, ds.value().bytes.span(), ds.value().desc, opt)
           .ok());
-  auto desc = PagedFile::ReadDesc(path);
-  ASSERT_TRUE(desc.ok());
-  EXPECT_EQ(desc.value().dtype, DType::kFloat64);
-  EXPECT_EQ(desc.value().extent, ds.value().desc.extent);
+  // Both read paths hand back the stored descriptor from their one read.
+  DataDesc desc, range_desc;
+  ASSERT_TRUE(PagedFile::Read(path, nullptr, &desc).ok());
+  ASSERT_TRUE(PagedFile::ReadElementRange(path, 10, 5, nullptr, &range_desc)
+                  .ok());
+  EXPECT_EQ(desc.dtype, DType::kFloat64);
+  EXPECT_EQ(desc.extent, ds.value().desc.extent);
+  EXPECT_EQ(range_desc.dtype, DType::kFloat64);
+  EXPECT_EQ(range_desc.extent, ds.value().desc.extent);
   std::remove(path.c_str());
 }
 

@@ -1,13 +1,20 @@
 // Tests for the crash-safe LSM ingest engine (src/db/lsm/): WAL framing
 // and torn-tail recovery, the kill-at-any-byte crash-consistency sweeps
 // (truncate/flip every byte of the WAL; every half-published segment
-// state), recovery idempotence, background flush, and tiered compaction.
+// state), recovery idempotence, background flush, tiered compaction, and
+// reader liveness against background work queued on the shared pool.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,6 +22,7 @@
 #include "db/lsm/lsm_engine.h"
 #include "db/lsm/wal.h"
 #include "util/fs.h"
+#include "util/thread_pool.h"
 
 namespace fcbench::db::lsm {
 namespace {
@@ -695,6 +703,79 @@ TEST_F(LsmEngineTest, NoSyncModeStillRecoversCleanShutdown) {
   ASSERT_TRUE(eng.ok());
   EXPECT_EQ(eng.value()->rows(), 200u);
   ExpectColumnsEqualPrefix(*eng.value(), 200);
+}
+
+TEST_F(LsmEngineTest, ReaderNeverRunsQueuedFlushThatWaitsOnItsPin) {
+  // Every shared-pool worker is parked, and a background flush whose
+  // compaction (fanout 2) must wait for active readers is queued. A
+  // ReadColumn of a bitshuffle segment fans its page decode out with
+  // ParallelFor while holding its reader pin. If the reader ever ran the
+  // queued flush itself, that compaction would wait on the reader's own
+  // pin forever; the read must complete regardless of the pool.
+  EngineOptions opt = FastOptions();
+  opt.sync_on_commit = false;
+  opt.background_flush = true;
+  opt.compact_fanout = 2;
+  opt.memtable_bytes = 16 << 20;  // flushes only when asked
+  opt.flush_compressor = "bitshuffle_lz4";
+  auto eng = IngestEngine::Open(dir_, Schema(), opt);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  constexpr uint64_t kSegRows = 49152;  // 6 pages of f64
+  constexpr uint64_t kRows = kSegRows + 4096;
+  ASSERT_TRUE(AppendRows(*eng.value(), 0, kSegRows, 1024).ok());
+  ASSERT_TRUE(eng.value()->Flush().ok());  // inline: segment 0
+  ASSERT_TRUE(AppendRows(*eng.value(), kSegRows, kRows, 1024).ok());
+
+  ThreadPool& pool = ThreadPool::Shared();
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t parked = 0;
+  bool release = false;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+  }
+  auto release_workers = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  };
+  ASSERT_TRUE(eng.value()->ScheduleFlush().ok());  // queued behind them
+
+  auto read = std::async(std::launch::async,
+                         [&] { return eng.value()->ReadColumn("value"); });
+  const bool done_while_parked =
+      read.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release_workers();
+  if (!done_while_parked &&
+      read.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The reader is wedged for good; tearing the engine down would hang
+    // too, so fail loudly instead of waiting for the test timeout.
+    std::fprintf(stderr,
+                 "ReadColumn still blocked 10 s after the pool was freed: "
+                 "the reader ran the queued flush and waits on its own "
+                 "pin\n");
+    std::abort();
+  }
+  EXPECT_TRUE(done_while_parked)
+      << "ReadColumn waited on the pool's queue";
+  auto r = read.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), ExpectedColumn(1, kRows));
+
+  ASSERT_TRUE(eng.value()->WaitForFlush().ok());
+  EXPECT_EQ(eng.value()->segments().size(), 1u) << "the flush compacted";
+  ExpectColumnsEqualPrefix(*eng.value(), kRows);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // hash routing and its pinned shard count, admission control (fail-fast
 // kOverloaded, deadline waits, oversized-batch rejection, shutdown
 // wakeups), snapshot-consistent cross-shard reads under concurrent
-// ingest, coordinated flush, aggregated health/scrub, per-shard
+// ingest and background flush/compaction, error attribution of the
+// parallel shard read, coordinated flush, aggregated health/scrub, per-shard
 // activity totals against the process-wide registry, and recovery
 // accounting across reopen.
 
@@ -10,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -374,6 +376,127 @@ TEST_F(ShardTest, SnapshotNeverTearsBatchesDuringConcurrentIngest) {
   }
   for (auto& t : writers) t.join();
   EXPECT_EQ(eng.rows(), kWriters * kBatch * kBatchesPerWriter);
+}
+
+TEST_F(ShardTest, ParallelSnapshotMatchesSerialReadsUnderBackgroundWork) {
+  // Shards are read concurrently on the shared pool while two writers
+  // keep appending and every shard flushes and compacts in the
+  // background. Each shard's snapshot must still be a batch-aligned cut:
+  // a whole number of batches per series, and exactly the prefix of
+  // what a later serial ReadColumn of that shard returns.
+  ShardOptions opt = TestOptions(4);
+  opt.engine.background_flush = true;
+  opt.engine.compact_fanout = 2;
+  opt.engine.memtable_bytes = 4 << 10;
+  opt.engine.flush_compressor = "bitshuffle_lz4";
+  auto opened = ShardedIngestEngine::Open(dir_, TestSchema(), opt);
+  ASSERT_TRUE(opened.ok());
+  auto& eng = *opened.value();
+
+  constexpr size_t kWriters = 2;
+  constexpr size_t kSeriesPerWriter = 8;
+  constexpr size_t kBatch = 5;
+  constexpr size_t kRounds = 40;
+  std::atomic<bool> write_failed{false};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      // Writer w owns series w, w + kWriters, ...: 16 series in all,
+      // which covers every shard.
+      for (size_t i = 0; i < kRounds; ++i) {
+        for (size_t j = 0; j < kSeriesPerWriter; ++j) {
+          const uint64_t series = w + j * kWriters;
+          const Status st = eng.AppendBatchUntil(
+              series, Batch(series, i * kBatch, kBatch),
+              std::chrono::steady_clock::now() + std::chrono::seconds(30));
+          if (!st.ok()) write_failed = true;
+        }
+      }
+    });
+  }
+
+  constexpr uint64_t kSeries = kWriters * kSeriesPerWriter;
+  auto check_snapshot = [&] {
+    auto snap = eng.SnapshotReadShards("v");
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ASSERT_EQ(snap.value().size(), eng.num_shards());
+    for (uint64_t s = 0; s < kSeries; ++s) {
+      std::vector<double> seq;
+      for (double v : snap.value()[eng.ShardOf(s)]) {
+        if (static_cast<uint64_t>(v / 1e6) == s) {
+          seq.push_back(v - static_cast<double>(s) * 1e6);
+        }
+      }
+      ASSERT_EQ(seq.size() % kBatch, 0u)
+          << "torn batch: series " << s << " has " << seq.size() << " rows";
+      for (size_t i = 0; i < seq.size(); ++i) {
+        ASSERT_EQ(seq[i], static_cast<double>(i)) << "series " << s;
+      }
+    }
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      auto serial = eng.shard(k)->ReadColumn("v");
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      const auto& got = snap.value()[k];
+      ASSERT_LE(got.size(), serial.value().size()) << "shard " << k;
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), serial.value().begin()))
+          << "shard " << k << " snapshot is not a prefix of its serial read";
+    }
+  };
+  for (size_t i = 0; i < 30; ++i) check_snapshot();
+  for (auto& t : writers) t.join();
+  EXPECT_FALSE(write_failed.load());
+  ASSERT_TRUE(eng.Flush().ok());
+  check_snapshot();
+
+  auto all = eng.SnapshotReadShards("v");
+  ASSERT_TRUE(all.ok());
+  size_t total = 0;
+  for (size_t k = 0; k < eng.num_shards(); ++k) {
+    total += all.value()[k].size();
+    auto serial = eng.shard(k)->ReadColumn("v");
+    ASSERT_TRUE(serial.ok());
+    EXPECT_EQ(all.value()[k], serial.value()) << "shard " << k;
+  }
+  EXPECT_EQ(total, kSeries * kRounds * kBatch);
+}
+
+TEST_F(ShardTest, SnapshotReadReportsLowestFailingShard) {
+  // Shards 1..3 have published segments, shard 0 only memtable rows. A
+  // sticky read error then fails every shard that touches disk, in
+  // whatever order the pool runs them; the reported error must be the
+  // lowest failing shard's, annotated with its index.
+  auto opened = ShardedIngestEngine::Open(dir_, TestSchema(), TestOptions(4));
+  ASSERT_TRUE(opened.ok());
+  auto& eng = *opened.value();
+  std::vector<uint64_t> key_of(eng.num_shards(), 0);
+  std::vector<bool> seen(eng.num_shards(), false);
+  for (uint64_t key = 0, found = 0; found < eng.num_shards(); ++key) {
+    const size_t k = eng.ShardOf(key);
+    if (!seen[k]) {
+      seen[k] = true;
+      key_of[k] = key;
+      ++found;
+    }
+  }
+  for (size_t k = 1; k < eng.num_shards(); ++k) {
+    ASSERT_TRUE(eng.AppendBatch(key_of[k], Batch(key_of[k], 0, 10)).ok());
+  }
+  ASSERT_TRUE(eng.Flush().ok());
+  ASSERT_TRUE(eng.AppendBatch(key_of[0], Batch(key_of[0], 0, 10)).ok());
+
+  ASSERT_TRUE(fail::FailPoints::Set("fs.read", "err").ok());
+  auto snap = eng.SnapshotReadShards("v");
+  fail::FailPoints::ClearAll();
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(snap.status().message().rfind("shard 1: ", 0), 0u)
+      << snap.status().ToString();
+
+  auto healed = eng.SnapshotReadShards("v");
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  for (size_t k = 0; k < eng.num_shards(); ++k) {
+    EXPECT_EQ(healed.value()[k].size(), 10u) << "shard " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
