@@ -21,9 +21,11 @@
 #                               # (WAL ingest/recovery), micro_shard_ingest
 #                               # (sharded multi-tenant scaling; + a reduced
 #                               # micro_codecs pass when built) and write
-#                               # BENCH_*.json artifacts;
-#                               # no thresholds are enforced — the JSON
-#                               # records the perf trajectory only
+#                               # BENCH_*.json artifacts. One gate is
+#                               # enforced: span tracing must stay within
+#                               # its 2% append-overhead budget (the
+#                               # trace-overhead row); the other JSON rows
+#                               # record the perf trajectory only
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build)

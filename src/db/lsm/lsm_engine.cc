@@ -252,6 +252,31 @@ uint64_t SegmentDiskBytes(const std::string& dir, uint64_t id) {
   return total;
 }
 
+/// Moves every `seg-<id>.*` file of the given segments from `dir` into
+/// `<dir>/quarantine/` and makes the moves durable. Serves both the last
+/// release of a quarantined segment's handle and Open, which finishes a
+/// move that a crash, a failure or a still-held handle left undone.
+Status QuarantineFiles(const std::string& dir,
+                       const std::vector<uint64_t>& ids) {
+  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
+  const std::string qdir = fs::JoinPath(dir, kQuarantineDir);
+  bool moved = false;
+  for (const auto& name : names) {
+    uint64_t id = 0;
+    if (!ParseSegmentId(name, &id) ||
+        std::find(ids.begin(), ids.end(), id) == ids.end()) {
+      continue;
+    }
+    if (!moved) FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
+    moved = true;
+    FCB_RETURN_IF_ERROR(
+        fs::RenameFile(fs::JoinPath(dir, name), fs::JoinPath(qdir, name)));
+  }
+  if (!moved) return Status::OK();
+  FCB_RETURN_IF_ERROR(fs::SyncDir(qdir));
+  return fs::SyncDir(dir);
+}
+
 /// f64 -> column dtype -> f64, so memtable reads agree bit-for-bit with
 /// what a flushed segment will hand back.
 double RoundTripValue(double v, DType dtype) {
@@ -269,6 +294,29 @@ Status ReadOnlyStatus(const Status& bg) {
 }
 
 }  // namespace
+
+/// A retiring call (compaction after its manifest swap, scrub after a
+/// quarantine) sets the fate; whichever holder releases the handle last
+/// applies it, off-lock. `fate` is atomic because that store and the
+/// final release may run on different threads.
+struct IngestEngine::Segment {
+  enum class Fate { kKeep, kDrop, kQuarantine };
+
+  Segment(const SegmentInfo& i, std::string p)
+      : info(i), prefix(std::move(p)) {}
+  ~Segment() {
+    // Best-effort: Open sweeps a dropped segment's leftovers and
+    // finishes a quarantine move.
+    if (fate == Fate::kDrop) ColumnStore::Drop(prefix);
+    if (fate == Fate::kQuarantine) {
+      QuarantineFiles(fs::DirOf(prefix), {info.id});
+    }
+  }
+
+  const SegmentInfo info;
+  const std::string prefix;
+  mutable std::atomic<Fate> fate{Fate::kKeep};
+};
 
 Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     const std::string& dir, const std::vector<ColumnDef>& schema,
@@ -290,7 +338,10 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     eng->schema_ = schema.empty() ? m.schema : schema;
     eng->next_segment_id_ = m.next_segment_id;
     eng->wal_floor_ = m.wal_floor;
-    eng->segments_ = m.segments;
+    for (const auto& info : m.segments) {
+      eng->segments_.push_back(
+          std::make_shared<const Segment>(info, eng->SegPrefix(info.id)));
+    }
     eng->quarantined_ = m.quarantined;
   } else {
     if (schema.empty()) {
@@ -307,47 +358,36 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     FCB_RETURN_IF_ERROR(eng->PersistManifestLocked());
   }
 
+  // Files of a *quarantined* segment still here are moved, not swept:
+  // the manifest recorded the quarantine before the files moved, so a
+  // move a crash (or a failure) interrupted is finished, keeping the
+  // corrupt files as evidence.
+  std::vector<uint64_t> quarantined_ids;
+  for (const auto& q : eng->quarantined_) quarantined_ids.push_back(q.id);
+  FCB_RETURN_IF_ERROR(QuarantineFiles(dir, quarantined_ids));
+
   // Sweep unpublished state: stale atomic-write temps, segment files a
   // crashed flush/compaction wrote but never referenced from the
-  // manifest, and WAL segments below the floor (their rows live in
-  // published segments). Files of a *quarantined* segment are not swept
-  // — the manifest recorded the quarantine before the files moved, so a
-  // crash mid-move is completed here by finishing the move, keeping the
-  // corrupt files as evidence.
-  std::vector<bool> live;         // indexed by segment id
-  std::vector<bool> quarantined;  // indexed by segment id
+  // manifest (or a retired segment's leftovers), and WAL segments below
+  // the floor (their rows live in published segments).
+  std::vector<bool> live;  // indexed by segment id
   for (const auto& s : eng->segments_) {
-    if (s.id >= live.size()) live.resize(s.id + 1, false);
-    live[s.id] = true;
-  }
-  for (const auto& q : eng->quarantined_) {
-    if (q.id >= quarantined.size()) quarantined.resize(q.id + 1, false);
-    quarantined[q.id] = true;
+    if (s->info.id >= live.size()) live.resize(s->info.id + 1, false);
+    live[s->info.id] = true;
   }
   FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
-  bool moved_to_quarantine = false;
   for (const auto& name : names) {
     const std::string path = fs::JoinPath(dir, name);
     uint64_t id = 0, seq = 0;
     if (fs::IsTempPath(name)) {
       FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
     } else if (ParseSegmentId(name, &id)) {
-      if (id < quarantined.size() && quarantined[id]) {
-        const std::string qdir = fs::JoinPath(dir, kQuarantineDir);
-        FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
-        FCB_RETURN_IF_ERROR(
-            fs::RenameFile(path, fs::JoinPath(qdir, name)));
-        moved_to_quarantine = true;
-      } else if (id >= live.size() || !live[id]) {
+      if (id >= live.size() || !live[id]) {
         FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
       }
     } else if (Wal::ParseSegmentFileName(name, &seq)) {
       if (seq < eng->wal_floor_) FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
     }
-  }
-  if (moved_to_quarantine) {
-    FCB_RETURN_IF_ERROR(fs::SyncDir(fs::JoinPath(dir, kQuarantineDir)));
-    FCB_RETURN_IF_ERROR(fs::SyncDir(dir));
   }
 
   // Replay the WAL into a fresh memtable — prefix-truncating recovery;
@@ -460,8 +500,7 @@ Status IngestEngine::Close() {
   InterruptRetries();
   std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [&] {
-    return !flush_inflight_ && !compact_inflight_ && bg_tasks_ == 0 &&
-           active_readers_ == 0;
+    return !flush_inflight_ && !compact_inflight_ && bg_tasks_ == 0;
   });
   if (closed_) return Status::OK();
   closed_ = true;
@@ -483,7 +522,7 @@ Status IngestEngine::PersistManifestLocked() {
   m.schema = schema_;
   m.next_segment_id = next_segment_id_;
   m.wal_floor = wal_floor_;
-  m.segments = segments_;
+  for (const auto& s : segments_) m.segments.push_back(s->info);
   m.quarantined = quarantined_;
   Buffer buf;
   SerializeManifest(m, &buf);
@@ -553,21 +592,7 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   if (mem_->bytes() >= opt_.memtable_bytes) {
     bool scheduled = false;
     Status st = PrepareFlushLocked(lk, &scheduled);
-    if (st.ok() && scheduled) {
-      if (opt_.background_flush) {
-        ++bg_tasks_;
-        ThreadPool::Shared().Submit([this] {
-          DoFlushAndPublish();
-          std::lock_guard<std::mutex> g(mu_);
-          --bg_tasks_;
-          cv_.notify_all();
-        });
-      } else {
-        lk.unlock();
-        DoFlushAndPublish();
-        lk.lock();
-      }
-    }
+    if (st.ok() && scheduled) RunScheduledFlush(lk);
     // A failed flush *schedule* (st) or a flush that failed inline is
     // deliberately not returned: this batch IS durably committed, and
     // OK must mean exactly that. The failure is sticky (bg_error_, or
@@ -606,6 +631,22 @@ Status IngestEngine::PrepareFlushLocked(std::unique_lock<std::mutex>& lk,
   flush_inflight_ = true;
   *scheduled = true;
   return Status::OK();
+}
+
+void IngestEngine::RunScheduledFlush(std::unique_lock<std::mutex>& lk) {
+  if (!opt_.background_flush) {
+    lk.unlock();
+    DoFlushAndPublish();
+    lk.lock();
+    return;
+  }
+  ++bg_tasks_;
+  ThreadPool::Shared().Submit([this] {
+    DoFlushAndPublish();
+    std::lock_guard<std::mutex> g(mu_);
+    --bg_tasks_;
+    cv_.notify_all();
+  });
 }
 
 void IngestEngine::DoFlushAndPublish() {
@@ -652,7 +693,8 @@ void IngestEngine::DoFlushAndPublish() {
     std::lock_guard<std::mutex> g(mu_);
     if (st.ok()) {
       const uint64_t prev_floor = wal_floor_;
-      segments_.push_back(SegmentInfo{seg_id, imm->rows(), 0});
+      segments_.push_back(std::make_shared<const Segment>(
+          SegmentInfo{seg_id, imm->rows(), 0}, SegPrefix(seg_id)));
       wal_floor_ = floor;
       obs::ScopedSpan manifest_span("lsm.manifest", seg_id);
       st = RetryIo("lsm: manifest publish",
@@ -753,22 +795,10 @@ Status IngestEngine::ScheduleFlush() {
   std::unique_lock<std::mutex> lk(mu_);
   bool scheduled = false;
   FCB_RETURN_IF_ERROR(PrepareFlushLocked(lk, &scheduled));
-  if (!scheduled) return bg_error_;
-  if (opt_.background_flush) {
-    ++bg_tasks_;
-    ThreadPool::Shared().Submit([this] {
-      DoFlushAndPublish();
-      std::lock_guard<std::mutex> g(mu_);
-      --bg_tasks_;
-      cv_.notify_all();
-    });
-  } else {
-    lk.unlock();
-    DoFlushAndPublish();
-    lk.lock();
-    return bg_error_;
-  }
-  return Status::OK();
+  // A queued flush cannot have failed yet: it needs mu_, held since
+  // PrepareFlushLocked saw bg_error_ OK.
+  if (scheduled) RunScheduledFlush(lk);
+  return bg_error_;
 }
 
 uint64_t IngestEngine::buffered_bytes() const {
@@ -783,7 +813,6 @@ Status IngestEngine::WaitForFlush() {
 }
 
 uint64_t IngestEngine::SmallRowsThresholdLocked() const {
-  if (opt_.compact_small_rows > 0) return opt_.compact_small_rows;
   const size_t ncols = std::max<size_t>(1, schema_.size());
   const uint64_t memtable_rows =
       std::max<uint64_t>(1, opt_.memtable_bytes / (sizeof(double) * ncols));
@@ -798,6 +827,9 @@ Status IngestEngine::Compact() {
 Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   *merged = false;
   obs::ScopedSpan span("lsm.compact");
+  // Declared before the lock so every return releases the run's handles
+  // off-lock: the last release of a retired segment does file IO.
+  SegmentSet run;
   std::unique_lock<std::mutex> lk(mu_);
   cv_.wait(lk, [&] { return !compact_inflight_; });
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
@@ -807,9 +839,9 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   const uint64_t small = SmallRowsThresholdLocked();
   size_t run_begin = 0, run_len = 0;
   for (size_t i = 0; i < segments_.size();) {
-    if (segments_[i].rows <= small) {
+    if (segments_[i]->info.rows <= small) {
       size_t j = i;
-      while (j < segments_.size() && segments_[j].rows <= small &&
+      while (j < segments_.size() && segments_[j]->info.rows <= small &&
              j - i < kMaxCompactRun) {
         ++j;
       }
@@ -825,8 +857,8 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
   if (run_len == 0) return Status::OK();
 
-  std::vector<SegmentInfo> run(segments_.begin() + run_begin,
-                               segments_.begin() + run_begin + run_len);
+  run.assign(segments_.begin() + run_begin,
+             segments_.begin() + run_begin + run_len);
   const uint64_t new_id = next_segment_id_++;
   compact_inflight_ = true;
   lk.unlock();
@@ -838,8 +870,8 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   uint64_t total_rows = 0;
   uint32_t max_level = 0;
   for (const auto& s : run) {
-    total_rows += s.rows;
-    max_level = std::max(max_level, s.level);
+    total_rows += s->info.rows;
+    max_level = std::max(max_level, s->info.level);
   }
   span.SetArgs(run_len, total_rows);
   std::vector<ColumnStore::ColumnSpec> specs(schema_.size());
@@ -853,11 +885,11 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     const std::span<double> merged_col(specs[c].values);
     size_t pos = 0;
     for (const auto& s : run) {
-      obs::ScopedSpan read_span("segment.read", s.id, s.rows);
-      st = ColumnStore::ReadRowsInto(SegPrefix(s.id), schema_[c].name, 0,
-                                     merged_col.subspan(pos, s.rows));
+      obs::ScopedSpan read_span("segment.read", s->info.id, s->info.rows);
+      st = ColumnStore::ReadRowsInto(s->prefix, schema_[c].name, 0,
+                                     merged_col.subspan(pos, s->info.rows));
       if (!st.ok()) break;
-      pos += s.rows;
+      pos += s->info.rows;
     }
   }
   if (st.ok()) {
@@ -870,57 +902,39 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
 
   lk.lock();
+  // The run must still be in place, handle for handle: flushes only
+  // append, but a scrub may have quarantined one of its segments.
+  auto it = std::search(segments_.begin(), segments_.end(), run.begin(),
+                        run.end());
+  if (st.ok() && it == segments_.end()) {
+    st = Status::Internal("lsm: compaction run changed (quarantined)");
+  }
   if (st.ok()) {
-    // The run is still contiguous: only compaction (single-flight)
-    // removes segments, flushes only append.
-    size_t idx = segments_.size();
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      if (segments_[i].id == run.front().id) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx + run_len <= segments_.size()) {
-      std::vector<SegmentInfo> backup(segments_.begin() + idx,
-                                      segments_.begin() + idx + run_len);
-      segments_.erase(segments_.begin() + idx,
-                      segments_.begin() + idx + run_len);
-      segments_.insert(segments_.begin() + idx,
-                       SegmentInfo{new_id, total_rows, max_level + 1});
-      obs::ScopedSpan manifest_span("lsm.manifest", new_id);
-      st = RetryIo("lsm: compaction manifest publish",
-                   [&] { return PersistManifestLocked(); });
-      if (!st.ok()) {
-        segments_.erase(segments_.begin() + idx);
-        segments_.insert(segments_.begin() + idx, backup.begin(),
-                         backup.end());
-      }
-    } else {
-      st = Status::Internal("lsm: compaction run disappeared");
-    }
+    it = segments_.insert(
+        segments_.erase(it, it + run_len),
+        std::make_shared<const Segment>(
+            SegmentInfo{new_id, total_rows, max_level + 1}, SegPrefix(new_id)));
+    obs::ScopedSpan manifest_span("lsm.manifest", new_id);
+    st = RetryIo("lsm: compaction manifest publish",
+                 [&] { return PersistManifestLocked(); });
+    if (!st.ok()) segments_.insert(segments_.erase(it), run.begin(), run.end());
   }
-  if (!st.ok()) {
-    // A half-written merged segment is unreferenced state; the next
-    // Open sweeps it. In-memory and on-disk views are both unchanged,
-    // so a failed compaction does not wedge the engine.
-    compact_inflight_ = false;
-    cv_.notify_all();
-    return st;
-  }
-  // Old files can only be deleted once nobody is reading a snapshot
-  // that references them; readers that started after the manifest swap
-  // only see the merged segment.
-  cv_.wait(lk, [&] { return active_readers_ == 0; });
   compact_inflight_ = false;
   cv_.notify_all();
+  // A failed compaction leaves both views unchanged; a half-written
+  // merged segment is unreferenced state that the next Open sweeps.
+  if (!st.ok()) return st;
+  for (const auto& s : run) s->fate = Segment::Fate::kDrop;
   lk.unlock();
 
   uint64_t in_bytes = 0, out_bytes = 0;
   if (obs::Enabled()) {
-    for (const auto& s : run) in_bytes += SegmentDiskBytes(dir_, s.id);
+    for (const auto& s : run) in_bytes += SegmentDiskBytes(dir_, s->info.id);
     out_bytes = SegmentDiskBytes(dir_, new_id);
   }
-  for (const auto& s : run) ColumnStore::Drop(SegPrefix(s.id));
+  // Readers that captured the run before the swap still hold it; the
+  // last of them deletes the files.
+  run.clear();
   Count<&EngineStats::compactions>();
   Count<&EngineStats::compact_in_bytes>(in_bytes);
   Count<&EngineStats::compact_out_bytes>(out_bytes);
@@ -949,37 +963,27 @@ Result<std::vector<double>> IngestEngine::ReadColumn(
   }
   const DType dtype = schema_[col].dtype;
 
-  std::vector<SegmentInfo> segs = segments_;
+  const SegmentSet segs = segments_;
   std::shared_ptr<const MemTable> imm = imm_;
   std::vector<double> tail = mem_->column(col);
-  ++active_readers_;
   lk.unlock();
 
   // Size the result once; each segment then decodes straight into its
   // own slice, and the memtables fill the end.
   uint64_t seg_rows = 0;
-  for (const auto& s : segs) seg_rows += s.rows;
+  for (const auto& s : segs) seg_rows += s->info.rows;
   const std::vector<double>* imm_col =
       imm != nullptr ? &imm->column(col) : nullptr;
   std::vector<double> out(seg_rows + (imm_col ? imm_col->size() : 0) +
                           tail.size());
   const std::span<double> dst(out);
-  Status st;
   size_t pos = 0;
   for (const auto& s : segs) {
-    obs::ScopedSpan read_span("segment.read", s.id, s.rows);
-    st = ColumnStore::ReadRowsInto(SegPrefix(s.id), column, 0,
-                                   dst.subspan(pos, s.rows));
-    if (!st.ok()) break;
-    pos += s.rows;
+    obs::ScopedSpan read_span("segment.read", s->info.id, s->info.rows);
+    FCB_RETURN_IF_ERROR(ColumnStore::ReadRowsInto(
+        s->prefix, column, 0, dst.subspan(pos, s->info.rows)));
+    pos += s->info.rows;
   }
-
-  lk.lock();
-  --active_readers_;
-  cv_.notify_all();
-  lk.unlock();
-  if (!st.ok()) return st;
-
   if (imm_col != nullptr) {
     for (double v : *imm_col) out[pos++] = RoundTripValue(v, dtype);
   }
@@ -991,15 +995,13 @@ Result<ScrubReport> IngestEngine::Scrub() {
   ScrubReport report;
   obs::ScopedSpan span("lsm.scrub");
   obs::ScopedWatch watch("lsm.scrub", dir_, opt_.watchdog_budget_ms);
+  // The captured handles keep their files alive while they are verified,
+  // whatever flushes and compactions do meanwhile. Declared before the
+  // lock so every return releases them off-lock.
+  SegmentSet segs;
   std::unique_lock<std::mutex> lk(mu_);
-  // Single-flight against flush and compaction so the segment set is
-  // stable while its files are re-read.
-  cv_.wait(lk, [&] {
-    return !flush_inflight_ && !compact_inflight_ && bg_tasks_ == 0;
-  });
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
-  const std::vector<SegmentInfo> segs = segments_;
-  ++active_readers_;  // pins the snapshot's files against deletion
+  segs = segments_;
   lk.unlock();
 
   // Re-verify every published segment in parallel on the shared pool:
@@ -1008,45 +1010,35 @@ Result<ScrubReport> IngestEngine::Scrub() {
   ThreadPool::Shared().ParallelFor(
       segs.size(),
       [&](size_t i) {
-        obs::ScopedSpan verify_span("segment.verify", segs[i].id,
-                                    segs[i].rows);
-        verdicts[i] = ColumnStore::Verify(SegPrefix(segs[i].id));
+        obs::ScopedSpan verify_span("segment.verify", segs[i]->info.id,
+                                    segs[i]->info.rows);
+        verdicts[i] = ColumnStore::Verify(segs[i]->prefix);
       },
       {/*grain=*/1});
 
   lk.lock();
-  --active_readers_;
-  cv_.notify_all();
   report.segments_checked = segs.size();
-
-  std::vector<uint64_t> to_move;
   for (size_t i = 0; i < segs.size(); ++i) {
     const Status& v = verdicts[i];
+    const SegmentInfo& info = segs[i]->info;
     if (v.ok()) continue;
     if (v.code() != StatusCode::kCorruption) {
       // A read error is a finding, not proof of corruption; report it
       // and quarantine nothing.
-      report.notes.push_back("segment " + std::to_string(segs[i].id) +
+      report.notes.push_back("segment " + std::to_string(info.id) +
                              ": verify error: " + v.ToString());
       continue;
     }
-    size_t idx = segments_.size();
-    for (size_t j = 0; j < segments_.size(); ++j) {
-      if (segments_[j].id == segs[i].id) {
-        idx = j;
-        break;
-      }
-    }
-    if (idx == segments_.size()) continue;  // no longer in the serving set
+    auto it = std::find(segments_.begin(), segments_.end(), segs[i]);
+    if (it == segments_.end()) continue;  // retired meanwhile
     // Quarantine protocol: record the verdict in the manifest FIRST,
     // then move the files. A crash between the two is completed by the
     // next Open (quarantined ids found in the main dir are moved, not
     // swept), so the evidence can never be lost to the sweep.
-    const SegmentInfo backup = segments_[idx];
-    segments_.erase(segments_.begin() + idx);
+    it = segments_.erase(it);
     QuarantinedSegment q;
-    q.id = backup.id;
-    q.rows = backup.rows;
+    q.id = info.id;
+    q.rows = info.rows;
     q.reason = v.message().substr(0, kMaxReasonBytes);
     quarantined_.push_back(q);
     Status ps = RetryIo("lsm: quarantine manifest publish",
@@ -1055,23 +1047,16 @@ Result<ScrubReport> IngestEngine::Scrub() {
       // Roll back to the on-disk manifest's view; the corruption is
       // still present and a later scrub will retry.
       quarantined_.pop_back();
-      segments_.insert(segments_.begin() + idx, backup);
+      segments_.insert(it, segs[i]);
       return ps;
     }
+    segs[i]->fate = Segment::Fate::kQuarantine;
     report.quarantined_ids.push_back(q.id);
     report.notes.push_back("segment " + std::to_string(q.id) +
                            " quarantined: " + q.reason);
     Count<&EngineStats::quarantined_segments>();
     obs::EventTrace::Global().Record(obs::EventKind::kQuarantine, dir_,
                                      q.id, q.rows);
-    to_move.push_back(q.id);
-  }
-
-  if (!to_move.empty()) {
-    // Readers that snapshotted the segment list before the swap may
-    // still be reading these files; move them only once drained (the
-    // same rule compaction uses before deleting).
-    cv_.wait(lk, [&] { return active_readers_ == 0; });
   }
 
   // WAL verification runs under the lock: no appender can be mid-commit,
@@ -1090,32 +1075,16 @@ Result<ScrubReport> IngestEngine::Scrub() {
   }
   lk.unlock();
 
-  // The moves are best-effort: the manifest already records the
-  // quarantine, so any failure here is finished by the next Open.
-  if (!to_move.empty()) {
-    const std::string qdir = fs::JoinPath(dir_, kQuarantineDir);
-    Status mk = fs::CreateDir(qdir);
-    auto names = fs::ListDir(dir_);
-    if (mk.ok() && names.ok()) {
-      for (const auto& name : names.value()) {
-        uint64_t id = 0;
-        if (!ParseSegmentId(name, &id)) continue;
-        if (std::find(to_move.begin(), to_move.end(), id) ==
-            to_move.end()) {
-          continue;
-        }
-        Status mv = fs::RenameFile(fs::JoinPath(dir_, name),
-                                   fs::JoinPath(qdir, name));
-        if (!mv.ok()) {
-          report.notes.push_back("quarantine move pending: " +
-                                 mv.message());
-        }
-      }
-      fs::SyncDir(qdir);
-      fs::SyncDir(dir_);
-    } else {
-      report.notes.push_back("quarantine move pending: " +
-                             (mk.ok() ? names.status() : mk).message());
+  // Releasing the snapshot moves each quarantined segment whose last
+  // handle it held. The move is best-effort: the manifest already
+  // records the quarantine, so a failure is finished by the next Open.
+  segs.clear();
+  for (uint64_t id : report.quarantined_ids) {
+    if (SegmentDiskBytes(dir_, id) > 0) {
+      report.notes.push_back("quarantine move pending: segment " +
+                             std::to_string(id) +
+                             " is still held by a read or compaction, or "
+                             "its move failed");
     }
   }
   obs::MetricsRegistry::Global()
@@ -1145,7 +1114,7 @@ std::vector<QuarantinedSegment> IngestEngine::quarantined() const {
 uint64_t IngestEngine::rows() const {
   std::lock_guard<std::mutex> g(mu_);
   uint64_t n = 0;
-  for (const auto& s : segments_) n += s.rows;
+  for (const auto& s : segments_) n += s->info.rows;
   if (imm_ != nullptr) n += imm_->rows();
   n += mem_->rows();
   return n;
@@ -1153,7 +1122,9 @@ uint64_t IngestEngine::rows() const {
 
 std::vector<SegmentInfo> IngestEngine::segments() const {
   std::lock_guard<std::mutex> g(mu_);
-  return segments_;
+  std::vector<SegmentInfo> out;
+  for (const auto& s : segments_) out.push_back(s->info);
+  return out;
 }
 
 EngineStats IngestEngine::stats() const {

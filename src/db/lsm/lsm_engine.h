@@ -49,10 +49,8 @@ struct EngineOptions {
   size_t page_size = 64 << 10;
   /// Auto-compaction trigger: after a flush, a trailing run of at least
   /// this many small segments is merged into one. 0 disables.
+  /// A segment is "small" while it holds at most 4 memtables' rows.
   size_t compact_fanout = 4;
-  /// A segment is "small" (compaction candidate) while it has at most
-  /// this many rows; 0 = derived from memtable_bytes (4 memtables).
-  uint64_t compact_small_rows = 0;
   /// Attempts for each background IO step (segment write, manifest
   /// publish, compaction write). Only transient IO errors are retried;
   /// ENOSPC and corruption fail immediately. Minimum 1.
@@ -229,14 +227,14 @@ class IngestEngine {
   /// every acknowledged row is either in a published segment, in a
   /// memtable (WAL-backed), or both.
   ///
-  /// The segment list and memtables are captured under the engine lock;
-  /// segment files are then read off-lock while a reader pin holds
-  /// compaction from deleting them. The result is sized once, and each
-  /// segment is decoded straight into its slice (ColumnStore::
-  /// ReadRowsInto: one column-file read, one copy). Decoding may fan out
-  /// on ThreadPool::Shared(), whose callers never run queued tasks, so a
-  /// reader cannot end up executing a flush or compaction that waits on
-  /// its own pin.
+  /// The segment handles and memtables are captured under the engine
+  /// lock; segment files are then read off-lock. The handles keep those
+  /// files alive, so a compaction or scrub that retires a segment
+  /// meanwhile never waits for the read: the last release drops (or
+  /// quarantines) the files. The result is sized once, and each segment
+  /// is decoded straight into its slice (ColumnStore::ReadRowsInto: one
+  /// column-file read, one copy). Decoding may fan out on
+  /// ThreadPool::Shared(), whose callers never run queued tasks.
   Result<std::vector<double>> ReadColumn(const std::string& column) const;
 
   /// Integrity scrub: re-reads every published segment and verifies its
@@ -244,9 +242,13 @@ class IngestEngine {
   /// manifest v3), then re-verifies WAL record checksums. A segment that
   /// fails verification is removed from the serving set, recorded in the
   /// engine manifest, and its files are moved to `<dir>/quarantine/`;
-  /// the remaining data keeps serving. Safe to run concurrently with
-  /// appends and reads (it briefly blocks both for the manifest swap and
-  /// the WAL check).
+  /// the remaining data keeps serving. Runs concurrently with appends,
+  /// reads, flushes and compactions: it verifies the segment set it
+  /// captured at its start, and takes the engine lock only for the
+  /// manifest swap and the WAL check. The move happens at the last
+  /// release of the segment's handle; while a read or compaction still
+  /// holds it, the report carries a "quarantine move pending" note and
+  /// that holder's release (or the next Open) moves the files.
   Result<ScrubReport> Scrub();
 
   /// Interrupts any in-flight RetryIo backoff wait immediately: the
@@ -256,9 +258,11 @@ class IngestEngine {
   /// closing any, so total shutdown latency is one backoff wait, not N.
   void InterruptRetries();
 
-  /// Interrupts retries, waits for background work and readers to
-  /// drain, and closes the WAL (reporting a failed final fsync).
-  /// Idempotent; the destructor calls it. After Close the engine
+  /// Interrupts retries, waits for in-flight flushes and compactions,
+  /// and closes the WAL (reporting a failed final fsync). Does not wait
+  /// for reads or scrubs: the segment handles they hold keep their files
+  /// alive. Idempotent; the destructor calls it, so the engine must not
+  /// be destroyed while a call on it runs. After Close the engine
   /// rejects appends, flushes, compactions and scrubs.
   Status Close();
 
@@ -286,6 +290,11 @@ class IngestEngine {
   const std::string& dir() const { return dir_; }
 
  private:
+  /// A published segment's SegmentInfo, file prefix and retirement fate
+  /// (lsm_engine.cc); its files stay until the last handle is released.
+  struct Segment;
+  using SegmentSet = std::vector<std::shared_ptr<const Segment>>;
+
   IngestEngine() = default;
 
   std::string SegPrefix(uint64_t id) const;
@@ -295,6 +304,9 @@ class IngestEngine {
   /// in flight. Returns via *scheduled whether there is work to run.
   Status PrepareFlushLocked(std::unique_lock<std::mutex>& lk,
                             bool* scheduled);
+  /// Runs the flush PrepareFlushLocked scheduled: on ThreadPool::Shared()
+  /// with background_flush, else inline with `lk` dropped around it.
+  void RunScheduledFlush(std::unique_lock<std::mutex>& lk);
   /// The heavy half: compress + publish the immutable memtable. Called
   /// off-lock (from the pool or the appending thread).
   void DoFlushAndPublish();
@@ -331,13 +343,12 @@ class IngestEngine {
   /// Outstanding background flush tasks on the shared pool; the
   /// destructor waits for zero so a task never outlives the engine.
   int bg_tasks_ = 0;
-  /// Readers currently copying state off-lock; compaction defers file
-  /// deletion until they drain.
-  mutable int active_readers_ = 0;
 
   uint64_t next_segment_id_ = 0;
   uint64_t wal_floor_ = 0;
-  std::vector<SegmentInfo> segments_;
+  /// The serving set, oldest first; readers, scrubs and compactions copy
+  /// these handles under mu_ and read the files off-lock.
+  SegmentSet segments_;
   std::vector<QuarantinedSegment> quarantined_;
   /// Sticky: set by a background flush/compaction failure that exhausted
   /// its retries. Appends fail fast with it; reads keep serving.

@@ -83,8 +83,8 @@ class ThreadPool {
   /// only for helpers that already started; helper stubs still queued
   /// behind other work return without calling `fn` when they run. The
   /// caller never executes a queued task of its own or anyone else's, so
-  /// a caller holding a lock or reader pin cannot end up running a task
-  /// that waits on it. When invoked from inside a task of this same
+  /// a caller holding a lock cannot end up running a task that waits on
+  /// it. When invoked from inside a task of this same
   /// pool, execution degrades to inline (serial) instead of deadlocking
   /// on the occupied workers.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn,

@@ -452,9 +452,10 @@ TEST(ConcurrencyTest, ScrubAndCompactRaceLiveAppendsWithoutLossOrReorder) {
   // memtable, so flushes happen continuously on the shared pool), a
   // scrubber re-verifying every published segment, and a compactor
   // merging small runs. The single-flight gates (flush_inflight_,
-  // compact_inflight_, active_readers_) must serialize what needs
-  // serializing without wedging anyone — and no interleaving may lose,
-  // duplicate, or reorder an acknowledged row.
+  // compact_inflight_) and the refcounted segment handles that keep a
+  // retired segment's files alive for whoever still reads them must
+  // not wedge anyone — and no interleaving may lose, duplicate, or
+  // reorder an acknowledged row.
   using db::lsm::ColumnDef;
   using db::lsm::EngineOptions;
   using db::lsm::IngestEngine;

@@ -400,11 +400,18 @@ TEST(NnCoderTest, OrdersOfMagnitudeSlowerThanFastMethods) {
   BenchmarkRunner::Options opt;
   opt.repeats = 1;
   BenchmarkRunner runner(opt);
-  auto nn_result = runner.RunOne("dzip_nn", ds.value());
-  auto fast_result = runner.RunOne("bitshuffle_lz4", ds.value());
-  ASSERT_TRUE(nn_result.ok) << nn_result.error;
-  ASSERT_TRUE(fast_result.ok) << fast_result.error;
-  EXPECT_LT(nn_result.ct_gbps * 20, fast_result.ct_gbps);
+  // Each method's fastest of 5 calls: one preemption during a single
+  // ~128 KiB bitshuffle_lz4 call must not decide the comparison.
+  auto best_ct_gbps = [&](const std::string& method) {
+    double best = 0;
+    for (int i = 0; i < 5; ++i) {
+      auto r = runner.RunOne(method, ds.value());
+      EXPECT_TRUE(r.ok) << method << ": " << r.error;
+      best = std::max(best, r.ct_gbps);
+    }
+    return best;
+  };
+  EXPECT_LT(best_ct_gbps("dzip_nn") * 20, best_ct_gbps("bitshuffle_lz4"));
 }
 
 }  // namespace

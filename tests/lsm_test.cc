@@ -1,26 +1,32 @@
 // Tests for the crash-safe LSM ingest engine (src/db/lsm/): WAL framing
 // and torn-tail recovery, the kill-at-any-byte crash-consistency sweeps
 // (truncate/flip every byte of the WAL; every half-published segment
-// state), recovery idempotence, background flush, tiered compaction, and
-// reader liveness against background work queued on the shared pool.
+// state), recovery idempotence, background flush, tiered compaction,
+// reader liveness against background work queued on the shared pool,
+// and compaction and scrub liveness under back-to-back readers.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "db/column_store.h"
 #include "db/lsm/lsm_engine.h"
 #include "db/lsm/wal.h"
+#include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/thread_pool.h"
 
@@ -31,11 +37,13 @@ std::string UniqueDir(const std::string& tag) {
   return "/tmp/fcbench_lsm_" + std::to_string(::getpid()) + "_" + tag;
 }
 
+/// Removes `dir` and its subdirectories (quarantine/).
 void RemoveTree(const std::string& dir) {
   auto names = fs::ListDir(dir);
   if (names.ok()) {
     for (const auto& n : names.value()) {
-      fs::RemoveFile(fs::JoinPath(dir, n));
+      const std::string p = fs::JoinPath(dir, n);
+      if (!fs::RemoveFile(p).ok()) RemoveTree(p);
     }
   }
   ::rmdir(dir.c_str());
@@ -334,6 +342,26 @@ class LsmEngineTest : public ::testing::Test {
     o.flush_compressor = "gorilla";  // cheap, deterministic for tests
     o.compact_compressor = "chimp128";
     return o;
+  }
+
+  /// Rows in each segment of OpenWithTwoSlowSegments.
+  static constexpr uint64_t kReadSegRows = 8000;
+
+  /// Opens an engine at dir_ holding two kReadSegRows-row segments in
+  /// fpzip (flushed and compacted alike). Its slow decode keeps a reader
+  /// inside segment files most of the time.
+  void OpenWithTwoSlowSegments(std::unique_ptr<IngestEngine>* eng) {
+    EngineOptions opt = FastOptions();
+    opt.flush_compressor = opt.compact_compressor = "fpzip";
+    auto opened = IngestEngine::Open(dir_, Schema(), opt);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    *eng = std::move(opened).TakeValue();
+    for (uint64_t s = 0; s < 2; ++s) {
+      ASSERT_TRUE(AppendRows(**eng, s * kReadSegRows, (s + 1) * kReadSegRows,
+                             1000)
+                      .ok());
+      ASSERT_TRUE((*eng)->Flush().ok());
+    }
   }
 
   std::string dir_;
@@ -706,12 +734,12 @@ TEST_F(LsmEngineTest, NoSyncModeStillRecoversCleanShutdown) {
 }
 
 TEST_F(LsmEngineTest, ReaderNeverRunsQueuedFlushThatWaitsOnItsPin) {
-  // Every shared-pool worker is parked, and a background flush whose
-  // compaction (fanout 2) must wait for active readers is queued. A
-  // ReadColumn of a bitshuffle segment fans its page decode out with
-  // ParallelFor while holding its reader pin. If the reader ever ran the
-  // queued flush itself, that compaction would wait on the reader's own
-  // pin forever; the read must complete regardless of the pool.
+  // Every shared-pool worker is parked, and a background flush with a
+  // fanout-2 compaction is queued behind them. A ReadColumn of a
+  // bitshuffle segment fans its page decode out with ParallelFor. Its
+  // caller never runs a queued task, so the read completes while the
+  // pool is still parked. (The name is from when compaction waited for
+  // readers, and a reader running the queued flush waited on itself.)
   EngineOptions opt = FastOptions();
   opt.sync_on_commit = false;
   opt.background_flush = true;
@@ -727,28 +755,33 @@ TEST_F(LsmEngineTest, ReaderNeverRunsQueuedFlushThatWaitsOnItsPin) {
   ASSERT_TRUE(AppendRows(*eng.value(), kSegRows, kRows, 1024).ok());
 
   ThreadPool& pool = ThreadPool::Shared();
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t parked = 0;
-  bool release = false;
+  // Shared with the parked tasks: a released worker may still be
+  // returning from its wait after this test body has returned.
+  struct Parking {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t parked = 0;
+    bool release = false;
+  };
+  auto park = std::make_shared<Parking>();
   for (size_t w = 0; w < pool.num_threads(); ++w) {
-    pool.Submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++parked;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
+    pool.Submit([park] {
+      std::unique_lock<std::mutex> lock(park->mu);
+      ++park->parked;
+      park->cv.notify_all();
+      park->cv.wait(lock, [&] { return park->release; });
     });
   }
   {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return parked == pool.num_threads(); });
+    std::unique_lock<std::mutex> lock(park->mu);
+    park->cv.wait(lock, [&] { return park->parked == pool.num_threads(); });
   }
   auto release_workers = [&] {
     {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
+      std::lock_guard<std::mutex> lock(park->mu);
+      park->release = true;
     }
-    cv.notify_all();
+    park->cv.notify_all();
   };
   ASSERT_TRUE(eng.value()->ScheduleFlush().ok());  // queued behind them
 
@@ -762,9 +795,7 @@ TEST_F(LsmEngineTest, ReaderNeverRunsQueuedFlushThatWaitsOnItsPin) {
     // The reader is wedged for good; tearing the engine down would hang
     // too, so fail loudly instead of waiting for the test timeout.
     std::fprintf(stderr,
-                 "ReadColumn still blocked 10 s after the pool was freed: "
-                 "the reader ran the queued flush and waits on its own "
-                 "pin\n");
+                 "ReadColumn still blocked 10 s after the pool was freed\n");
     std::abort();
   }
   EXPECT_TRUE(done_while_parked)
@@ -776,6 +807,204 @@ TEST_F(LsmEngineTest, ReaderNeverRunsQueuedFlushThatWaitsOnItsPin) {
   ASSERT_TRUE(eng.value()->WaitForFlush().ok());
   EXPECT_EQ(eng.value()->segments().size(), 1u) << "the flush compacted";
   ExpectColumnsEqualPrefix(*eng.value(), kRows);
+}
+
+/// Files in `dir` that belong to segment `id`.
+std::vector<std::string> SegmentFiles(const std::string& dir, uint64_t id) {
+  char prefix[32];
+  std::snprintf(prefix, sizeof(prefix), "seg-%06llu.",
+                static_cast<unsigned long long>(id));
+  std::vector<std::string> out;
+  auto names = fs::ListDir(dir);
+  if (!names.ok()) return out;
+  for (const auto& n : names.value()) {
+    if (n.rfind(prefix, 0) == 0) out.push_back(n);
+  }
+  return out;
+}
+
+/// Flips one bit in the middle of the file at `path`.
+void FlipMiddleBit(const std::string& path) {
+  auto bytes = fs::ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Buffer flipped = std::move(bytes).TakeValue();
+  flipped.data()[flipped.size() / 2] ^= 0x01;
+  ASSERT_TRUE(
+      fs::WriteFileAtomic(path, flipped.span(), /*durable=*/false).ok());
+}
+
+/// True when `rep` notes that segment `id`'s quarantine move is pending.
+bool HasMovePendingNote(const ScrubReport& rep, uint64_t id) {
+  const std::string note =
+      "quarantine move pending: segment " + std::to_string(id) + " ";
+  return std::any_of(
+      rep.notes.begin(), rep.notes.end(),
+      [&](const std::string& n) { return n.rfind(note, 0) == 0; });
+}
+
+/// Four threads calling ReadColumn("value") back to back until the
+/// object goes out of scope; a failed read or a result not in `allowed`
+/// counts as bad.
+class BackToBackReaders {
+ public:
+  BackToBackReaders(const IngestEngine& eng,
+                    std::vector<std::vector<double>> allowed)
+      : allowed_(std::move(allowed)) {
+    for (int t = 0; t < 4; ++t) {
+      threads_.emplace_back([this, &eng] {
+        while (!stop_) {
+          auto r = eng.ReadColumn("value");
+          if (!r.ok() || std::find(allowed_.begin(), allowed_.end(),
+                                   r.value()) == allowed_.end()) {
+            ++bad_;
+          }
+          ++reads_;
+        }
+      });
+    }
+    // Every reader is in its loop before the caller goes on.
+    while (reads_ < 8) std::this_thread::yield();
+  }
+  ~BackToBackReaders() { Stop(); }
+
+  /// Stops and joins the readers; returns the number of bad reads.
+  uint64_t Stop() {
+    stop_ = true;
+    for (auto& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+    return bad_;
+  }
+
+ private:
+  const std::vector<std::vector<double>> allowed_;
+  std::atomic<bool> stop_{false};
+  std::atomic<uint64_t> reads_{0};
+  std::atomic<uint64_t> bad_{0};
+  std::vector<std::thread> threads_;
+};
+
+TEST_F(LsmEngineTest, CompactionCompletesUnderBackToBackReaders) {
+  // The readers' captured segment handles keep the run's files alive,
+  // so compaction neither waits for them nor deletes files under them:
+  // the last reader to let go of the run deletes its files.
+  std::unique_ptr<IngestEngine> eng;
+  ASSERT_NO_FATAL_FAILURE(OpenWithTwoSlowSegments(&eng));
+
+  BackToBackReaders readers(*eng, {ExpectedColumn(1, 2 * kReadSegRows)});
+  const auto start = std::chrono::steady_clock::now();
+  const Status st = eng->Compact();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(readers.Stop(), 0u);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+
+  ASSERT_EQ(eng->segments().size(), 1u);
+  EXPECT_TRUE(SegmentFiles(dir_, 0).empty());
+  EXPECT_TRUE(SegmentFiles(dir_, 1).empty());
+  ExpectColumnsEqualPrefix(*eng, 2 * kReadSegRows);
+}
+
+TEST_F(LsmEngineTest, ScrubCompletesUnderBackToBackReaders) {
+  // Segment 1's "ts" column file is bit-flipped; the readers read only
+  // "value". Scrub quarantines segment 1 without waiting for them, and
+  // the last reader to let go of it moves its files to quarantine/.
+  std::unique_ptr<IngestEngine> eng;
+  ASSERT_NO_FATAL_FAILURE(OpenWithTwoSlowSegments(&eng));
+  FlipMiddleBit(fs::JoinPath(dir_, "seg-000001.0.col"));
+
+  // Before the quarantine a read sees both segments, after it only the
+  // first.
+  BackToBackReaders readers(*eng, {ExpectedColumn(1, 2 * kReadSegRows),
+                                   ExpectedColumn(1, kReadSegRows)});
+  const auto start = std::chrono::steady_clock::now();
+  auto rep = eng->Scrub();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  const bool files_left = !SegmentFiles(dir_, 1).empty();
+  EXPECT_EQ(readers.Stop(), 0u);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  EXPECT_EQ(rep.value().quarantined_ids, std::vector<uint64_t>{1});
+  if (files_left) EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+
+  EXPECT_TRUE(SegmentFiles(dir_, 1).empty());
+  EXPECT_FALSE(SegmentFiles(fs::JoinPath(dir_, "quarantine"), 1).empty());
+  auto v = eng->ReadColumn("value");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value(), ExpectedColumn(1, kReadSegRows));
+}
+
+TEST_F(LsmEngineTest, CompactionPublishesOnlyIfItsWholeRunIsStillServed) {
+  // Compaction of [A, B] waits out a retry backoff off-lock while a
+  // scrub quarantines B. Its publish must then find the run changed and
+  // give up: locating the run by its first segment alone would replace
+  // [A, D] with the merged [A, B], losing D's rows and serving B's
+  // quarantined rows again.
+  EngineOptions opt = FastOptions();
+  opt.memtable_bytes = 4 << 10;  // small = 4 memtables = 680 rows
+  opt.io_retry_backoff_ms = 300;
+  constexpr uint64_t kA = 100, kB = 200, kD = 1200;  // end rows
+  // Every acknowledged row except B's (when the scrub won the race), in
+  // order.
+  auto expect_rows_except_b = [&](const IngestEngine& e) {
+    const bool b_quarantined = e.quarantined().size() == 1;
+    const char* names[] = {"ts", "value", "flag"};
+    for (size_t c = 0; c < 3; ++c) {
+      std::vector<double> want;
+      const std::vector<double> all = ExpectedColumn(c, kD);
+      for (uint64_t i = 0; i < kD; ++i) {
+        if (!b_quarantined || i < kA || i >= kB) want.push_back(all[i]);
+      }
+      auto r = e.ReadColumn(names[c]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value(), want) << names[c];
+    }
+  };
+  {
+    auto eng = IngestEngine::Open(dir_, Schema(), opt);
+    ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+    IngestEngine& e = *eng.value();
+    ASSERT_TRUE(AppendRows(e, 0, kA, 100).ok());
+    ASSERT_TRUE(e.Flush().ok());
+    ASSERT_TRUE(AppendRows(e, kA, kB, 100).ok());
+    ASSERT_TRUE(e.Flush().ok());
+    // One batch over the watermark: flushed inline as one segment.
+    ASSERT_TRUE(AppendRows(e, kB, kD, kD - kB).ok());
+    ASSERT_EQ(e.segments().size(), 3u);
+    ASSERT_EQ(e.segments()[2].rows, kD - kB);
+
+    ASSERT_TRUE(fail::FailPoints::Set("lsm.compact", "err@1").ok());
+    auto compaction = std::async(std::launch::async,
+                                 [&e] { return e.Compact(); });
+    // The failed first write counts a retry just before its backoff.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (e.stats().retry_attempts == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    FlipMiddleBit(fs::JoinPath(dir_, "seg-000001.0.col"));
+    auto rep = e.Scrub();
+    // Files only ever leave the engine dir, so B's files still here now
+    // were here when Scrub returned.
+    const bool b_files_left = !SegmentFiles(dir_, 1).empty();
+    const Status compacted = compaction.get();
+    fail::FailPoints::ClearAll();
+    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+    if (!rep.value().quarantined_ids.empty()) {
+      EXPECT_EQ(rep.value().quarantined_ids, std::vector<uint64_t>{1});
+      EXPECT_FALSE(compacted.ok()) << "merged a run that lost a segment";
+      if (b_files_left) EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+      // The compaction held B last; its release moved the files.
+      EXPECT_TRUE(SegmentFiles(dir_, 1).empty());
+      EXPECT_FALSE(
+          SegmentFiles(fs::JoinPath(dir_, "quarantine"), 1).empty());
+    }
+    expect_rows_except_b(e);
+  }
+  auto eng = IngestEngine::Open(dir_, Schema(), opt);
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  expect_rows_except_b(*eng.value());
 }
 
 }  // namespace
