@@ -26,6 +26,13 @@
 #                               # its 2% append-overhead budget (the
 #                               # trace-overhead row); the other JSON rows
 #                               # record the perf trajectory only
+#   scripts/ci.sh --perfbench-smoke
+#                               # benchmark lane: build perfbench (it compiles
+#                               # against lsm::MemTable and lsm::Wal) and run
+#                               # every BENCHMARK.json workload for 3 s; fails
+#                               # unless each run's result line reports
+#                               # "correct": true and "failed": 0. Timing is
+#                               # not gated
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build)
@@ -106,6 +113,26 @@ PYEOF
   else
     echo "perf-smoke: micro_codecs not built (google-benchmark missing); skipped"
   fi
+  exit 0
+fi
+
+if [[ "${1:-}" == "--perfbench-smoke" ]]; then
+  # run.py builds its own Release tree under .bench_build/ and exits
+  # non-zero on a build failure, a crash or a wrong metric set.
+  workloads=$(python3 -c 'import json
+print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  for w in ${workloads}; do
+    last=$(python3 perfbench/run.py --workload "${w}" --seed 1 --seconds 3 \
+      --trace 0 | tail -n 1)
+    python3 - "${w}" "${last}" <<'PYEOF'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+print(f"perfbench-smoke: {workload}: correct={result['correct']} "
+      f"attempted={result['attempted']} failed={result['failed']}")
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"perfbench-smoke: {workload} reported failed operations")
+PYEOF
+  done
   exit 0
 fi
 

@@ -566,6 +566,12 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   obs::ScopedSpan span("lsm.append", nrows,
                        rows_row_major.size() * sizeof(double));
   Timer append_timer;
+  // The WAL record payload is built before taking mu_, so the lock only
+  // covers the log write, the commit and the memtable insert.
+  Buffer payload;
+  PutVarint64(&payload, nrows);
+  payload.Append(rows_row_major.data(),
+                 rows_row_major.size() * sizeof(double));
 
   std::unique_lock<std::mutex> lk(mu_);
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
@@ -573,10 +579,6 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   // caller gets the root cause, not a mystery timeout.
   if (!bg_error_.ok()) return ReadOnlyStatus(bg_error_);
 
-  Buffer payload;
-  PutVarint64(&payload, nrows);
-  payload.Append(rows_row_major.data(),
-                 rows_row_major.size() * sizeof(double));
   FCB_RETURN_IF_ERROR(wal_->Append(Wal::kTypeRows, payload.span()));
   // Group commit: the whole batch costs one write and (when configured)
   // one fsync. A failure here (ENOSPC included) rejected exactly this

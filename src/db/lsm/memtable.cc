@@ -7,11 +7,13 @@ MemTable::MemTable(size_t num_columns) : cols_(num_columns) {}
 void MemTable::AppendRows(const double* rows, size_t nrows) {
   const size_t ncols = cols_.size();
   for (size_t c = 0; c < ncols; ++c) {
-    cols_[c].reserve(rows_ + nrows);
-  }
-  for (size_t r = 0; r < nrows; ++r) {
-    const double* row = rows + r * ncols;
-    for (size_t c = 0; c < ncols; ++c) cols_[c].push_back(row[c]);
+    // resize() grows capacity geometrically, so the memtable is copied
+    // O(log n) times over its life instead of once per batch.
+    std::vector<double>& col = cols_[c];
+    col.resize(rows_ + nrows);
+    double* dst = col.data() + rows_;
+    const double* src = rows + c;
+    for (size_t r = 0; r < nrows; ++r) dst[r] = src[r * ncols];
   }
   rows_ += nrows;
 }

@@ -15,6 +15,10 @@ namespace fcbench::db::lsm {
 /// happens once, at flush/read time, so WAL replay and live appends
 /// agree bit-for-bit.
 ///
+/// Columns grow geometrically, so an append costs amortized O(batch),
+/// not O(memtable): a column is reallocated and copied only when it runs
+/// out of capacity, and each reallocation doubles that capacity.
+///
 /// Not thread-safe; the engine serializes access under its mutex.
 class MemTable {
  public:
@@ -28,8 +32,10 @@ class MemTable {
   size_t rows() const { return rows_; }
   bool empty() const { return rows_ == 0; }
 
-  /// Approximate heap footprint, compared against the engine's
-  /// memtable watermark.
+  /// Logical size of the buffered values (rows * columns * 8), compared
+  /// against the engine's memtable watermark. Admission control charges
+  /// these logical bytes; the heap capacity behind them may reach up to
+  /// 2x this under geometric growth.
   size_t bytes() const { return rows_ * cols_.size() * sizeof(double); }
 
   const std::vector<double>& column(size_t i) const { return cols_[i]; }

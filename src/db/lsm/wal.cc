@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
@@ -75,15 +76,17 @@ Status Wal::Append(uint8_t type, ByteSpan payload) {
   if (payload.size() > kMaxRecordBytes) {
     return Status::InvalidArgument("wal: record payload too large");
   }
-  // Serialize into the pending batch: hash | len | type | payload, where
-  // the hash covers everything after itself so a torn or bit-flipped
-  // record can never verify.
-  Buffer body;
-  PutFixed(&body, static_cast<uint32_t>(payload.size()));
-  body.PushBack(type);
-  body.Append(payload);
-  PutFixed(&pending_, XxHash64(body.span()));
-  pending_.Append(body.span());
+  // Serialize straight into the pending batch: hash | len | type |
+  // payload, where the hash covers everything after itself (hashed in
+  // place) so a torn or bit-flipped record can never verify.
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  uint8_t* rec = pending_.ExtendUninit(kRecordHeaderBytes + len);
+  uint8_t* body = rec + sizeof(uint64_t);  // len | type | payload
+  std::memcpy(body, &len, sizeof(len));
+  body[sizeof(len)] = type;
+  if (len > 0) std::memcpy(body + sizeof(len) + 1, payload.data(), len);
+  const uint64_t hash = XxHash64(body, sizeof(len) + 1 + len);
+  std::memcpy(rec, &hash, sizeof(hash));
   return Status::OK();
 }
 

@@ -25,6 +25,7 @@
 
 #include "db/column_store.h"
 #include "db/lsm/lsm_engine.h"
+#include "db/lsm/memtable.h"
 #include "db/lsm/wal.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
@@ -61,6 +62,70 @@ void CopyTree(const std::string& src, const std::string& dst) {
                                     /*durable=*/false)
                     .ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// MemTable
+// ---------------------------------------------------------------------------
+
+/// Distinct value for (row, column) of the MemTable tests.
+double Cell(size_t row, size_t col) {
+  return static_cast<double>(row) * 16.0 + static_cast<double>(col) + 0.25;
+}
+
+/// `nrows` row-major rows starting at row `first`.
+std::vector<double> RowMajor(size_t first, size_t nrows, size_t ncols) {
+  std::vector<double> rows;
+  rows.reserve(nrows * ncols);
+  for (size_t r = first; r < first + nrows; ++r) {
+    for (size_t c = 0; c < ncols; ++c) rows.push_back(Cell(r, c));
+  }
+  return rows;
+}
+
+TEST(MemTableTest, ScattersUnevenBatchesIntoExactColumns) {
+  constexpr size_t kCols = 5;
+  MemTable mem(kCols);
+  EXPECT_TRUE(mem.empty());
+  EXPECT_EQ(mem.num_columns(), kCols);
+  size_t total = 0;
+  for (const size_t nrows : {1, 7, 64, 1000}) {
+    const std::vector<double> batch = RowMajor(total, nrows, kCols);
+    mem.AppendRows(batch.data(), nrows);
+    total += nrows;
+    ASSERT_EQ(mem.rows(), total);
+    ASSERT_EQ(mem.bytes(), total * kCols * sizeof(double));
+    for (size_t c = 0; c < kCols; ++c) {
+      ASSERT_EQ(mem.column(c).size(), total) << "col=" << c;
+      for (size_t r = 0; r < total; ++r) {
+        ASSERT_EQ(mem.column(c)[r], Cell(r, c)) << "row=" << r << " col=" << c;
+      }
+    }
+  }
+  EXPECT_FALSE(mem.empty());
+  for (size_t c = 0; c < kCols; ++c) {
+    const std::vector<double> col = mem.TakeColumn(c);
+    ASSERT_EQ(col.size(), total);
+    for (size_t r = 0; r < total; ++r) ASSERT_EQ(col[r], Cell(r, c));
+  }
+}
+
+TEST(MemTableTest, ColumnGrowthIsAmortized) {
+  // Exact-fit reservation would reallocate (and copy the whole column)
+  // on every append; geometric growth reallocates O(log rows) times.
+  constexpr size_t kCols = 8;
+  constexpr size_t kBatchRows = 64;
+  MemTable mem(kCols);
+  const std::vector<double> batch = RowMajor(0, kBatchRows, kCols);
+  const double* last = nullptr;
+  size_t moves = 0;
+  for (size_t i = 0; i < 256; ++i) {
+    mem.AppendRows(batch.data(), kBatchRows);
+    if (mem.column(0).data() != last) ++moves;
+    last = mem.column(0).data();
+  }
+  EXPECT_EQ(mem.rows(), 256 * kBatchRows);
+  EXPECT_LE(moves, 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +334,39 @@ TEST_F(WalTest, KillAtAnyByteBitFlipSweep) {
     }
     RemoveTree(probe);
   }
+}
+
+TEST_F(WalTest, CommittedRecordBytesMatchGoldenFormat) {
+  // Pins the on-disk record format (hash | len | type | payload, the
+  // hash being xxh64 over len|type|payload) byte for byte: any rewrite of
+  // the record encoder must leave existing logs readable.
+  Wal::Options opt;
+  auto wal = Wal::Open(dir_, 0, opt);
+  ASSERT_TRUE(wal.ok());
+  const std::string text = "fcbench wal";
+  const uint8_t raw[] = {0x00, 0xff, 0x10, 0x80};
+  ASSERT_TRUE(wal.value()
+                  ->Append(Wal::kTypeRows,
+                           AsBytes(text.data(), text.size()))
+                  .ok());
+  ASSERT_TRUE(wal.value()->Append(7, ByteSpan(raw, sizeof(raw))).ok());
+  ASSERT_TRUE(wal.value()->Commit().ok());
+  ASSERT_TRUE(wal.value()->Close().ok());
+
+  auto file = fs::ReadFile(fs::JoinPath(dir_, Wal::SegmentFileName(0)));
+  ASSERT_TRUE(file.ok());
+  const ByteSpan bytes = file.value().span();
+  // Segment header: u32 magic + varint version + varint seq(0) = 6 bytes.
+  ASSERT_GE(bytes.size(), 6u);
+  std::string hex;
+  for (size_t i = 6; i < bytes.size(); ++i) {
+    char b[3];
+    std::snprintf(b, sizeof(b), "%02x", bytes[i]);
+    hex += b;
+  }
+  EXPECT_EQ(hex,
+            "068dae22ad9508720b00000001666362656e63682077616c"
+            "bb5f84c53c9b664d040000000700ff1080");
 }
 
 // ---------------------------------------------------------------------------
