@@ -4,7 +4,8 @@
 # Usage:
 #   scripts/ci.sh               # full lane: build everything, run all tests
 #   scripts/ci.sh --smoke       # fast lane: unit-labeled tests only
-#   scripts/ci.sh --faults      # fault lane: run the fault-injection suite
+#   scripts/ci.sh --faults      # fault lane: run the fault-injection and
+#                               # WAL crash-recovery suites
 #                               # (ctest -L fault) twice — a Release build,
 #                               # then an ASan+UBSan build — with a fixed
 #                               # chaos seed (FCBENCH_FAULT_SEED, default 42)
@@ -140,7 +141,8 @@ if [[ "${1:-}" == "--faults" ]]; then
   export FCBENCH_FAULT_SEED=${FCBENCH_FAULT_SEED:-42}
   # Pass 1: Release — the sweep at full speed.
   cmake -B "${BUILD_DIR}-faults" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "${BUILD_DIR}-faults" -j "${JOBS}" --target fault_injection_test fcbench_cli
+  cmake --build "${BUILD_DIR}-faults" -j "${JOBS}" \
+    --target fault_injection_test lsm_crash_test fcbench_cli
   ctest --test-dir "${BUILD_DIR}-faults" --output-on-failure -j "${JOBS}" -L fault
   # Sample trace artifact: a fully-sampled ingest with one-shot faults
   # injected at retry-protected sites (the ladder absorbs them, so the
@@ -168,7 +170,8 @@ PY
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
-  cmake --build "${BUILD_DIR}-faults-asan" -j "${JOBS}" --target fault_injection_test
+  cmake --build "${BUILD_DIR}-faults-asan" -j "${JOBS}" \
+    --target fault_injection_test lsm_crash_test
   ctest --test-dir "${BUILD_DIR}-faults-asan" --output-on-failure -j "${JOBS}" -L fault
   exit 0
 fi
@@ -183,7 +186,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   cmake --build "${BUILD_DIR}-tsan" -j "${JOBS}" \
     --target concurrency_test lsm_test shard_test fault_injection_test \
-    obs_test
+    lsm_crash_test obs_test
   # -L takes a regex: one lane covers the thread-heavy suites AND the
   # fault suites (their injected error paths take rarely-exercised locks).
   ctest --test-dir "${BUILD_DIR}-tsan" --output-on-failure -j "${JOBS}" \

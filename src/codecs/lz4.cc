@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "codecs/hash_head.h"
 #include "util/bitio.h"
 
 namespace fcbench::codecs {
@@ -53,7 +54,7 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
   }
 
   // hash -> most recent position; chains via prev table when attempts > 1.
-  std::vector<int32_t> head(size_t(1) << kHashLog, -1);
+  HashHead<kHashLog>& head = HashHead<kHashLog>::ForCall(n);
   std::vector<int32_t> prev;
   const bool chained = opts_.max_attempts > 1;
   if (chained) prev.assign(n, -1);
@@ -66,9 +67,9 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
   while (pos < input_limit) {
     // Find a match at `pos`.
     uint32_t h = Hash4(Read32(src + pos));
-    int32_t cand = head[h];
+    int32_t cand = head.Get(h);
     if (chained) prev[pos] = cand;
-    head[h] = static_cast<int32_t>(pos);
+    head.Set(h, pos);
 
     size_t best_len = 0;
     size_t best_dist = 0;
@@ -115,8 +116,8 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
     if (pos < input_limit) {
       for (size_t p = pos - 2; p < pos; ++p) {
         uint32_t hh = Hash4(Read32(src + p));
-        if (chained) prev[p] = head[hh];
-        head[hh] = static_cast<int32_t>(p);
+        if (chained) prev[p] = head.Get(hh);
+        head.Set(hh, p);
       }
     }
   }

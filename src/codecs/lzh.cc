@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "codecs/fse.h"
+#include "codecs/hash_head.h"
 #include "codecs/huffman.h"
 #include "util/bitio.h"
 
@@ -60,7 +61,7 @@ void LzhCodec::Compress(ByteSpan input, Buffer* out) const {
 
   size_t num_seq = 0;
   if (n >= kMinMatch + 1) {
-    std::vector<int32_t> head(size_t(1) << kHashLog, -1);
+    HashHead<kHashLog>& head = HashHead<kHashLog>::ForCall(n);
     std::vector<int32_t> prev(n, -1);
 
     size_t anchor = 0;
@@ -68,9 +69,9 @@ void LzhCodec::Compress(ByteSpan input, Buffer* out) const {
     const size_t limit = n - kMinMatch;
     while (pos <= limit) {
       uint32_t h = Hash4(Read32(src + pos));
-      int32_t cand = head[h];
+      int32_t cand = head.Get(h);
       prev[pos] = cand;
-      head[h] = static_cast<int32_t>(pos);
+      head.Set(h, pos);
 
       size_t best_len = 0;
       size_t best_dist = 0;
@@ -106,8 +107,8 @@ void LzhCodec::Compress(ByteSpan input, Buffer* out) const {
       ++pos;
       while (pos < end && pos <= limit) {
         uint32_t hh = Hash4(Read32(src + pos));
-        prev[pos] = head[hh];
-        head[hh] = static_cast<int32_t>(pos);
+        prev[pos] = head.Get(hh);
+        head.Set(hh, pos);
         ++pos;
       }
       pos = end;

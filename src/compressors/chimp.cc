@@ -31,6 +31,8 @@ int RoundLeadingCode(int lead) {
   return code;
 }
 
+/// Encoder state: the window ring plus a low-bits -> position table that
+/// finds a candidate in O(1).
 template <typename W>
 struct ChimpState {
   std::vector<W> stored = std::vector<W>(kPrevValues, 0);
@@ -163,7 +165,9 @@ Status ChimpDecode(ByteSpan in, size_t n, Buffer* out) {
       (kWidth == 64) ? kLeadingRound64 : kLeadingRound32;
 
   BitReader br(in);
-  ChimpState<W> state;
+  // The stream names window slots by ring index, so the decoder needs only
+  // the ring itself; the key -> position table is the encoder's search aid.
+  W window[kPrevValues] = {};
   W prev = 0;
   int prev_lead_code = 0;
   size_t base = out->size();
@@ -184,7 +188,7 @@ Status ChimpDecode(ByteSpan in, size_t n, Buffer* out) {
       switch (flag) {
         case 0b00: {
           int idx = static_cast<int>(br.ReadBits(kIndexBits));
-          v = state.stored[idx];
+          v = window[idx];
           break;
         }
         case 0b01: {
@@ -196,7 +200,7 @@ Status ChimpDecode(ByteSpan in, size_t n, Buffer* out) {
           int trail = kWidth - lead_table[lead_code] - sig;
           if (trail < 0) return fail(i, "chimp: bad 01 window");
           W center = static_cast<W>(br.ReadBits(sig));
-          v = state.stored[idx] ^ (center << trail);
+          v = window[idx] ^ (center << trail);
           break;
         }
         case 0b10: {
@@ -216,7 +220,7 @@ Status ChimpDecode(ByteSpan in, size_t n, Buffer* out) {
       }
     }
     if (br.overrun()) return fail(i, "chimp: truncated stream");
-    state.Push(v);
+    window[i % kPrevValues] = v;
     prev = v;
     std::memcpy(dst + i * sizeof(W), &v, sizeof(W));
   }

@@ -395,17 +395,46 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   eng->mem_ = std::make_unique<MemTable>(eng->schema_.size());
   FCB_ASSIGN_OR_RETURN(WalReader::Replay replay,
                        WalReader::ReplayDir(dir, eng->wal_floor_));
+  // Where the applied prefix ends: a checksum-valid but malformed record
+  // ends it early, at that record's start.
+  uint64_t end_seq = replay.end_seq;
+  uint64_t end_offset = replay.end_offset;
   bool stop = false;
   for (const auto& rec : replay.records) {
     FCB_RETURN_IF_ERROR(eng->ApplyWalRecord(rec, &stop));
-    if (stop) break;
+    if (stop) {
+      end_seq = rec.segment_seq;
+      end_offset = rec.offset;
+      break;
+    }
   }
 
-  // New appends go to a segment past everything on disk — recovery never
-  // appends to a possibly-torn file.
+  // Seal the log at the end of the recovered prefix before anything new
+  // is written: move the segments after it, which hold only records the
+  // prefix rule discarded, into quarantine/, then cut its segment back to
+  // its last good record (a torn tail, a zero tail). Moving first means a
+  // crash in between can never let those records replay. New appends go
+  // to the next segment, so a second crash replays the sealed prefix and
+  // then every row acknowledged since, instead of stopping at this
+  // crash's torn tail. Recovery never appends to a sealed segment.
   uint64_t next_seq = eng->wal_floor_;
-  if (replay.any_segments) {
-    next_seq = std::max(next_seq, replay.max_seq_seen + 1);
+  if (!replay.segments.empty()) {
+    const std::string qdir = fs::JoinPath(dir, kQuarantineDir);
+    bool moved = false;
+    for (uint64_t seq : replay.segments) {
+      if (seq <= end_seq) continue;
+      if (!moved) FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
+      moved = true;
+      const std::string name = Wal::SegmentFileName(seq);
+      FCB_RETURN_IF_ERROR(fs::RenameFile(fs::JoinPath(dir, name),
+                                         fs::JoinPath(qdir, name)));
+    }
+    if (moved) {
+      FCB_RETURN_IF_ERROR(fs::SyncDir(qdir));
+      FCB_RETURN_IF_ERROR(fs::SyncDir(dir));
+    }
+    FCB_RETURN_IF_ERROR(Wal::Seal(dir, end_seq, end_offset));
+    next_seq = end_seq + 1;
   }
   Wal::Options wopt;
   wopt.segment_bytes = options.wal_segment_bytes;

@@ -157,14 +157,17 @@ struct ScrubReport {
 ///                     flushed segment
 ///
 /// Durability protocol. Every batch is durable once AppendBatch returns
-/// (WAL committed, one fsync per batch). A flush publishes in a strict
+/// (WAL committed, one sync per batch: fdatasync inside the segment's
+/// zero tail, fsync when the tail grows; see Wal). A flush publishes in a strict
 /// order: segment column files (atomic temp+rename+dir-fsync, via
 /// PagedFile) -> segment ColumnStore manifest -> engine MANIFEST
 /// (advancing the WAL floor) -> obsolete WAL segments deleted. A crash
 /// between any two steps recovers to a consistent state: unreferenced
 /// segment files are swept, and the WAL floor decides exactly which
-/// records replay. Recovery is idempotent — recovering twice yields an
-/// identical store.
+/// records replay. Recovery seals the WAL where the replayed prefix
+/// ends before any new record is written (see Wal), so rows acked after
+/// one crash survive the next. Recovery is idempotent — recovering twice
+/// yields an identical store.
 class IngestEngine {
  public:
   /// Opens (creating or recovering) an engine at `dir`. On recovery the

@@ -19,6 +19,15 @@ namespace {
 /// Bytes of a record before the payload: u64 hash, u32 len, u8 type.
 constexpr size_t kRecordHeaderBytes = 8 + 4 + 1;
 
+/// u32 magic | varint version | varint seq.
+Buffer SegmentHeader(uint64_t seq) {
+  Buffer header;
+  PutFixed(&header, Wal::kMagic);
+  PutVarint64(&header, Wal::kVersion);
+  PutVarint64(&header, seq);
+  return header;
+}
+
 }  // namespace
 
 std::string Wal::SegmentFileName(uint64_t seq) {
@@ -62,13 +71,26 @@ Status Wal::EnsureSegment() {
       file_, fs::AppendFile::Create(
                  fs::JoinPath(dir_, SegmentFileName(seq_)),
                  options_.sync_on_commit));
-  Buffer header;
-  PutFixed(&header, kMagic);
-  PutVarint64(&header, kVersion);
-  PutVarint64(&header, seq_);
-  FCB_RETURN_IF_ERROR(file_.Append(header.span()));
+  // No sync here: a fresh segment stays header-sized until its first
+  // commit syncs it (and writes its zero tail).
+  FCB_RETURN_IF_ERROR(file_.Append(SegmentHeader(seq_).span()));
   segment_open_ = true;
   return Status::OK();
+}
+
+Status Wal::Seal(const std::string& dir, uint64_t seq, uint64_t length) {
+  const std::string path = fs::JoinPath(dir, SegmentFileName(seq));
+  const Buffer header = SegmentHeader(seq);
+  if (length < header.size()) {
+    // Not even the header survived: leave a valid, empty segment.
+    FCB_ASSIGN_OR_RETURN(fs::AppendFile file,
+                         fs::AppendFile::Create(path, /*durable=*/true));
+    FCB_RETURN_IF_ERROR(file.Append(header.span()));
+    return file.Close();
+  }
+  FCB_ASSIGN_OR_RETURN(uint64_t size, fs::FileSize(path));
+  if (size == length) return Status::OK();
+  return fs::TruncateFile(path, length);
 }
 
 Status Wal::Append(uint8_t type, ByteSpan payload) {
@@ -141,8 +163,8 @@ Status Wal::Commit() {
       // short write). Truncating back to the last committed offset makes
       // the segment a clean prefix of acknowledged records again, so the
       // WAL stays consistent and later commits stay replayable.
+      // A durable file fsyncs the cut before TruncateTo returns.
       Status heal = file_.TruncateTo(good);
-      if (heal.ok() && options_.sync_on_commit) heal = file_.Sync();
       if (!heal.ok()) {
         poison_ = Status::IoError(
             "wal: segment " + SegmentFileName(seq_) +
@@ -171,9 +193,8 @@ Status Wal::Rotate() {
                                    seq_ + 1, file_.offset());
   Status st;
   if (segment_open_) {
-    if (options_.sync_on_commit) st = file_.Sync();
-    Status close_st = file_.Close();
-    if (st.ok()) st = close_st;
+    // Close seals a durable segment: it cuts the zero tail and fsyncs.
+    st = file_.Close();
     // The handle is gone either way; leaving segment_open_ set on a
     // failed close would wedge every later append on a dead fd.
     segment_open_ = false;
@@ -190,8 +211,8 @@ Status Wal::Rotate() {
 Status Wal::Close() {
   Status st = Commit();
   if (segment_open_) {
-    // AppendFile::Close fsyncs a durable file's unsynced tail and
-    // reports the failure; the handle is released even on error.
+    // AppendFile::Close seals a durable file (cuts the zero tail, fsyncs)
+    // and reports a failure; the handle is released even on error.
     Status close_st = file_.Close();
     if (st.ok()) st = close_st;
     segment_open_ = false;
@@ -201,11 +222,12 @@ Status Wal::Close() {
 
 namespace {
 
-/// Replays one segment file. Returns false (via *stop) when replay of
-/// the whole log must end here: torn tail, corrupt record, or a header
-/// that does not match the file name.
+/// Replays one segment file. Sets *end to the length of its valid
+/// prefix, and *stop when replay of the whole log must end here: torn
+/// tail, corrupt record, or a header that does not match the file name.
 Status ReplaySegment(const std::string& path, uint64_t expect_seq,
-                     std::vector<WalRecord>* out, bool* stop) {
+                     std::vector<WalRecord>* out, uint64_t* end,
+                     bool* stop) {
   auto raw = fs::ReadFile(path);
   if (!raw.ok()) {
     // An IO *error* reading an existing segment is a hard replay failure,
@@ -219,6 +241,7 @@ Status ReplaySegment(const std::string& path, uint64_t expect_seq,
   size_t off = 0;
   uint32_t magic = 0;
   uint64_t version = 0, seq = 0;
+  *end = 0;
   if (!GetFixed(in, &off, &magic) || magic != Wal::kMagic ||
       !GetVarint64(in, &off, &version) || version != Wal::kVersion ||
       !GetVarint64(in, &off, &seq) || seq != expect_seq) {
@@ -226,32 +249,37 @@ Status ReplaySegment(const std::string& path, uint64_t expect_seq,
     return Status::OK();
   }
   while (off < in.size()) {
-    if (in.size() - off < kRecordHeaderBytes) {
-      *stop = true;  // torn mid-header
-      return Status::OK();
-    }
+    *end = off;
     uint64_t hash = 0;
     uint32_t len = 0;
     uint8_t type = 0;
-    GetFixed(in, &off, &hash);
-    const size_t body_off = off;
-    GetFixed(in, &off, &len);
-    GetFixed(in, &off, &type);
-    if (len > Wal::kMaxRecordBytes || len > in.size() - off) {
-      *stop = true;  // torn mid-payload or implausible length
-      return Status::OK();
+    // Torn mid-header, implausible length, torn mid-payload, or a bad
+    // checksum: the record does not verify.
+    bool ok = in.size() - off >= kRecordHeaderBytes;
+    if (ok) {
+      GetFixed(in, &off, &hash);
+      const size_t body_off = off;
+      GetFixed(in, &off, &len);
+      GetFixed(in, &off, &type);
+      ok = len <= Wal::kMaxRecordBytes && len <= in.size() - off &&
+           XxHash64(in.subspan(body_off, 4 + 1 + len)) == hash;
     }
-    if (XxHash64(in.subspan(body_off, 4 + 1 + len)) != hash) {
-      *stop = true;  // bit corruption; truncate here, keep the prefix
+    if (!ok) {
+      // Only zeros from here on: the zero tail of a segment that was live
+      // at the crash, a clean end. Anything else ends the log's prefix.
+      *stop = !std::all_of(in.data() + *end, in.data() + in.size(),
+                           [](uint8_t b) { return b == 0; });
       return Status::OK();
     }
     WalRecord rec;
     rec.segment_seq = seq;
+    rec.offset = *end;
     rec.type = type;
     rec.payload = Buffer::FromSpan(in.subspan(off, len));
     off += len;
     out->push_back(std::move(rec));
   }
+  *end = off;
   return Status::OK();
 }
 
@@ -260,16 +288,15 @@ Status ReplaySegment(const std::string& path, uint64_t expect_seq,
 Result<WalReader::Replay> WalReader::ReplayDir(const std::string& dir,
                                                uint64_t min_seq) {
   FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
-  std::vector<uint64_t> seqs;
   Replay replay;
   for (const auto& name : names) {
     uint64_t seq = 0;
-    if (!Wal::ParseSegmentFileName(name, &seq)) continue;
-    replay.any_segments = true;
-    replay.max_seq_seen = std::max(replay.max_seq_seen, seq);
-    if (seq >= min_seq) seqs.push_back(seq);
+    if (Wal::ParseSegmentFileName(name, &seq) && seq >= min_seq) {
+      replay.segments.push_back(seq);
+    }
   }
-  std::sort(seqs.begin(), seqs.end());
+  std::sort(replay.segments.begin(), replay.segments.end());
+  const std::vector<uint64_t>& seqs = replay.segments;
   bool stop = false;
   for (size_t i = 0; i < seqs.size() && !stop; ++i) {
     if (i > 0 && seqs[i] != seqs[i - 1] + 1) {
@@ -277,9 +304,10 @@ Result<WalReader::Replay> WalReader::ReplayDir(const std::string& dir,
       replay.truncated = true;
       break;
     }
-    FCB_RETURN_IF_ERROR(
-        ReplaySegment(fs::JoinPath(dir, Wal::SegmentFileName(seqs[i])),
-                      seqs[i], &replay.records, &stop));
+    replay.end_seq = seqs[i];
+    FCB_RETURN_IF_ERROR(ReplaySegment(
+        fs::JoinPath(dir, Wal::SegmentFileName(seqs[i])), seqs[i],
+        &replay.records, &replay.end_offset, &stop));
   }
   replay.truncated = replay.truncated || stop;
   return replay;

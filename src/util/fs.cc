@@ -25,12 +25,12 @@ Status ErrnoStatus(const std::string& what, const std::string& path,
   return Status::IoError(std::move(msg));
 }
 
-/// Writes all of `data` to `fd`. Instrumented with failpoint `site`:
-/// an injected error simulates write(2) failing (optionally after a
-/// short prefix landed — torn-write simulation), so the production
-/// error path runs against a deterministic fault.
-Status WriteAll(int fd, ByteSpan data, const char* site,
-                const std::string& path) {
+/// Writes all of `data` to `fd` at byte `offset`. Instrumented with
+/// failpoint `site`: an injected error simulates pwrite(2) failing
+/// (optionally after a short prefix landed — torn-write simulation), so
+/// the production error path runs against a deterministic fault.
+Status WriteAllAt(int fd, uint64_t offset, ByteSpan data, const char* site,
+                  const std::string& path) {
   const fail::Decision inj = FCB_FAILPOINT(site);
   const size_t allow =
       inj.fire ? (inj.short_write ? data.size() / 2 : 0) : data.size();
@@ -41,7 +41,8 @@ Status WriteAll(int fd, ByteSpan data, const char* site,
     }
     size_t want = data.size() - done;
     if (inj.fire) want = std::min(want, allow - done);
-    ssize_t n = ::write(fd, data.data() + done, want);
+    ssize_t n = ::pwrite(fd, data.data() + done, want,
+                         static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus("cannot write", path, errno);
@@ -49,6 +50,13 @@ Status WriteAll(int fd, ByteSpan data, const char* site,
     done += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+/// Source of a durable AppendFile's zero-tail writes (one tail write is
+/// always shorter than kZeroTailBytes).
+ByteSpan Zeros(uint64_t n) {
+  static const std::vector<uint8_t> zeros(AppendFile::kZeroTailBytes, 0);
+  return ByteSpan(zeros.data(), static_cast<size_t>(n));
 }
 
 }  // namespace
@@ -171,7 +179,7 @@ Status WriteFileAtomic(const std::string& path, ByteSpan data,
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                   0644);
   if (fd < 0) return ErrnoStatus("cannot open", tmp, errno);
-  Status st = WriteAll(fd, data, "fs.write_atomic", tmp);
+  Status st = WriteAllAt(fd, 0, data, "fs.write_atomic", tmp);
   if (st.ok() && durable) {
     const fail::Decision inj = FCB_FAILPOINT("fs.sync");
     if (inj.fire) {
@@ -192,17 +200,34 @@ Status WriteFileAtomic(const std::string& path, ByteSpan data,
   return Status::OK();
 }
 
+Status TruncateFile(const std::string& path, uint64_t size) {
+  FCB_FAIL_RETURN("fs.truncate", path);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("cannot open", path, errno);
+  Status st;
+  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    st = ErrnoStatus("cannot truncate", path, errno);
+  } else if (::fsync(fd) != 0) {
+    st = ErrnoStatus("cannot fsync", path, errno);
+  }
+  ::close(fd);
+  return st;
+}
+
 AppendFile& AppendFile::operator=(AppendFile&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
     offset_ = other.offset_;
+    size_ = other.size_;
+    synced_size_ = other.synced_size_;
     durable_ = other.durable_;
     dirty_ = other.dirty_;
+    torn_ = other.torn_;
     path_ = std::move(other.path_);
     other.fd_ = -1;
-    other.offset_ = 0;
-    other.dirty_ = false;
+    other.offset_ = other.size_ = other.synced_size_ = 0;
+    other.dirty_ = other.torn_ = false;
   }
   return *this;
 }
@@ -212,8 +237,8 @@ AppendFile::~AppendFile() { Close(); }
 Result<AppendFile> AppendFile::Create(const std::string& path,
                                       bool durable) {
   FCB_FAIL_RETURN("fs.create", path);
-  int fd = ::open(path.c_str(),
-                  O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
   if (fd < 0) return ErrnoStatus("cannot create", path, errno);
   if (durable) {
     Status st = SyncDir(DirOf(path));
@@ -231,20 +256,59 @@ Result<AppendFile> AppendFile::Create(const std::string& path,
 
 Status AppendFile::Append(ByteSpan data) {
   if (fd_ < 0) return Status::Internal("append to closed file " + path_);
-  FCB_RETURN_IF_ERROR(WriteAll(fd_, data, "fs.append", path_));
+  Status st = WriteAllAt(fd_, offset_, data, "fs.append", path_);
+  if (!st.ok()) {
+    // Some prefix may have landed: bound the size so the next sync is a
+    // full fsync, and leave the tail to TruncateTo.
+    size_ = std::max(size_, offset_ + data.size());
+    torn_ = true;
+    return st;
+  }
   offset_ += data.size();
+  size_ = std::max(size_, offset_);
   dirty_ = true;
+  return Status::OK();
+}
+
+Status AppendFile::FullSync() {
+  FCB_FAIL_RETURN("fs.sync", path_);
+  if (::fsync(fd_) != 0) return ErrnoStatus("cannot fsync", path_, errno);
+  synced_size_ = size_;
+  dirty_ = false;
   return Status::OK();
 }
 
 Status AppendFile::Sync() {
   if (fd_ < 0) return Status::Internal("sync of closed file " + path_);
-  FCB_FAIL_RETURN("fs.sync", path_);
-  if (::fsync(fd_) != 0) {
-    return ErrnoStatus("cannot fsync", path_, errno);
+  Status st;
+  if (size_ == synced_size_) {
+    // The size is durable and every byte written since lies inside it:
+    // fdatasync flushes the data with no metadata to commit.
+    const fail::Decision inj = FCB_FAILPOINT("fs.sync");
+    if (inj.fire) {
+      st = fail::InjectedStatus("fs.sync", inj, path_);
+    } else if (::fdatasync(fd_) != 0) {
+      st = ErrnoStatus("cannot fdatasync", path_, errno);
+    } else {
+      dirty_ = false;
+    }
+  } else {
+    if (durable_) {
+      // Extend the zero tail to the next boundary before the size
+      // becomes durable, so the appends that follow stay inside it.
+      const uint64_t end =
+          (size_ + kZeroTailBytes - 1) / kZeroTailBytes * kZeroTailBytes;
+      if (end > size_) {
+        st = WriteAllAt(fd_, size_, Zeros(end - size_), "fs.preallocate",
+                        path_);
+        size_ = end;  // an upper bound when the write failed part-way
+      }
+    }
+    if (st.ok()) st = FullSync();
   }
-  dirty_ = false;
-  return Status::OK();
+  // What reached the disk is unknown until TruncateTo heals the file.
+  if (!st.ok()) torn_ = true;
+  return st;
 }
 
 Status AppendFile::TruncateTo(uint64_t size) {
@@ -253,18 +317,27 @@ Status AppendFile::TruncateTo(uint64_t size) {
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     return ErrnoStatus("cannot truncate", path_, errno);
   }
-  // O_APPEND writes continue at the new end of file.
   offset_ = size;
+  size_ = size;
   dirty_ = true;
+  if (durable_) FCB_RETURN_IF_ERROR(FullSync());
+  torn_ = false;
   return Status::OK();
 }
 
 Status AppendFile::Close() {
   if (fd_ < 0) return Status::OK();
   Status st;
-  // A durable file's final unsynced appends are fsynced here, and a
-  // failure is reported — never swallowed: the caller acked those bytes.
-  if (durable_ && dirty_) st = Sync();
+  // Seal a durable file: cut the zero tail and fsync the final appends.
+  // A failure is reported — never swallowed: the caller acked those
+  // bytes. A torn file is left as it is (see the header).
+  if (durable_ && !torn_) {
+    if (size_ != offset_) {
+      st = TruncateTo(offset_);
+    } else if (dirty_) {
+      st = FullSync();
+    }
+  }
   const fail::Decision inj = FCB_FAILPOINT("fs.close");
   int rc = inj.fire ? -1 : ::close(fd_);
   int err = inj.fire ? inj.err : errno;

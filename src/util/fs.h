@@ -60,15 +60,34 @@ Status SyncDir(const std::string& dir);
 Status WriteFileAtomic(const std::string& path, ByteSpan data,
                        bool durable = true);
 
+/// Cuts `path` to its first `size` bytes and fsyncs it (WAL recovery
+/// seals a torn segment with this).
+Status TruncateFile(const std::string& path, uint64_t size);
+
 /// Append-only file handle for the write-ahead log: unbuffered positional
-/// appends with explicit Sync(). Creation truncates (WAL recovery never
-/// appends to an existing — possibly torn — segment; it starts a new one).
+/// writes (pwrite at offset()) with explicit Sync(). Creation truncates
+/// (WAL recovery never appends to an existing, possibly torn segment; it
+/// starts a new one).
+///
+/// Zero tail (durable files only). A Sync that has to make a new file
+/// size durable first writes zeros from the end of the file up to the next
+/// kZeroTailBytes boundary, then fsyncs. Later appends overwrite blocks
+/// that are already allocated and written, inside a size that is already
+/// durable, so their Sync is an fdatasync: it flushes the data without a
+/// filesystem journal commit. A live durable file is therefore its
+/// appended bytes followed by fewer than kZeroTailBytes of zeros; a reader
+/// of a crashed file must treat an all-zero remainder as the end (see
+/// WalReader). Close() and TruncateTo() cut the file back to offset(), so
+/// a closed file carries no zero tail.
 ///
 /// Every error Status names the failing path and carries the errno text;
 /// ENOSPC surfaces as ResourceExhausted so callers can distinguish a
 /// full disk (reject the batch) from a failing one (degrade/retry).
 class AppendFile {
  public:
+  /// A durable file's zeros reach the next multiple of this past its end.
+  static constexpr uint64_t kZeroTailBytes = uint64_t(1) << 20;
+
   AppendFile() = default;
   AppendFile(const AppendFile&) = delete;
   AppendFile& operator=(const AppendFile&) = delete;
@@ -77,23 +96,32 @@ class AppendFile {
   ~AppendFile();
 
   /// Creates (or truncates) `path` for appending. When `durable`, the
-  /// creation is made durable immediately by fsyncing the directory, and
-  /// Close() performs (and reports) a final fsync of unsynced appends.
+  /// creation is made durable immediately by fsyncing the directory,
+  /// Sync() keeps a zero tail, and Close() seals the file.
   static Result<AppendFile> Create(const std::string& path, bool durable);
 
-  /// Appends all of `data`. On failure an unknown prefix of `data` may
-  /// have reached the file; offset() is NOT advanced — TruncateTo(offset())
-  /// restores the file to its last known-good length.
+  /// Writes all of `data` at offset(). On failure an unknown prefix of
+  /// `data` may have reached the file; offset() is NOT advanced, and
+  /// TruncateTo(offset()) restores the file to its last known-good length.
   Status Append(ByteSpan data);
-  /// fsyncs everything appended so far.
+  /// Makes everything appended so far durable: fsync when the file size
+  /// changed since the last sync (after extending a durable file's zero
+  /// tail; the zero write is failpoint site "fs.preallocate"), fdatasync
+  /// otherwise. On failure the appends since the last Sync are in an
+  /// unknown state, and TruncateTo heals the file as after a failed
+  /// Append.
   Status Sync();
   /// Truncates the file back to `size` bytes (write-failure healing:
   /// discard a partially-landed append so the file is a clean prefix of
-  /// successful appends again).
+  /// successful appends again). This drops the zero tail; a durable file
+  /// is then fsynced so the cut is durable before the next append.
   Status TruncateTo(uint64_t size);
-  /// Closes the file. For a durable file with unsynced appends this
-  /// fsyncs first and reports a failed final fsync instead of swallowing
-  /// it (the last write's durability is part of Close's contract).
+  /// Closes the file. A durable file is sealed first: its zero tail is cut
+  /// off and unsynced appends are fsynced, and a failure is reported
+  /// instead of swallowed (the last write's durability is part of Close's
+  /// contract). A file whose last Append or Sync failed and was not
+  /// healed by TruncateTo is closed as it is: its tail is unknown, and
+  /// recovery's prefix rule owns it.
   Status Close();
 
   bool is_open() const { return fd_ >= 0; }
@@ -101,10 +129,16 @@ class AppendFile {
   uint64_t offset() const { return offset_; }
 
  private:
+  /// fsync (site "fs.sync"); records size_ as durable.
+  Status FullSync();
+
   int fd_ = -1;
-  uint64_t offset_ = 0;
+  uint64_t offset_ = 0;       // logical end: the bytes appended
+  uint64_t size_ = 0;         // file size: offset_ plus any zero tail
+  uint64_t synced_size_ = 0;  // size_ as of the last successful fsync
   bool durable_ = false;
-  bool dirty_ = false;  // appended since the last successful fsync
+  bool dirty_ = false;  // appended since the last successful sync
+  bool torn_ = false;   // Append/Sync failed, TruncateTo has not healed it
   std::string path_;    // for error messages
 };
 

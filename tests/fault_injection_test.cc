@@ -254,6 +254,38 @@ TEST_F(FsFaultTest, CloseReportsFailedFinalFsync) {
   EXPECT_FALSE(f.value().is_open());
 }
 
+TEST_F(FsFaultTest, FailedPreallocateHealsLikeAFailedAppend) {
+  const std::string path = fs::JoinPath(dir_, "durable");
+  auto f = fs::AppendFile::Create(path, /*durable=*/true);
+  ASSERT_TRUE(f.ok());
+  Buffer data(100);
+  for (size_t i = 0; i < data.size(); ++i) data.data()[i] = uint8_t(i + 1);
+  ASSERT_TRUE(f.value().Append(data.span()).ok());
+
+  // The first sync must write the zero tail; that write fails part-way.
+  ASSERT_TRUE(fail::FailPoints::Set("fs.preallocate", "short@1").ok());
+  Status st = f.value().Sync();
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find(path), std::string::npos);
+  fail::FailPoints::ClearAll();
+
+  // Healing cuts back to the last good length, as after a torn append;
+  // the next sync writes the tail again and close seals the file.
+  ASSERT_TRUE(f.value().TruncateTo(0).ok());
+  auto size = fs::FileSize(path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value(), 0u);
+  ASSERT_TRUE(f.value().Append(data.span()).ok());
+  ASSERT_TRUE(f.value().Sync().ok());
+  size = fs::FileSize(path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value(), fs::AppendFile::kZeroTailBytes);
+  ASSERT_TRUE(f.value().Close().ok());
+  auto back = fs::ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().ToVector(), data.ToVector());
+}
+
 TEST_F(FsFaultTest, EnospcSurfacesAsResourceExhausted) {
   const std::string path = fs::JoinPath(dir_, "full");
   auto f = fs::AppendFile::Create(path, /*durable=*/false);
@@ -533,6 +565,45 @@ TEST_F(EngineFaultTest, WalPoisonedWhenHealFails) {
   EXPECT_TRUE(replay.value().truncated);
 }
 
+TEST_F(EngineFaultTest, FailedPreallocateRejectsOnlyThatCommit) {
+  Wal::Options wopt;
+  auto walr = Wal::Open(dir_, 0, wopt);
+  ASSERT_TRUE(walr.ok());
+  auto& wal = walr.value();
+  Buffer small, big(fs::AppendFile::kZeroTailBytes);
+  small.Append("acked-record", 12);
+  for (size_t i = 0; i < big.size(); ++i) big.data()[i] = uint8_t(i * 7 + 1);
+  ASSERT_TRUE(wal->Append(Wal::kTypeRows, small.span()).ok());
+  ASSERT_TRUE(wal->Commit().ok());
+
+  // A record that crosses the zeroed frontier needs a new zero tail; a
+  // full disk there rejects that commit, the segment heals, and the WAL
+  // stays writable.
+  ASSERT_TRUE(fail::FailPoints::Set("fs.preallocate", "enospc@1").ok());
+  ASSERT_TRUE(wal->Append(Wal::kTypeRows, big.span()).ok());
+  EXPECT_EQ(wal->Commit().code(), StatusCode::kResourceExhausted);
+  fail::FailPoints::ClearAll();
+  EXPECT_TRUE(wal->poisoned().ok());
+  ASSERT_TRUE(wal->Append(Wal::kTypeRows, small.span()).ok());
+  ASSERT_TRUE(wal->Commit().ok());
+
+  // Failing the heal too poisons the WAL, as for a torn append. Both
+  // acknowledged records still replay.
+  ASSERT_TRUE(fail::FailPoints::Set("fs.preallocate", "err@1").ok());
+  ASSERT_TRUE(fail::FailPoints::Set("fs.truncate", "err@1").ok());
+  ASSERT_TRUE(wal->Append(Wal::kTypeRows, big.span()).ok());
+  EXPECT_FALSE(wal->Commit().ok());
+  fail::FailPoints::ClearAll();
+  EXPECT_FALSE(wal->poisoned().ok());
+  wal->Close();
+
+  auto replay = WalReader::ReplayDir(dir_, 0);
+  ASSERT_TRUE(replay.ok());
+  ASSERT_GE(replay.value().records.size(), 2u);
+  EXPECT_EQ(replay.value().records[0].payload.ToVector(), small.ToVector());
+  EXPECT_EQ(replay.value().records[1].payload.ToVector(), small.ToVector());
+}
+
 // ---------------------------------------------------------------------------
 // Scrub + quarantine
 // ---------------------------------------------------------------------------
@@ -639,10 +710,10 @@ TEST_F(EngineFaultTest, SweepEverySiteAtEveryHit) {
     hits[site] = fail::FailPoints::HitCount(site);
   }
   for (const char* core :
-       {"fs.append", "fs.sync", "fs.sync_dir", "fs.rename",
-        "fs.write_atomic", "fs.create", "fs.read", "fs.list", "wal.append",
-        "wal.rotate", "segment.column", "segment.publish", "lsm.flush",
-        "lsm.compact", "lsm.manifest"}) {
+       {"fs.append", "fs.preallocate", "fs.sync", "fs.sync_dir",
+        "fs.rename", "fs.write_atomic", "fs.create", "fs.read", "fs.list",
+        "wal.append", "wal.rotate", "segment.column", "segment.publish",
+        "lsm.flush", "lsm.compact", "lsm.manifest"}) {
     EXPECT_TRUE(hits.count(core) && hits[core] > 0)
         << "site " << core << " was never evaluated by the workload";
   }
@@ -965,7 +1036,7 @@ TEST_F(EngineFaultTest, ProbabilisticChaosNeverLosesAckedData) {
       "fs.append", "fs.sync", "fs.sync_dir", "fs.rename", "fs.write_atomic",
       "fs.create", "fs.read", "fs.list", "fs.close", "wal.append",
       "wal.rotate", "segment.column", "segment.publish", "lsm.flush",
-      "lsm.compact", "lsm.manifest"};
+      "lsm.compact", "lsm.manifest", "fs.preallocate"};
   for (int trial = 0; trial < 4; ++trial) {
     SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
                  std::to_string(trial));

@@ -1,9 +1,11 @@
 // Tests for the crash-safe LSM ingest engine (src/db/lsm/): WAL framing
 // and torn-tail recovery, the kill-at-any-byte crash-consistency sweeps
-// (truncate/flip every byte of the WAL; every half-published segment
-// state), recovery idempotence, background flush, tiered compaction,
-// reader liveness against background work queued on the shared pool,
-// and compaction and scrub liveness under back-to-back readers.
+// (truncate/flip every byte of the WAL, plain and padded with a zero
+// tail; every half-published segment state), WAL sealing, recovery
+// idempotence, background flush, tiered compaction, reader liveness
+// against background work queued on the shared pool, and compaction and
+// scrub liveness under back-to-back readers. Double-crash recovery lives
+// in lsm_crash_test.cc (fault lane).
 
 #include <gtest/gtest.h>
 
@@ -27,42 +29,13 @@
 #include "db/lsm/lsm_engine.h"
 #include "db/lsm/memtable.h"
 #include "db/lsm/wal.h"
+#include "lsm_test_util.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/thread_pool.h"
 
 namespace fcbench::db::lsm {
 namespace {
-
-std::string UniqueDir(const std::string& tag) {
-  return "/tmp/fcbench_lsm_" + std::to_string(::getpid()) + "_" + tag;
-}
-
-/// Removes `dir` and its subdirectories (quarantine/).
-void RemoveTree(const std::string& dir) {
-  auto names = fs::ListDir(dir);
-  if (names.ok()) {
-    for (const auto& n : names.value()) {
-      const std::string p = fs::JoinPath(dir, n);
-      if (!fs::RemoveFile(p).ok()) RemoveTree(p);
-    }
-  }
-  ::rmdir(dir.c_str());
-}
-
-void CopyTree(const std::string& src, const std::string& dst) {
-  ASSERT_TRUE(fs::CreateDir(dst).ok());
-  auto names = fs::ListDir(src);
-  ASSERT_TRUE(names.ok());
-  for (const auto& n : names.value()) {
-    auto bytes = fs::ReadFile(fs::JoinPath(src, n));
-    ASSERT_TRUE(bytes.ok());
-    ASSERT_TRUE(fs::WriteFileAtomic(fs::JoinPath(dst, n),
-                                    bytes.value().span(),
-                                    /*durable=*/false)
-                    .ok());
-  }
-}
 
 // ---------------------------------------------------------------------------
 // MemTable
@@ -336,6 +309,187 @@ TEST_F(WalTest, KillAtAnyByteBitFlipSweep) {
   }
 }
 
+/// Writes `bytes` as WAL segment `seq` of `dir`, padded with zeros to
+/// fs::AppendFile::kZeroTailBytes: what a durable segment that was live
+/// at a crash holds on disk.
+void WriteZeroPaddedSegment(const std::string& dir, uint64_t seq,
+                            ByteSpan bytes) {
+  std::vector<uint8_t> padded(fs::AppendFile::kZeroTailBytes, 0);
+  std::copy(bytes.begin(), bytes.end(), padded.begin());
+  ASSERT_TRUE(fs::WriteFileAtomic(fs::JoinPath(dir, Wal::SegmentFileName(seq)),
+                                  ByteSpan(padded.data(), padded.size()),
+                                  /*durable=*/false)
+                  .ok());
+}
+
+TEST_F(WalTest, KillAtAnyByteTruncationSweepZeroPadded) {
+  Buffer file;
+  std::vector<size_t> ends;
+  BuildWalFile(dir_, 6, &file, &ends);
+
+  const std::string probe = dir_ + "_probe";
+  for (size_t cut = 0; cut < file.size(); ++cut) {
+    ASSERT_TRUE(fs::CreateDir(probe).ok());
+    WriteZeroPaddedSegment(probe, 0, ByteSpan(file.data(), cut));
+    auto replay = WalReader::ReplayDir(probe, 0);
+    ASSERT_TRUE(replay.ok()) << "cut=" << cut;
+    // The zeros never complete a record: the same prefix survives as
+    // without them.
+    size_t expect = 0;
+    while (expect < ends.size() && ends[expect] <= cut) ++expect;
+    ASSERT_EQ(replay.value().records.size(), expect) << "cut=" << cut;
+    for (size_t i = 0; i < expect; ++i) {
+      ASSERT_EQ(replay.value().records[i].payload.ToVector(),
+                Payload(i).ToVector())
+          << "cut=" << cut;
+    }
+    // After an intact header, a cut whose partial record is all zeros (a
+    // cut at a record boundary, in particular) leaves an all-zero
+    // remainder: the clean end of a live segment, not a torn tail. The
+    // header's last byte (varint seq 0) is itself zero, so the padding
+    // completes a header cut after 5 bytes.
+    const bool header_ok = cut >= 5;
+    const size_t boundary = expect > 0 ? ends[expect - 1] : 6;
+    const bool zero_rest =
+        header_ok &&
+        std::all_of(file.data() + std::min(boundary, cut), file.data() + cut,
+                    [](uint8_t b) { return b == 0; });
+    EXPECT_EQ(replay.value().truncated, !zero_rest) << "cut=" << cut;
+    if (cut == boundary) EXPECT_FALSE(replay.value().truncated);
+    EXPECT_EQ(replay.value().end_offset, header_ok ? boundary : 0u)
+        << "cut=" << cut;
+    RemoveTree(probe);
+  }
+}
+
+TEST_F(WalTest, KillAtAnyByteBitFlipSweepZeroPadded) {
+  Buffer file;
+  std::vector<size_t> ends;
+  BuildWalFile(dir_, 6, &file, &ends);
+
+  const std::string probe = dir_ + "_probe";
+  for (size_t flip = 0; flip < file.size(); ++flip) {
+    Buffer corrupt = Buffer::FromSpan(file.span());
+    corrupt.data()[flip] ^= 0x40;
+    ASSERT_TRUE(fs::CreateDir(probe).ok());
+    WriteZeroPaddedSegment(probe, 0, corrupt.span());
+    auto replay = WalReader::ReplayDir(probe, 0);
+    ASSERT_TRUE(replay.ok()) << "flip=" << flip;
+    // The prefix law of the unpadded sweep: a flip in record i keeps at
+    // most records 0..i-1, a flip in the header keeps nothing, and the
+    // zeros after a corrupt record do not make it a clean end.
+    const auto& recs = replay.value().records;
+    for (size_t i = 0; i < recs.size(); ++i) {
+      ASSERT_EQ(recs[i].payload.ToVector(), Payload(i).ToVector())
+          << "flip=" << flip;
+    }
+    size_t owner = 0;
+    while (owner < ends.size() && ends[owner] <= flip) ++owner;
+    if (flip >= 6) {
+      ASSERT_LE(recs.size(), owner) << "flip=" << flip;
+    } else {
+      ASSERT_EQ(recs.size(), 0u) << "flip=" << flip;
+    }
+    EXPECT_TRUE(replay.value().truncated) << "flip=" << flip;
+    RemoveTree(probe);
+  }
+}
+
+TEST_F(WalTest, ZeroTailEndsASegmentCleanlyAndReplayGoesOn) {
+  Buffer file;
+  std::vector<size_t> ends;
+  BuildWalFile(dir_, 3, &file, &ends);
+  const std::string probe = dir_ + "_probe";
+  ASSERT_TRUE(fs::CreateDir(probe).ok());
+  // Segment 0 was live at a crash (zero tail); segment 1 follows it.
+  WriteZeroPaddedSegment(probe, 0, file.span());
+  Wal::Options opt;
+  {
+    auto wal = Wal::Open(probe, 1, opt);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal.value()->Append(Wal::kTypeRows, Payload(3).span()).ok());
+    ASSERT_TRUE(wal.value()->Close().ok());
+  }
+  auto replay = WalReader::ReplayDir(probe, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_FALSE(replay.value().truncated);
+  ASSERT_EQ(replay.value().records.size(), 4u);
+  EXPECT_EQ(replay.value().records[3].payload.ToVector(),
+            Payload(3).ToVector());
+  EXPECT_EQ(replay.value().end_seq, 1u);
+
+  // One non-zero byte after the zeros: corruption, and the prefix ends
+  // inside segment 0.
+  std::vector<uint8_t> bad(fs::AppendFile::kZeroTailBytes, 0);
+  std::copy(file.span().begin(), file.span().end(), bad.begin());
+  bad.back() = 1;
+  ASSERT_TRUE(fs::WriteFileAtomic(
+                  fs::JoinPath(probe, Wal::SegmentFileName(0)),
+                  ByteSpan(bad.data(), bad.size()), /*durable=*/false)
+                  .ok());
+  replay = WalReader::ReplayDir(probe, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_TRUE(replay.value().truncated);
+  EXPECT_EQ(replay.value().records.size(), 3u);
+  EXPECT_EQ(replay.value().end_seq, 0u);
+  EXPECT_EQ(replay.value().end_offset, file.size());
+  RemoveTree(probe);
+}
+
+TEST_F(WalTest, DurableSegmentKeepsAZeroTailWhileLiveAndSealsOnRotate) {
+  Wal::Options opt;  // sync_on_commit
+  auto wal = Wal::Open(dir_, 0, opt);
+  ASSERT_TRUE(wal.ok());
+  const std::string seg0 = fs::JoinPath(dir_, Wal::SegmentFileName(0));
+  size_t logical = 6;
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(wal.value()->Append(Wal::kTypeRows, Payload(i).span()).ok());
+    ASSERT_TRUE(wal.value()->Commit().ok());
+    logical += 8 + 4 + 1 + Payload(i).size();
+    // The first commit wrote the zero tail; the rest overwrite it.
+    auto size = fs::FileSize(seg0);
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(size.value(), fs::AppendFile::kZeroTailBytes);
+  }
+  // A reader of the live segment sees a clean end.
+  auto replay = WalReader::ReplayDir(dir_, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_FALSE(replay.value().truncated);
+  EXPECT_EQ(replay.value().records.size(), 4u);
+  EXPECT_EQ(replay.value().end_offset, logical);
+
+  // Rotation seals segment 0 and leaves segment 1 header-sized.
+  ASSERT_TRUE(wal.value()->Rotate().ok());
+  auto size = fs::FileSize(seg0);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value(), logical);
+  size = fs::FileSize(fs::JoinPath(dir_, Wal::SegmentFileName(1)));
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value(), 6u);
+  ASSERT_TRUE(wal.value()->Close().ok());
+}
+
+TEST_F(WalTest, SealCutsTheTailOrRewritesABadHeader) {
+  Buffer file;
+  std::vector<size_t> ends;
+  BuildWalFile(dir_, 3, &file, &ends);
+  const std::string path = fs::JoinPath(dir_, Wal::SegmentFileName(0));
+  WriteZeroPaddedSegment(dir_, 0, ByteSpan(file.data(), ends[2] - 3));
+  ASSERT_TRUE(Wal::Seal(dir_, 0, ends[1]).ok());
+  auto size = fs::FileSize(path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.value(), ends[1]);
+
+  // A header torn at byte 2: sealing leaves a valid, empty segment.
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(file.data(), 2), false).ok());
+  ASSERT_TRUE(Wal::Seal(dir_, 0, 0).ok());
+  auto replay = WalReader::ReplayDir(dir_, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_FALSE(replay.value().truncated);
+  EXPECT_TRUE(replay.value().records.empty());
+  EXPECT_EQ(replay.value().end_offset, 6u);
+}
+
 TEST_F(WalTest, CommittedRecordBytesMatchGoldenFormat) {
   // Pins the on-disk record format (hash | len | type | payload, the
   // hash being xxh64 over len|type|payload) byte for byte: any rewrite of
@@ -372,98 +526,6 @@ TEST_F(WalTest, CommittedRecordBytesMatchGoldenFormat) {
 // ---------------------------------------------------------------------------
 // IngestEngine
 // ---------------------------------------------------------------------------
-
-class LsmEngineTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = UniqueDir(
-        ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    RemoveTree(dir_);
-  }
-  void TearDown() override {
-    RemoveTree(dir_);
-    RemoveTree(dir_ + "_probe");
-  }
-
-  static std::vector<ColumnDef> Schema() {
-    return {
-        {.name = "ts", .dtype = DType::kFloat64},
-        {.name = "value", .dtype = DType::kFloat64},
-        {.name = "flag", .dtype = DType::kFloat32},
-    };
-  }
-
-  /// Row i of the deterministic test table.
-  static std::vector<double> Row(uint64_t i) {
-    return {1.0e9 + static_cast<double>(i) * 10.0,
-            std::sin(static_cast<double>(i) * 0.01) * 100.0,
-            static_cast<double>(i % 7)};
-  }
-
-  static std::vector<double> ExpectedColumn(size_t col, uint64_t nrows) {
-    std::vector<double> v(nrows);
-    for (uint64_t i = 0; i < nrows; ++i) {
-      double x = Row(i)[col];
-      if (col == 2) x = static_cast<double>(static_cast<float>(x));
-      v[i] = x;
-    }
-    return v;
-  }
-
-  static void ExpectColumnsEqualPrefix(IngestEngine& eng, uint64_t nrows) {
-    const char* names[] = {"ts", "value", "flag"};
-    for (size_t c = 0; c < 3; ++c) {
-      auto r = eng.ReadColumn(names[c]);
-      ASSERT_TRUE(r.ok()) << names[c] << ": " << r.status().ToString();
-      EXPECT_EQ(r.value(), ExpectedColumn(c, nrows)) << names[c];
-    }
-  }
-
-  static Status AppendRows(IngestEngine& eng, uint64_t begin, uint64_t end,
-                           size_t batch_rows) {
-    std::vector<double> batch;
-    for (uint64_t i = begin; i < end; ++i) {
-      auto row = Row(i);
-      batch.insert(batch.end(), row.begin(), row.end());
-      if (batch.size() / 3 == batch_rows || i + 1 == end) {
-        FCB_RETURN_IF_ERROR(eng.AppendBatch(batch));
-        batch.clear();
-      }
-    }
-    return Status::OK();
-  }
-
-  static EngineOptions FastOptions() {
-    EngineOptions o;
-    o.background_flush = false;
-    o.compact_fanout = 0;           // compaction only when asked
-    o.flush_compressor = "gorilla";  // cheap, deterministic for tests
-    o.compact_compressor = "chimp128";
-    return o;
-  }
-
-  /// Rows in each segment of OpenWithTwoSlowSegments.
-  static constexpr uint64_t kReadSegRows = 8000;
-
-  /// Opens an engine at dir_ holding two kReadSegRows-row segments in
-  /// fpzip (flushed and compacted alike). Its slow decode keeps a reader
-  /// inside segment files most of the time.
-  void OpenWithTwoSlowSegments(std::unique_ptr<IngestEngine>* eng) {
-    EngineOptions opt = FastOptions();
-    opt.flush_compressor = opt.compact_compressor = "fpzip";
-    auto opened = IngestEngine::Open(dir_, Schema(), opt);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    *eng = std::move(opened).TakeValue();
-    for (uint64_t s = 0; s < 2; ++s) {
-      ASSERT_TRUE(AppendRows(**eng, s * kReadSegRows, (s + 1) * kReadSegRows,
-                             1000)
-                      .ok());
-      ASSERT_TRUE((*eng)->Flush().ok());
-    }
-  }
-
-  std::string dir_;
-};
 
 TEST_F(LsmEngineTest, AppendFlushReadBack) {
   auto eng = IngestEngine::Open(dir_, Schema(), FastOptions());

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -871,6 +872,89 @@ TEST(FsTest, AppendFileAppendsAndTruncatesOnCreate) {
   r = fs::ReadFile(path);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().ToVector(), (std::vector<uint8_t>{9}));
+  FsTestCleanup(dir);
+}
+
+uint64_t SizeOf(const std::string& path) {
+  auto size = fs::FileSize(path);
+  EXPECT_TRUE(size.ok()) << path;
+  return size.ok() ? size.value() : 0;
+}
+
+TEST(FsTest, DurableAppendFileKeepsAZeroTailAndClosesAtItsLogicalSize) {
+  const std::string dir = FsTestDir("zero_tail");
+  const std::string path = fs::JoinPath(dir, "log");
+  constexpr uint64_t kTail = fs::AppendFile::kZeroTailBytes;
+  std::vector<uint8_t> want;
+  {
+    auto f = fs::AppendFile::Create(path, /*durable=*/true);
+    ASSERT_TRUE(f.ok());
+    std::vector<uint8_t> chunk(1000);
+    for (size_t i = 0; i < chunk.size(); ++i) chunk[i] = uint8_t(i | 1);
+    ASSERT_TRUE(f.value().Append(ByteSpan(chunk)).ok());
+    want.insert(want.end(), chunk.begin(), chunk.end());
+    EXPECT_EQ(SizeOf(path), 1000u);  // no tail before the first sync
+    // The first sync writes zeros to the 1 MiB boundary; later syncs
+    // overwrite them in place.
+    ASSERT_TRUE(f.value().Sync().ok());
+    EXPECT_EQ(SizeOf(path), kTail);
+    ASSERT_TRUE(f.value().Append(ByteSpan(chunk)).ok());
+    want.insert(want.end(), chunk.begin(), chunk.end());
+    ASSERT_TRUE(f.value().Sync().ok());
+    EXPECT_EQ(SizeOf(path), kTail);
+    auto live = fs::ReadFile(path);
+    ASSERT_TRUE(live.ok());
+    EXPECT_TRUE(std::all_of(live.value().data() + 2000,
+                            live.value().data() + kTail,
+                            [](uint8_t b) { return b == 0; }));
+    // Crossing the boundary moves the tail to the next one.
+    std::vector<uint8_t> big(kTail, 7);
+    ASSERT_TRUE(f.value().Append(ByteSpan(big)).ok());
+    want.insert(want.end(), big.begin(), big.end());
+    ASSERT_TRUE(f.value().Sync().ok());
+    EXPECT_EQ(SizeOf(path), 2 * kTail);
+    EXPECT_EQ(f.value().offset(), want.size());
+    ASSERT_TRUE(f.value().Close().ok());
+  }
+  EXPECT_EQ(SizeOf(path), want.size());  // sealed: no zero tail
+  auto r = fs::ReadFile(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().ToVector(), want);
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, TruncateToDropsTheZeroTail) {
+  const std::string dir = FsTestDir("truncate_tail");
+  const std::string path = fs::JoinPath(dir, "log");
+  auto f = fs::AppendFile::Create(path, /*durable=*/true);
+  ASSERT_TRUE(f.ok());
+  const std::vector<uint8_t> data(300, 5);
+  ASSERT_TRUE(f.value().Append(ByteSpan(data)).ok());
+  ASSERT_TRUE(f.value().Sync().ok());
+  ASSERT_EQ(SizeOf(path), fs::AppendFile::kZeroTailBytes);
+  ASSERT_TRUE(f.value().TruncateTo(100).ok());
+  EXPECT_EQ(SizeOf(path), 100u);
+  EXPECT_EQ(f.value().offset(), 100u);
+  // The next sync rebuilds the tail from the new end.
+  ASSERT_TRUE(f.value().Append(ByteSpan(data)).ok());
+  ASSERT_TRUE(f.value().Sync().ok());
+  EXPECT_EQ(SizeOf(path), fs::AppendFile::kZeroTailBytes);
+  ASSERT_TRUE(f.value().Close().ok());
+  EXPECT_EQ(SizeOf(path), 400u);
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, NonDurableAppendFileHasNoZeroTail) {
+  const std::string dir = FsTestDir("no_tail");
+  const std::string path = fs::JoinPath(dir, "log");
+  auto f = fs::AppendFile::Create(path, /*durable=*/false);
+  ASSERT_TRUE(f.ok());
+  const std::vector<uint8_t> data(300, 5);
+  ASSERT_TRUE(f.value().Append(ByteSpan(data)).ok());
+  ASSERT_TRUE(f.value().Sync().ok());
+  EXPECT_EQ(SizeOf(path), 300u);
+  ASSERT_TRUE(f.value().Close().ok());
+  EXPECT_EQ(SizeOf(path), 300u);
   FsTestCleanup(dir);
 }
 

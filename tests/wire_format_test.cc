@@ -15,11 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "compressors/chimp.h"
 #include "compressors/gorilla.h"
 #include "compressors/gorilla_timestamps.h"
+#include "core/compressor.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "wire_format_fixtures.h"
@@ -127,6 +129,83 @@ TEST(WireFormatTest, GorillaTimestampsLargeCorpusHashPinned) {
   GorillaTimestampCodec::Compress(Stamps(65536, 0xB16), &got);
   EXPECT_EQ(got.size(), wire_fixtures::kGorillaTsBigSize);
   EXPECT_EQ(XxHash64(got.span()), wire_fixtures::kGorillaTsBigHash);
+}
+
+/// One input of the LZ-backed corpus: raw little-endian values + shape.
+struct LzInput {
+  DataDesc desc;
+  Buffer bytes;
+};
+
+template <typename T>
+LzInput MakeLzInput(const std::vector<T>& vals) {
+  return {DataDesc::Make(sizeof(T) == 4 ? DType::kFloat32 : DType::kFloat64,
+                         {vals.size()}),
+          Buffer::FromSpan(AsBytes(vals))};
+}
+
+/// Smooth f64/f32 walks, a decimal (cents) series and a noisy-mantissa
+/// series: shapes on which the selectors pick different methods and the
+/// LZ matchers find long, short and almost no matches.
+std::vector<LzInput> LzCorpus(uint64_t seed) {
+  std::vector<LzInput> corpus;
+  corpus.push_back(MakeLzInput(Walk<double>(16384, seed)));
+  corpus.push_back(MakeLzInput(Walk<float>(16384, seed)));
+  Rng rng(seed);
+  std::vector<double> cents(16384);
+  int64_t c = 250000;
+  for (double& v : cents) {
+    c += static_cast<int64_t>(rng.UniformInt(41)) - 20;
+    v = static_cast<double>(c) / 100.0;
+  }
+  corpus.push_back(MakeLzInput(cents));
+  std::vector<double> noisy(16384);
+  for (double& v : noisy) {
+    const uint64_t bits = 0x4059000000000000ULL | (rng.Next() >> 24);
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  corpus.push_back(MakeLzInput(noisy));
+  return corpus;
+}
+
+// Streams of the methods built on the LZ matchers: bitshuffle's LZ4 and
+// LZH back-ends, SPDP's LZ4 stage, and the auto selectors that choose
+// among them. One xxHash64 per method chains every stream of corpus seeds
+// 1 and 2, so a matcher change that finds different matches fails here.
+// Recorded while each call still built a freshly -1-filled hash table.
+TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
+  const struct {
+    const char* method;
+    unsigned long long hash;
+  } kPinned[] = {
+      {"bitshuffle_lz4", 0x5df7172fe40a2c00ULL},
+      {"bitshuffle_zstd", 0x663e625ee454fdcbULL},
+      {"spdp", 0x785f2b31e8e6a1a5ULL},
+      {"auto", 0x9405a0b4c6ddad9bULL},
+      {"auto-ratio", 0x537d549682b07c2dULL},
+  };
+  for (const auto& pin : kPinned) {
+    uint64_t chained = 0;
+    for (uint64_t seed : {1, 2}) {
+      for (const LzInput& in : LzCorpus(seed)) {
+        CompressorConfig cfg;
+        auto comp = CompressorRegistry::Global().Create(pin.method, cfg);
+        ASSERT_TRUE(comp.ok()) << pin.method;
+        Buffer out;
+        ASSERT_TRUE(comp.value()->Compress(in.bytes.span(), in.desc, &out)
+                        .ok())
+            << pin.method;
+        chained = XxHash64(out.span(), chained);
+        Buffer back;
+        ASSERT_TRUE(comp.value()->Decompress(out.span(), in.desc, &back)
+                        .ok())
+            << pin.method;
+        ASSERT_EQ(back.ToVector(), in.bytes.ToVector()) << pin.method;
+      }
+    }
+    EXPECT_EQ(chained, pin.hash)
+        << pin.method << ": stream drifted, got 0x" << std::hex << chained;
+  }
 }
 
 // The decoders must also read the frozen streams back to the exact inputs
