@@ -90,7 +90,7 @@ void BM_LzhDecompress(benchmark::State& state) {
   LzhCodec().Compress(ByteSpan(data.data(), data.size()), &comp);
   for (auto _ : state) {
     Buffer out;
-    benchmark::DoNotOptimize(LzhCodec::Decompress(comp.span(), &out).ok());
+    benchmark::DoNotOptimize(LzhCodec::Decompress(comp.span(), data.size(), &out).ok());
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }
@@ -126,7 +126,7 @@ void BM_FseDecompress(benchmark::State& state) {
     Buffer out;
     size_t consumed = 0;
     benchmark::DoNotOptimize(
-        FseCodec::Decompress(comp.span(), &consumed, &out).ok());
+        FseCodec::Decompress(comp.span(), data.size(), &consumed, &out).ok());
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }

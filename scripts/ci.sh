@@ -9,7 +9,10 @@
 #                               # (ctest -L fault) twice — a Release build,
 #                               # then an ASan+UBSan build — with a fixed
 #                               # chaos seed (FCBENCH_FAULT_SEED, default 42)
-#                               # so failures reproduce locally
+#                               # so failures reproduce locally; the
+#                               # ASan+UBSan pass also runs the codec suites
+#                               # (codecs, wire format, corruption, golden
+#                               # round trip)
 #   scripts/ci.sh --tsan        # race lane: ThreadSanitizer build, run the
 #                               # concurrency- and fault-labeled suites
 #                               # (ctest -L 'concurrency|fault') so the
@@ -166,13 +169,23 @@ PY
   echo "fault-lane trace artifact: ${BUILD_DIR}-faults/fault_trace.json"
   # Pass 2: ASan+UBSan — every injected error path runs under the
   # sanitizers, so a leak or UB on a rarely-taken failure branch fails
-  # the lane instead of shipping.
+  # the lane instead of shipping. The codec suites run here too: the
+  # compress kernels write through raw pointers into reserved buffers and
+  # load 8 bytes at a time, and the corruption suites feed the decoders
+  # hostile lengths.
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
+  CODEC_SUITES="codecs_test wire_format_test corruption_test golden_roundtrip_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
+  # shellcheck disable=SC2086  # word-split the suite list into targets
   cmake --build "${BUILD_DIR}-faults-asan" -j "${JOBS}" \
-    --target fault_injection_test lsm_crash_test
+    --target fault_injection_test lsm_crash_test ${CODEC_SUITES}
   ctest --test-dir "${BUILD_DIR}-faults-asan" --output-on-failure -j "${JOBS}" -L fault
+  # The codec suites are labelled unit, not fault, so they run as whole
+  # binaries rather than through a ctest label.
+  for suite in ${CODEC_SUITES}; do
+    "${BUILD_DIR}-faults-asan/tests/${suite}"
+  done
   exit 0
 fi
 

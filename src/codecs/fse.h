@@ -44,11 +44,21 @@ class FseCodec {
 
   /// Compresses `input`, appending a self-describing stream to `out`.
   /// Falls back to raw/RLE modes when entropy coding cannot win.
+  ///
+  /// Scratch contract: the encoder tables and the per-symbol state record
+  /// live in per-thread scratch that is reused, never freed, and never
+  /// cleared: 3 * 2^table_log bytes of tables (96 KiB at kMaxTableLog)
+  /// plus 2 bytes per input byte of the largest input the thread has
+  /// compressed. Not re-entrant per thread (nothing it calls compresses).
   static void Compress(ByteSpan input, Buffer* out);
 
   /// Decompresses a stream produced by Compress, appending to `out` and
-  /// reporting the number of input bytes consumed.
-  static Status Decompress(ByteSpan input, size_t* consumed, Buffer* out);
+  /// reporting the number of input bytes consumed. A stream that declares
+  /// more than `max_size` decoded bytes is Corruption, checked before
+  /// anything is allocated: RLE and FSE symbols can cost no input bits,
+  /// so the input size alone does not bound the output.
+  static Status Decompress(ByteSpan input, size_t max_size,
+                           size_t* consumed, Buffer* out);
 
   /// Normalizes a byte histogram so it sums to exactly 2^table_log with
   /// every present symbol assigned frequency >= 1 (the precondition of the

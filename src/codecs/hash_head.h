@@ -2,8 +2,10 @@
 #define FCBENCH_CODECS_HASH_HEAD_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -57,6 +59,47 @@ class HashHead {
   uint32_t base_ = 1;
   uint32_t next_ = 1;
 };
+
+/// Previous-position links of the chained matchers, kept per thread and
+/// never filled: a call writes slot p whenever it puts position p into
+/// the hash head, and it only follows links of positions it took from the
+/// head or from an earlier link, so every slot it reads was written
+/// earlier in the same call. The table keeps 4 bytes per position of the
+/// largest input the thread has matched (4 MiB for SPDP's 1 MiB blocks).
+/// Not re-entrant, like HashHead.
+inline int32_t* ChainForCall(size_t n) {
+  thread_local std::vector<int32_t> chain;
+  if (chain.size() < n) chain.resize(n);
+  return chain.data();
+}
+
+/// Length of the common prefix of `a` and `b`, comparing no byte at or
+/// beyond `b_limit`; `a` must precede `b`, so `a` never reads past it.
+/// Compares eight bytes per step and finds the first differing byte of a
+/// mismatched word from its trailing zero count (little-endian loads).
+inline size_t CountMatch(const uint8_t* a, const uint8_t* b,
+                         const uint8_t* b_limit) {
+  const uint8_t* const start = b;
+  while (b_limit - b >= 8) {
+    uint64_t x, y;
+    std::memcpy(&x, a, 8);
+    std::memcpy(&y, b, 8);
+    if (const uint64_t diff = x ^ y; diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return static_cast<size_t>(b - start) + std::countr_zero(diff) / 8;
+      } else {
+        return static_cast<size_t>(b - start) + std::countl_zero(diff) / 8;
+      }
+    }
+    a += 8;
+    b += 8;
+  }
+  while (b < b_limit && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<size_t>(b - start);
+}
 
 }  // namespace fcbench::codecs
 

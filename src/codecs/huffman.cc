@@ -158,8 +158,8 @@ void HuffmanCodec::Compress(ByteSpan input, Buffer* out) {
   out->Append(payload.span());
 }
 
-Status HuffmanCodec::Decompress(ByteSpan input, size_t* consumed,
-                                Buffer* out) {
+Status HuffmanCodec::Decompress(ByteSpan input, size_t max_size,
+                                size_t* consumed, Buffer* out) {
   size_t off = 0;
   if (input.empty()) return Status::Corruption("huffman: empty input");
   uint8_t mode = input[off++];
@@ -167,8 +167,11 @@ Status HuffmanCodec::Decompress(ByteSpan input, size_t* consumed,
   if (!GetVarint64(input, &off, &count)) {
     return Status::Corruption("huffman: bad symbol count");
   }
+  if (count > max_size) {
+    return Status::Corruption("huffman: symbol count exceeds the limit");
+  }
   if (mode == kRawMode) {
-    if (off + count > input.size()) {
+    if (count > input.size() - off) {
       return Status::Corruption("huffman: truncated raw block");
     }
     out->Append(input.data() + off, count);
@@ -191,8 +194,8 @@ Status HuffmanCodec::Decompress(ByteSpan input, size_t* consumed,
   if (!GetVarint64(input, &off, &payload_bits)) {
     return Status::Corruption("huffman: bad payload size");
   }
-  size_t payload_bytes = (payload_bits + 7) / 8;
-  if (off + payload_bytes > input.size()) {
+  const uint64_t payload_bytes = payload_bits / 8 + (payload_bits % 8 != 0);
+  if (payload_bytes > input.size() - off) {
     return Status::Corruption("huffman: truncated payload");
   }
 

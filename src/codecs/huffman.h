@@ -29,8 +29,11 @@ class HuffmanCodec {
   /// Compresses `input`, appending to `out`.
   static void Compress(ByteSpan input, Buffer* out);
 
-  /// Decompresses a stream produced by Compress, appending to `out`.
-  static Status Decompress(ByteSpan input, size_t* consumed, Buffer* out);
+  /// Decompresses a stream produced by Compress, appending to `out`. A
+  /// stream that declares more than `max_size` symbols is Corruption,
+  /// checked before anything is allocated.
+  static Status Decompress(ByteSpan input, size_t max_size,
+                           size_t* consumed, Buffer* out);
 
   /// Computes length-limited canonical code lengths from a histogram.
   /// Exposed for testing (Kraft inequality, optimality bounds).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "codecs/hash_head.h"
 #include "util/bitio.h"
@@ -27,64 +26,84 @@ inline uint32_t Hash4(uint32_t v) {
 }
 
 /// Emits a length using the 255-extension scheme, given the nibble already
-/// holds min(len, 15).
-void EmitLengthExtension(size_t len, Buffer* out) {
-  if (len < 15) return;
+/// holds min(len, 15). Returns the advanced output pointer.
+inline uint8_t* EmitLengthExtension(size_t len, uint8_t* op) {
+  if (len < 15) return op;
   len -= 15;
   while (len >= 255) {
-    out->PushBack(255);
+    *op++ = 255;
     len -= 255;
   }
-  out->PushBack(static_cast<uint8_t>(len));
+  *op++ = static_cast<uint8_t>(len);
+  return op;
+}
+
+/// Literals-only sequence: token, length extension, `len` literal bytes.
+inline uint8_t* EmitLastLiterals(const uint8_t* lit, size_t len,
+                                 uint8_t* op) {
+  *op++ = static_cast<uint8_t>(std::min<size_t>(len, 15) << 4);
+  op = EmitLengthExtension(len, op);
+  if (len > 0) std::memcpy(op, lit, len);
+  return op + len;
 }
 
 }  // namespace
 
+// All literals, one token and one extension byte per 255 literals. A match
+// sequence never costs more than the literals it replaces (3 bytes of token
+// and offset per >= 4 matched bytes), so every parse fits.
+size_t Lz4Codec::CompressBound(size_t n) { return n + n / 255 + 16; }
+
 void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
   const uint8_t* src = input.data();
   const size_t n = input.size();
+  // One bounded emission: reserve the worst case, write through a raw
+  // pointer, trim to what was written.
+  const size_t base = out->size();
+  uint8_t* const dst = out->ExtendUninit(CompressBound(n));
+  uint8_t* op = dst;
 
   if (n < kMfLimit + kMinMatch) {
     // Too small for any match: single literals-only sequence.
-    uint8_t token = static_cast<uint8_t>(std::min<size_t>(n, 15) << 4);
-    out->PushBack(token);
-    EmitLengthExtension(n, out);
-    out->Append(src, n);
+    op = EmitLastLiterals(src, n, op);
+    out->Resize(base + static_cast<size_t>(op - dst));
     return;
   }
 
-  // hash -> most recent position; chains via prev table when attempts > 1.
+  // hash -> most recent position; chains via prev links when attempts > 1.
   HashHead<kHashLog>& head = HashHead<kHashLog>::ForCall(n);
-  std::vector<int32_t> prev;
   const bool chained = opts_.max_attempts > 1;
-  if (chained) prev.assign(n, -1);
+  int32_t* const prev = chained ? ChainForCall(n) : nullptr;
 
-  const size_t match_limit = n - kLastLiterals;
+  const uint8_t* const match_end = src + (n - kLastLiterals);
   const size_t input_limit = n - kMfLimit;
 
   size_t anchor = 0;
   size_t pos = 0;
   while (pos < input_limit) {
     // Find a match at `pos`.
-    uint32_t h = Hash4(Read32(src + pos));
+    const uint32_t cur = Read32(src + pos);
+    uint32_t h = Hash4(cur);
     int32_t cand = head.Get(h);
     if (chained) prev[pos] = cand;
     head.Set(h, pos);
 
+    // No match can run past match_end, so once one reaches it no later
+    // candidate can be strictly longer and the search stops.
+    const size_t max_len = static_cast<size_t>(match_end - (src + pos));
     size_t best_len = 0;
     size_t best_dist = 0;
     int attempts = opts_.max_attempts;
     while (cand >= 0 && attempts-- > 0) {
       size_t dist = pos - static_cast<size_t>(cand);
       if (dist > 65535) break;
-      if (Read32(src + cand) == Read32(src + pos)) {
-        size_t len = kMinMatch;
-        while (pos + len < match_limit && src[cand + len] == src[pos + len]) {
-          ++len;
-        }
+      if (Read32(src + cand) == cur) {
+        size_t len = kMinMatch + CountMatch(src + cand + kMinMatch,
+                                            src + pos + kMinMatch, match_end);
         if (len > best_len) {
           best_len = len;
           best_dist = dist;
+          if (len == max_len) break;
         }
       }
       cand = chained ? prev[cand] : -1;
@@ -98,15 +117,15 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
     // Sequence: literals [anchor, pos) + match (best_dist, best_len).
     size_t lit_len = pos - anchor;
     size_t match_code = best_len - kMinMatch;
-    uint8_t token =
-        static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4) |
-        static_cast<uint8_t>(std::min<size_t>(match_code, 15));
-    out->PushBack(token);
-    EmitLengthExtension(lit_len, out);
-    out->Append(src + anchor, lit_len);
-    uint16_t off = static_cast<uint16_t>(best_dist);
-    out->Append(&off, 2);
-    EmitLengthExtension(match_code, out);
+    *op++ = static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4) |
+            static_cast<uint8_t>(std::min<size_t>(match_code, 15));
+    op = EmitLengthExtension(lit_len, op);
+    if (lit_len > 0) std::memcpy(op, src + anchor, lit_len);
+    op += lit_len;
+    const uint16_t off = static_cast<uint16_t>(best_dist);
+    std::memcpy(op, &off, 2);
+    op += 2;
+    op = EmitLengthExtension(match_code, op);
 
     pos += best_len;
     anchor = pos;
@@ -123,11 +142,8 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
   }
 
   // Final literals-only sequence.
-  size_t lit_len = n - anchor;
-  uint8_t token = static_cast<uint8_t>(std::min<size_t>(lit_len, 15) << 4);
-  out->PushBack(token);
-  EmitLengthExtension(lit_len, out);
-  out->Append(src + anchor, lit_len);
+  op = EmitLastLiterals(src + anchor, n - anchor, op);
+  out->Resize(base + static_cast<size_t>(op - dst));
 }
 
 Status Lz4Codec::Decompress(ByteSpan input, size_t decompressed_size,

@@ -33,8 +33,19 @@ class Lz4Codec {
   explicit Lz4Codec(Options opts) : opts_(opts) {}
 
   /// Compresses `input` into `out` (appending). Always succeeds; worst case
-  /// expands by ~0.4% + 16 bytes.
+  /// expands by ~0.4% + 16 bytes. `out` grows once by that worst case and
+  /// is trimmed back to the block's size.
+  ///
+  /// Scratch contract: the hash head (256 KiB) and, for the chained
+  /// matcher (max_attempts > 1), a 4-byte chain link per input byte live
+  /// in per-thread scratch that is reused, never freed, and never
+  /// cleared; the chain keeps the size of the largest input the thread
+  /// has compressed (4 MiB for SPDP's 1 MiB blocks). Not re-entrant per
+  /// thread, which holds because nothing Compress calls compresses.
   void Compress(ByteSpan input, Buffer* out) const;
+
+  /// Worst-case size of the block Compress writes for `n` input bytes.
+  static size_t CompressBound(size_t n);
 
   /// Decompresses a block produced by Compress. `decompressed_size` must be
   /// the exact original size (the framing layer stores it).

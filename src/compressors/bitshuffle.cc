@@ -15,6 +15,14 @@ namespace {
 
 constexpr size_t kDefaultBlock = 4096;  // bytes; bitshuffle's L1 target
 
+/// The transposed block, kept per thread and reused (as large as the
+/// largest block the thread has compressed).
+uint8_t* TransposeScratch(size_t block) {
+  thread_local std::vector<uint8_t> transposed;
+  if (transposed.size() < block) transposed.resize(block);
+  return transposed.data();
+}
+
 void BackendCompress(BitshuffleBackend backend, ByteSpan in, Buffer* out) {
   if (backend == BitshuffleBackend::kLz4) {
     codecs::Lz4Codec().Compress(in, out);
@@ -28,13 +36,7 @@ Status BackendDecompress(BitshuffleBackend backend, ByteSpan in,
   if (backend == BitshuffleBackend::kLz4) {
     return codecs::Lz4Codec().Decompress(in, orig_size, out);
   }
-  Buffer tmp;
-  FCB_RETURN_IF_ERROR(codecs::LzhCodec::Decompress(in, &tmp));
-  if (tmp.size() != orig_size) {
-    return Status::Corruption("bitshuffle: backend size mismatch");
-  }
-  out->Append(tmp.span());
-  return Status::OK();
+  return codecs::LzhCodec::Decompress(in, orig_size, out);
 }
 
 }  // namespace
@@ -73,19 +75,24 @@ Status BitshuffleCompressor::Compress(ByteSpan input, const DataDesc& desc,
         size_t whole_elems = (elems / 8) * 8;  // transpose granularity
         size_t whole_bytes = whole_elems * esize;
 
-        std::vector<uint8_t> transposed(len);
-        BitTranspose(input.data() + begin, transposed.data(), whole_elems,
-                     esize);
+        uint8_t* transposed = TransposeScratch(block);
+        BitTranspose(input.data() + begin, transposed, whole_elems, esize);
         // Ragged tail (partial group and partial element bytes) is copied
         // verbatim after the transposed region, exactly like the original.
         std::copy(input.begin() + begin + whole_bytes,
-                  input.begin() + begin + len,
-                  transposed.begin() + whole_bytes);
-        BackendCompress(backend_, ByteSpan(transposed.data(), len),
-                        &parts[b]);
+                  input.begin() + begin + len, transposed + whole_bytes);
+        // The back-end writes into its worst case; the part keeps an exact
+        // copy, so the parts waiting for `out` hold no slack.
+        Buffer packed;
+        BackendCompress(backend_, ByteSpan(transposed, len), &packed);
+        parts[b].Reserve(packed.size());
+        parts[b].Append(packed.span());
       },
       {/*grain=*/0, /*max_parallelism=*/static_cast<size_t>(threads_)});
 
+  size_t total = VarintSize(input.size()) + VarintSize(block);
+  for (const auto& p : parts) total += VarintSize(p.size()) + p.size();
+  out->Reserve(out->size() + total);
   PutVarint64(out, input.size());
   PutVarint64(out, block);
   for (const auto& p : parts) PutVarint64(out, p.size());

@@ -1,5 +1,6 @@
 #include "compressors/pfpc.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -15,18 +16,26 @@ namespace {
 /// possible tail, matching how pFPC treats raw byte streams).
 class FpcKernel {
  public:
-  explicit FpcKernel(int table_log)
-      : mask_((size_t(1) << table_log) - 1),
-        fcm_(size_t(1) << table_log, 0),
-        dfcm_(size_t(1) << table_log, 0) {}
+  /// Kernel over caller-owned predictor tables of 2^table_log entries
+  /// each, which must be zero.
+  FpcKernel(int table_log, uint64_t* fcm, uint64_t* dfcm)
+      : mask_((size_t(1) << table_log) - 1), fcm_(fcm), dfcm_(dfcm) {}
 
-  /// Compresses n 64-bit words; emits a nibble code stream then residual
-  /// bytes (sizes via varint header).
-  void Compress(const uint8_t* bytes, size_t n, Buffer* out) {
-    Buffer codes;    // packed 4-bit codes, two per byte
-    Buffer residue;  // non-zero residual bytes
-    codes.Reserve(n / 2 + 1);
-    residue.Reserve(n * 4 + 16);  // typical: half the 8 bytes survive
+  /// Compresses n 64-bit words into `out`: varint code-stream size,
+  /// varint residue size, the packed 4-bit codes, then the residual bytes.
+  /// The codes and residue are written in place behind room for the two
+  /// varints, which then go right-aligned in front of them; returns the
+  /// offset in `out` where the chunk starts.
+  size_t Compress(const uint8_t* bytes, size_t n, Buffer* out) {
+    constexpr size_t kVarintRoom = 20;
+    const size_t codes_size = (n + 1) / 2;
+    const size_t base = out->size();
+    // At most 8 residual bytes per word.
+    const size_t bound = kVarintRoom + codes_size + 8 * n;
+    out->Reserve(base + bound);
+    uint8_t* codes = out->ExtendUninit(bound) + kVarintRoom;
+    uint8_t* const residue_start = codes + codes_size;
+    uint8_t* residue = residue_start;
     uint8_t pending_nibble = 0;
     bool have_pending = false;
 
@@ -57,27 +66,43 @@ class FpcKernel {
       uint8_t nibble =
           static_cast<uint8_t>((use_dfcm ? 8 : 0) | code);
       if (have_pending) {
-        codes.PushBack(static_cast<uint8_t>((pending_nibble << 4) | nibble));
+        *codes++ = static_cast<uint8_t>((pending_nibble << 4) | nibble);
         have_pending = false;
       } else {
         pending_nibble = nibble;
         have_pending = true;
       }
-      // Residual bytes, most significant first, skipping leading zeros;
-      // staged on the stack and appended in one call.
-      int keep = 8 - lzb;
-      uint8_t rbytes[8];
-      for (int b = 0; b < keep; ++b) {
-        rbytes[b] = static_cast<uint8_t>(x >> (8 * (keep - 1 - b)));
-      }
-      residue.Append(rbytes, static_cast<size_t>(keep));
+      // Residual bytes, most significant first, skipping leading zeros:
+      // one 8-byte store of x shifted to the top, then advance by the kept
+      // count (the region has 8 bytes per word, so the store always fits;
+      // lzb == 8 only when x == 0).
+      StoreBigEndian64(residue, x << ((8 * lzb) & 63));
+      residue += 8 - lzb;
     }
-    if (have_pending) codes.PushBack(static_cast<uint8_t>(pending_nibble << 4));
+    if (have_pending) *codes++ = static_cast<uint8_t>(pending_nibble << 4);
 
-    PutVarint64(out, codes.size());
-    PutVarint64(out, residue.size());
-    out->Append(codes.span());
-    out->Append(residue.span());
+    const size_t residue_size = static_cast<size_t>(residue - residue_start);
+    uint8_t header[kVarintRoom];
+    uint8_t* h = PutVarint64(header, codes_size);
+    h = PutVarint64(h, residue_size);
+    const size_t header_size = static_cast<size_t>(h - header);
+    const size_t start = base + kVarintRoom - header_size;
+    std::memcpy(out->data() + start, header, header_size);
+    out->Resize(base + kVarintRoom + codes_size + residue_size);
+    return start;
+  }
+
+  /// Zeroes every table slot a fresh kernel wrote while it compressed
+  /// these n words or decoded them, by replaying its hash sequence: the
+  /// tables end as they began.
+  void ClearWrittenSlots(const uint8_t* bytes, size_t n) {
+    fcm_hash_ = dfcm_hash_ = 0;
+    last_ = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t v;
+      std::memcpy(&v, bytes + i * 8, 8);
+      UpdateTables(v, 0, 0);
+    }
   }
 
   Status Decompress(ByteSpan in, size_t n, Buffer* out) {
@@ -121,21 +146,60 @@ class FpcKernel {
  private:
   static int CountLeadZeroBytes(uint64_t x) { return LeadingZeros64(x) / 8; }
 
-  void UpdateTables(uint64_t v) {
-    fcm_[fcm_hash_] = v;
+  void UpdateTables(uint64_t v) { UpdateTables(v, v, v - last_); }
+
+  /// Stores `fcm_value` and `dfcm_value` in the slots `v` updates and
+  /// advances the hashes past `v`.
+  void UpdateTables(uint64_t v, uint64_t fcm_value, uint64_t dfcm_value) {
+    fcm_[fcm_hash_] = fcm_value;
     fcm_hash_ = ((fcm_hash_ << 6) ^ (v >> 48)) & mask_;
     uint64_t delta = v - last_;
-    dfcm_[dfcm_hash_] = delta;
+    dfcm_[dfcm_hash_] = dfcm_value;
     dfcm_hash_ = ((dfcm_hash_ << 2) ^ (delta >> 40)) & mask_;
     last_ = v;
   }
 
   size_t mask_;
-  std::vector<uint64_t> fcm_;
-  std::vector<uint64_t> dfcm_;
+  uint64_t* fcm_;
+  uint64_t* dfcm_;
   size_t fcm_hash_ = 0;
   size_t dfcm_hash_ = 0;
   uint64_t last_ = 0;
+};
+
+/// The two predictor tables of one kernel, kept per thread so a chunk
+/// neither allocates 2 x 8 bytes x 2^table_log of tables nor, after a
+/// small chunk, clears them whole.
+struct PredictorTables {
+  std::vector<uint64_t> fcm, dfcm;
+  bool dirty = false;  // a large chunk left them to be refilled
+
+  /// The calling thread's tables, all zero.
+  static PredictorTables& ForChunk(int table_log) {
+    thread_local PredictorTables tables;
+    const size_t size = size_t(1) << table_log;
+    if (tables.fcm.size() != size) {
+      tables.fcm.assign(size, 0);
+      tables.dfcm.assign(size, 0);
+    } else if (tables.dirty) {
+      // Refilled right before use, so the kernel starts on cached tables.
+      std::fill(tables.fcm.begin(), tables.fcm.end(), 0);
+      std::fill(tables.dfcm.begin(), tables.dfcm.end(), 0);
+    }
+    tables.dirty = false;
+    return tables;
+  }
+
+  /// Called once `kernel` coded `n` words: a chunk that touched few slots
+  /// (a selector probe) zeroes just those now, a larger one leaves the
+  /// tables for the next ForChunk to refill.
+  void Release(FpcKernel* kernel, const uint8_t* bytes, size_t n) {
+    if (n < fcm.size() / 4) {
+      kernel->ClearWrittenSlots(bytes, n);
+    } else {
+      dirty = true;
+    }
+  }
 };
 
 }  // namespace
@@ -166,21 +230,30 @@ Status PfpcCompressor::Compress(ByteSpan input, const DataDesc& desc,
   if (n_words == 0) nchunks = 0;
 
   std::vector<Buffer> parts(nchunks);
+  std::vector<ByteSpan> chunks(nchunks);
   ThreadPool::Shared().ParallelFor(
       nchunks,
       [&](size_t c) {
         size_t begin = c * chunk_words;
         size_t end = std::min(n_words, begin + chunk_words);
-        FpcKernel kernel(table_log_);
-        kernel.Compress(input.data() + begin * 8, end - begin, &parts[c]);
+        const uint8_t* words = input.data() + begin * 8;
+        PredictorTables& tables = PredictorTables::ForChunk(table_log_);
+        FpcKernel kernel(table_log_, tables.fcm.data(), tables.dfcm.data());
+        size_t start = kernel.Compress(words, end - begin, &parts[c]);
+        tables.Release(&kernel, words, end - begin);
+        chunks[c] = parts[c].span().subspan(start);
       },
       {/*grain=*/1, /*max_parallelism=*/static_cast<size_t>(nthreads)});
 
+  size_t total = VarintSize(nchunks) + VarintSize(chunk_words) +
+                 VarintSize(tail) + tail;
+  for (ByteSpan c : chunks) total += VarintSize(c.size()) + c.size();
+  out->Reserve(out->size() + total);
   PutVarint64(out, nchunks);
   PutVarint64(out, chunk_words);
   PutVarint64(out, tail);
-  for (const auto& p : parts) PutVarint64(out, p.size());
-  for (const auto& p : parts) out->Append(p.span());
+  for (ByteSpan c : chunks) PutVarint64(out, c.size());
+  for (ByteSpan c : chunks) out->Append(c);
   out->Append(input.data() + n_words * 8, tail);
   return Status::OK();
 }
@@ -235,9 +308,13 @@ Status PfpcCompressor::Decompress(ByteSpan input, const DataDesc& desc,
       [&](size_t c) {
         size_t begin = c * chunk_words;
         size_t end = std::min<uint64_t>(total_words, begin + chunk_words);
-        FpcKernel kernel(table_log_);
+        PredictorTables& tables = PredictorTables::ForChunk(table_log_);
+        FpcKernel kernel(table_log_, tables.fcm.data(), tables.dfcm.data());
         stats[c] = kernel.Decompress(input.subspan(starts[c], sizes[c]),
                                      end - begin, &parts[c]);
+        // Every decoded word, and only those, went through the tables,
+        // also when the chunk turned out corrupt.
+        tables.Release(&kernel, parts[c].data(), parts[c].size() / 8);
       },
       {/*grain=*/1, /*max_parallelism=*/static_cast<size_t>(threads_)});
   for (const auto& st : stats) FCB_RETURN_IF_ERROR(st);

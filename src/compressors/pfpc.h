@@ -18,6 +18,15 @@ namespace fcbench::compressors {
 /// with private hash tables (the paper notes pFPC prefers thread count
 /// aligned with data dimensionality; our chunking honours
 /// CompressorConfig::threads and the Table 7/8 scalability sweep).
+///
+/// Scratch contract: Compress and Decompress keep each worker's two
+/// predictor tables (2 x 8 bytes x 2^16 = 1 MiB) per thread instead of
+/// allocating them per chunk. A chunk that touched few slots (a selector
+/// probe) zeroes just those when it ends; after a larger one the tables
+/// are refilled right before the next chunk on that thread, so that chunk
+/// starts on cached tables. A chunk must finish with them before the next
+/// one on that thread starts, which holds because the kernel calls
+/// nothing that compresses or decompresses.
 class PfpcCompressor : public Compressor {
  public:
   explicit PfpcCompressor(const CompressorConfig& config);

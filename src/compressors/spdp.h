@@ -18,6 +18,11 @@ namespace fcbench::compressors {
 ///              ratio/throughput trade-off the paper attributes to LZa6's
 ///              sliding-window search (§3.2 insights)
 /// Precision-agnostic: operates on the raw byte stream, block by block.
+///
+/// Scratch contract: Compress and Decompress each keep one stage buffer
+/// per thread, as large as the largest block that thread has coded (1 MiB
+/// by default) and never freed; the LZ4 matcher adds its own per-thread
+/// chain of 4 bytes per block byte (see lz4.h). Not re-entrant per thread.
 class SpdpCompressor : public Compressor {
  public:
   explicit SpdpCompressor(const CompressorConfig& config);

@@ -9,9 +9,9 @@ namespace {
 
 /// Transposes an 8x8 byte matrix held in eight 64-bit words (row j =
 /// m[j], column k = byte lane k, little-endian). Classic three-stage
-/// block-swap network, self-inverse. Lets the f64 paths below move whole
+/// block-swap network, self-inverse. Lets the fast paths below move whole
 /// elements with single unaligned 64-bit loads/stores instead of the
-/// byte-at-a-time gather/scatter the reference loop used.
+/// byte-at-a-time gather/scatter of the generic loop.
 inline void ByteMatrixTranspose8x8(uint64_t m[8]) {
   for (int i = 0; i < 4; ++i) {
     uint64_t& a = m[i];
@@ -36,53 +36,78 @@ inline void ByteMatrixTranspose8x8(uint64_t m[8]) {
   }
 }
 
+/// Loads one group of 8 elements of K bytes (K in {4, 8}) as K words:
+/// byte lane j of m[k] = element j's byte k (little-endian lanes).
+template <size_t K>
+inline void LoadGroupBytePlanes(const uint8_t* base, uint64_t m[K]) {
+  if constexpr (K == 8) {
+    for (size_t j = 0; j < 8; ++j) std::memcpy(&m[j], base + j * 8, 8);
+    ByteMatrixTranspose8x8(m);
+  } else {
+    // Row q holds elements q and q + 4 in its low and high halves; the
+    // last two stages of the 8x8 network transpose each half as a 4x4
+    // byte matrix, leaving byte k of elements 0-3 and 4-7 in row k.
+    for (size_t q = 0; q < 4; ++q) {
+      uint32_t lo, hi;
+      std::memcpy(&lo, base + q * 4, 4);
+      std::memcpy(&hi, base + (q + 4) * 4, 4);
+      m[q] = lo | (static_cast<uint64_t>(hi) << 32);
+    }
+    for (size_t i : {0, 1}) {
+      uint64_t t = ((m[i] >> 16) ^ m[i + 2]) & 0x0000FFFF0000FFFFULL;
+      m[i + 2] ^= t;
+      m[i] ^= t << 16;
+    }
+    for (size_t i : {0, 2}) {
+      uint64_t t = ((m[i] >> 8) ^ m[i + 1]) & 0x00FF00FF00FF00FFULL;
+      m[i + 1] ^= t;
+      m[i] ^= t << 8;
+    }
+  }
+}
+
+/// f32/f64 fast path of BitTranspose, byte-identical to the generic loop
+/// (little-endian lanes). Eight groups (64 elements) per block: the
+/// element side moves through whole-word loads, and a byte-matrix
+/// transpose across the groups turns the per-plane scatter into single
+/// unaligned 64-bit stores. Returns the number of groups done.
+template <size_t K>
+size_t BitTransposeFast(const uint8_t* src, uint8_t* dst, size_t groups) {
+  const size_t plane_bytes = groups;
+  size_t g = 0;
+  for (; g + 8 <= groups; g += 8) {
+    uint64_t planes[8][K];  // [group-in-block][byte k] bit-plane words
+    for (size_t t = 0; t < 8; ++t) {
+      uint64_t m[K];
+      LoadGroupBytePlanes<K>(src + (g + t) * 8 * K, m);
+      for (size_t k = 0; k < K; ++k) planes[t][k] = Transpose8x8(m[k]);
+    }
+    for (size_t k = 0; k < K; ++k) {
+      uint64_t y[8];
+      for (size_t t = 0; t < 8; ++t) y[t] = planes[t][k];
+      ByteMatrixTranspose8x8(y);  // y[i] lane t = plane k*8+i, group g+t
+      for (size_t i = 0; i < 8; ++i) {
+        std::memcpy(dst + (k * 8 + i) * plane_bytes + g, &y[i], 8);
+      }
+    }
+  }
+  return g;
+}
+
 }  // namespace
 
 void BitTranspose(const uint8_t* src, uint8_t* dst, size_t count,
                   size_t elem_size) {
   const size_t groups = count / 8;  // 8 elements per transposed word
   const size_t plane_bytes = groups;
+  size_t g = 0;
   if (elem_size == 8) {
-    // f64 fast path, byte-identical to the generic loop below
-    // (little-endian lanes). Eight groups (64 elements) per block: the
-    // element side moves through single unaligned 64-bit loads, and a
-    // second byte-matrix transpose across the groups turns the per-plane
-    // scatter into single unaligned 64-bit stores.
-    size_t g = 0;
-    for (; g + 8 <= groups; g += 8) {
-      uint64_t planes[8][8];  // [group-in-block][byte k] bit-plane words
-      for (size_t t = 0; t < 8; ++t) {
-        const uint8_t* base = src + (g + t) * 64;
-        uint64_t m[8];
-        for (size_t j = 0; j < 8; ++j) std::memcpy(&m[j], base + j * 8, 8);
-        ByteMatrixTranspose8x8(m);  // m[k] lane j = element j's byte k
-        for (size_t k = 0; k < 8; ++k) planes[t][k] = Transpose8x8(m[k]);
-      }
-      for (size_t k = 0; k < 8; ++k) {
-        uint64_t y[8];
-        for (size_t t = 0; t < 8; ++t) y[t] = planes[t][k];
-        ByteMatrixTranspose8x8(y);  // y[i] lane t = plane k*8+i, group g+t
-        for (size_t i = 0; i < 8; ++i) {
-          std::memcpy(dst + (k * 8 + i) * plane_bytes + g, &y[i], 8);
-        }
-      }
-    }
-    for (; g < groups; ++g) {  // tail groups, one at a time
-      const uint8_t* base = src + g * 64;
-      uint64_t m[8];
-      for (size_t j = 0; j < 8; ++j) std::memcpy(&m[j], base + j * 8, 8);
-      ByteMatrixTranspose8x8(m);
-      for (size_t k = 0; k < 8; ++k) {
-        uint64_t x = Transpose8x8(m[k]);
-        for (size_t i = 0; i < 8; ++i) {
-          dst[(k * 8 + i) * plane_bytes + g] =
-              static_cast<uint8_t>(x >> (8 * i));
-        }
-      }
-    }
-    return;
+    g = BitTransposeFast<8>(src, dst, groups);
+  } else if (elem_size == 4) {
+    g = BitTransposeFast<4>(src, dst, groups);
   }
-  for (size_t g = 0; g < groups; ++g) {
+  // Generic loop; for f32/f64 it only runs the tail groups.
+  for (; g < groups; ++g) {
     const uint8_t* base = src + g * 8 * elem_size;
     for (size_t k = 0; k < elem_size; ++k) {
       // Gather byte k of 8 consecutive elements into one 64-bit word:

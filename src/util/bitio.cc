@@ -3,11 +3,8 @@
 namespace fcbench {
 
 void PutVarint64(Buffer* out, uint64_t v) {
-  while (v >= 0x80) {
-    out->PushBack(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out->PushBack(static_cast<uint8_t>(v));
+  uint8_t bytes[10];
+  out->Append(bytes, static_cast<size_t>(PutVarint64(bytes, v) - bytes));
 }
 
 bool GetVarint64(ByteSpan in, size_t* offset, uint64_t* v) {

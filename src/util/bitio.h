@@ -8,6 +8,12 @@
 
 namespace fcbench {
 
+/// Stores `w` at `p` most significant byte first; the byte decomposition
+/// compiles to bswap + one 8-byte store.
+inline void StoreBigEndian64(uint8_t* p, uint64_t w) {
+  for (int b = 0; b < 8; ++b) p[b] = static_cast<uint8_t>(w >> (56 - 8 * b));
+}
+
 /// MSB-first bit writer, as used by Gorilla/Chimp-style XOR coders where
 /// variable-length control codes are concatenated most-significant-bit
 /// first.
@@ -75,17 +81,8 @@ class BitWriter {
 
  private:
   void EmitWord(uint64_t w) {
-    // Big-endian store keeps the MSB-first on-wire byte order; the byte
-    // decomposition compiles to bswap + one 8-byte store.
-    uint8_t* p = out_->ExtendUninit(8);
-    p[0] = static_cast<uint8_t>(w >> 56);
-    p[1] = static_cast<uint8_t>(w >> 48);
-    p[2] = static_cast<uint8_t>(w >> 40);
-    p[3] = static_cast<uint8_t>(w >> 32);
-    p[4] = static_cast<uint8_t>(w >> 24);
-    p[5] = static_cast<uint8_t>(w >> 16);
-    p[6] = static_cast<uint8_t>(w >> 8);
-    p[7] = static_cast<uint8_t>(w);
+    // Big-endian store keeps the MSB-first on-wire byte order.
+    StoreBigEndian64(out_->ExtendUninit(8), w);
   }
 
   Buffer* out_;
@@ -250,6 +247,24 @@ inline bool GetFixed(ByteSpan in, size_t* offset, T* v) {
 
 /// Appends a varint-encoded unsigned 64-bit value (LEB128).
 void PutVarint64(Buffer* out, uint64_t v);
+
+/// Writes the varint of `v` at `op` (which must have VarintSize(v) bytes
+/// of room) and returns the pointer past it.
+inline uint8_t* PutVarint64(uint8_t* op, uint64_t v) {
+  while (v >= 0x80) {
+    *op++ = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *op++ = static_cast<uint8_t>(v);
+  return op;
+}
+
+/// Encoded size of the varint of `v`, in [1, 10] bytes.
+inline size_t VarintSize(uint64_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
 
 /// Decodes a varint; returns false on truncation.
 bool GetVarint64(ByteSpan in, size_t* offset, uint64_t* v);

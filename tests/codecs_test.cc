@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "codecs/arith.h"
@@ -14,6 +16,8 @@
 #include "codecs/lz4.h"
 #include "codecs/lzh.h"
 #include "codecs/range_coder.h"
+#include "codec_reference.h"
+#include "compressors/transpose.h"
 #include "util/bitio.h"
 #include "util/entropy.h"
 #include "util/rng.h"
@@ -139,7 +143,8 @@ TEST_P(CodecRoundTrip, Huffman) {
   HuffmanCodec::Compress(ByteSpan(input.data(), input.size()), &comp);
   Buffer decomp;
   size_t consumed = 0;
-  ASSERT_TRUE(HuffmanCodec::Decompress(comp.span(), &consumed, &decomp).ok());
+  ASSERT_TRUE(HuffmanCodec::Decompress(comp.span(), input.size(), &consumed,
+                                       &decomp).ok());
   EXPECT_EQ(consumed, comp.size());
   ASSERT_EQ(decomp.size(), input.size());
   if (!input.empty()) {  // memcmp with null pointers is UB even for n==0
@@ -153,7 +158,7 @@ TEST_P(CodecRoundTrip, Lzh) {
   Buffer comp;
   LzhCodec().Compress(ByteSpan(input.data(), input.size()), &comp);
   Buffer decomp;
-  ASSERT_TRUE(LzhCodec::Decompress(comp.span(), &decomp).ok());
+  ASSERT_TRUE(LzhCodec::Decompress(comp.span(), input.size(), &decomp).ok());
   ASSERT_EQ(decomp.size(), input.size());
   if (!input.empty()) {  // memcmp with null pointers is UB even for n==0
     EXPECT_EQ(std::memcmp(decomp.data(), input.data(), input.size()), 0);
@@ -167,7 +172,9 @@ TEST_P(CodecRoundTrip, Fse) {
   FseCodec::Compress(ByteSpan(input.data(), input.size()), &comp);
   Buffer decomp;
   size_t consumed = 0;
-  ASSERT_TRUE(FseCodec::Decompress(comp.span(), &consumed, &decomp).ok())
+  ASSERT_TRUE(
+      FseCodec::Decompress(comp.span(), input.size(), &consumed, &decomp)
+          .ok())
       << PatternName(pattern) << " size=" << size;
   EXPECT_EQ(consumed, comp.size());
   ASSERT_EQ(decomp.size(), input.size());
@@ -183,7 +190,7 @@ TEST_P(CodecRoundTrip, LzhHuffmanBackend) {
   Buffer comp;
   codec.Compress(ByteSpan(input.data(), input.size()), &comp);
   Buffer decomp;
-  ASSERT_TRUE(LzhCodec::Decompress(comp.span(), &decomp).ok());
+  ASSERT_TRUE(LzhCodec::Decompress(comp.span(), input.size(), &decomp).ok());
   ASSERT_EQ(decomp.size(), input.size());
   if (!input.empty()) {  // memcmp with null pointers is UB even for n==0
     EXPECT_EQ(std::memcmp(decomp.data(), input.data(), input.size()), 0);
@@ -311,7 +318,7 @@ TEST(LzhTest, CorruptInputIsSafe) {
     Buffer copy = Buffer::FromSpan(comp.span());
     copy.data()[victim] ^= 0x55;
     Buffer decomp;
-    auto st = LzhCodec::Decompress(copy.span(), &decomp);
+    auto st = LzhCodec::Decompress(copy.span(), input.size(), &decomp);
     (void)st;  // must not crash; corruption detection is best-effort
   }
 }
@@ -425,7 +432,9 @@ TEST(FseTest, SingleSymbolUsesRleMode) {
   EXPECT_LT(comp.size(), 16u);
   Buffer decomp;
   size_t consumed = 0;
-  ASSERT_TRUE(FseCodec::Decompress(comp.span(), &consumed, &decomp).ok());
+  ASSERT_TRUE(
+      FseCodec::Decompress(comp.span(), input.size(), &consumed, &decomp)
+          .ok());
   ASSERT_EQ(decomp.size(), input.size());
   if (!input.empty()) {  // memcmp with null pointers is UB even for n==0
     EXPECT_EQ(std::memcmp(decomp.data(), input.data(), input.size()), 0);
@@ -449,7 +458,9 @@ TEST(FseTest, TrailingBytesNotConsumed) {
   comp.Append("garbage", 7);
   Buffer decomp;
   size_t consumed = 0;
-  ASSERT_TRUE(FseCodec::Decompress(comp.span(), &consumed, &decomp).ok());
+  ASSERT_TRUE(
+      FseCodec::Decompress(comp.span(), input.size(), &consumed, &decomp)
+          .ok());
   EXPECT_EQ(consumed, frame);
 }
 
@@ -462,14 +473,15 @@ TEST(FseTest, CorruptInputIsSafe) {
     copy.data()[victim] ^= 0x41;
     Buffer decomp;
     size_t consumed = 0;
-    auto st = FseCodec::Decompress(copy.span(), &consumed, &decomp);
+    auto st = FseCodec::Decompress(copy.span(), input.size(), &consumed,
+                                   &decomp);
     (void)st;  // must not crash; the state check bounds all table reads
   }
   for (size_t len = 0; len < comp.size(); len += 11) {
     Buffer decomp;
     size_t consumed = 0;
-    auto st = FseCodec::Decompress(comp.span().subspan(0, len), &consumed,
-                                   &decomp);
+    auto st = FseCodec::Decompress(comp.span().subspan(0, len), input.size(),
+                                   &consumed, &decomp);
     (void)st;
   }
 }
@@ -484,6 +496,346 @@ TEST(LzhTest, FseBackendNoWorseThanHuffmanOnSkewedTokens) {
   LzhCodec(LzhCodec::Options{.entropy = LzhCodec::Entropy::kHuffman})
       .Compress(ByteSpan(input.data(), input.size()), &huff_out);
   EXPECT_LE(fse_out.size(), huff_out.size() + huff_out.size() / 50);
+}
+
+// --- hostile declared lengths -------------------------------------------
+
+bool IsCorruption(const Status& st) {
+  return st.code() == StatusCode::kCorruption;
+}
+
+// A frame header (varint orig, varint num_seq, entropy byte) and four
+// empty FSE raw streams: 17 bytes that declare 2^46 bytes, which the
+// decoder used to allocate before noticing that nothing fills them.
+TEST(LzhTest, DeclaredSizeIsCheckedBeforeAllocating) {
+  Buffer frame;
+  PutVarint64(&frame, uint64_t(1) << 46);
+  PutVarint64(&frame, 0);
+  frame.PushBack(static_cast<uint8_t>(LzhCodec::Entropy::kFse));
+  for (int s = 0; s < 4; ++s) {
+    frame.PushBack(FseCodec::kRawMode);
+    PutVarint64(&frame, 0);
+  }
+  ASSERT_EQ(frame.size(), 17u);
+  Buffer out;
+  Status st = LzhCodec::Decompress(frame.span(), 4096, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(LzhTest, SequenceCountBeyondTheSizeIsRejected) {
+  Buffer frame;
+  PutVarint64(&frame, 8);
+  PutVarint64(&frame, uint64_t(1) << 40);  // > 8 / kMinMatch sequences
+  frame.PushBack(static_cast<uint8_t>(LzhCodec::Entropy::kFse));
+  Buffer out;
+  EXPECT_TRUE(IsCorruption(LzhCodec::Decompress(frame.span(), 8, &out)));
+}
+
+TEST(LzhTest, MatchAndLiteralLengthsNearSizeMaxAreRejected) {
+  // One sequence whose literal run (and, separately, match length) is
+  // 2^64 - 1: the bounds checks must not wrap.
+  auto frame_with = [](uint64_t lit_run, uint64_t match_code) {
+    Buffer frame;
+    PutVarint64(&frame, 64);
+    PutVarint64(&frame, 1);
+    frame.PushBack(static_cast<uint8_t>(LzhCodec::Entropy::kFse));
+    for (uint64_t v : {lit_run, match_code, uint64_t(1)}) {
+      Buffer varint;
+      PutVarint64(&varint, v);
+      frame.PushBack(FseCodec::kRawMode);
+      PutVarint64(&frame, varint.size());
+      frame.Append(varint.span());
+    }
+    frame.PushBack(FseCodec::kRawMode);
+    PutVarint64(&frame, 8);
+    frame.Append("literals", 8);
+    return frame;
+  };
+  for (const auto& [lit_run, match_code] :
+       {std::pair<uint64_t, uint64_t>{~uint64_t(0), 0},
+        {1, ~uint64_t(0)},
+        {1, ~uint64_t(0) - 2}}) {
+    Buffer frame = frame_with(lit_run, match_code);
+    Buffer out;
+    EXPECT_TRUE(IsCorruption(LzhCodec::Decompress(frame.span(), 64, &out)))
+        << lit_run << " " << match_code;
+  }
+}
+
+TEST(FseTest, RawLengthNearSizeMaxIsRejected) {
+  // n = 2^64 - 1 with one payload byte: `off + n` wraps to a small value.
+  Buffer stream;
+  stream.PushBack(FseCodec::kRawMode);
+  PutVarint64(&stream, ~uint64_t(0));
+  stream.PushBack(0x55);
+  Buffer out;
+  size_t consumed = 0;
+  EXPECT_TRUE(IsCorruption(
+      FseCodec::Decompress(stream.span(), ~size_t(0), &consumed, &out)));
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(FseTest, DeclaredLengthsAreBoundedByTheCaller) {
+  Buffer rle;
+  rle.PushBack(FseCodec::kRleMode);
+  PutVarint64(&rle, uint64_t(1) << 50);
+  rle.PushBack(0x20);
+
+  // An FSE stream of one all-but-certain symbol: its transitions cost no
+  // bits, so a short payload decodes to any declared length.
+  std::vector<uint8_t> skewed(4096, 'a');
+  skewed[7] = 'b';
+  Buffer fse;
+  FseCodec::Compress(ByteSpan(skewed.data(), skewed.size()), &fse);
+  ASSERT_EQ(fse.data()[0], FseCodec::kFseMode);
+
+  for (const Buffer* stream : {&rle, &fse}) {
+    Buffer out;
+    size_t consumed = 0;
+    EXPECT_TRUE(IsCorruption(
+        FseCodec::Decompress(stream->span(), 4095, &consumed, &out)));
+    EXPECT_TRUE(out.empty());
+  }
+  Buffer out;
+  size_t consumed = 0;
+  ASSERT_TRUE(FseCodec::Decompress(fse.span(), 4096, &consumed, &out).ok());
+  EXPECT_EQ(out.ToVector(), skewed);
+}
+
+TEST(HuffmanTest, DeclaredLengthsAreBoundedByTheCaller) {
+  Buffer raw;
+  raw.PushBack(HuffmanCodec::kRawMode);
+  PutVarint64(&raw, ~uint64_t(0));
+  raw.PushBack(0x55);
+  Buffer out;
+  size_t consumed = 0;
+  EXPECT_TRUE(IsCorruption(
+      HuffmanCodec::Decompress(raw.span(), ~size_t(0), &consumed, &out)));
+  EXPECT_TRUE(IsCorruption(
+      HuffmanCodec::Decompress(raw.span(), 16, &consumed, &out)));
+  EXPECT_TRUE(out.empty());
+}
+
+// --- reference oracles ------------------------------------------------------
+//
+// The fast matchers, the closed-form normalization repair, the two-pass
+// FSE encoder and the f32/f64 transposes must reproduce the plain
+// implementations in codec_reference.h byte for byte.
+
+/// Inputs on which matcher shortcuts could diverge: every length around
+/// the LZ4 end-of-block limits, all-zero and short-period runs (long
+/// chains of equal candidates, matches reaching the end),
+/// incompressible bytes, bitshuffled float planes and random mixtures.
+std::vector<std::vector<uint8_t>> OracleInputs() {
+  std::vector<std::vector<uint8_t>> inputs;
+  Rng rng(2024);
+  for (size_t n = 0; n <= 64; ++n) {
+    inputs.emplace_back(n, 0);
+    std::vector<uint8_t> periodic(n);
+    for (size_t i = 0; i < n; ++i) periodic[i] = static_cast<uint8_t>(i % 3);
+    inputs.push_back(periodic);
+    std::vector<uint8_t> noise(n);
+    for (auto& b : noise) b = static_cast<uint8_t>(rng.Next());
+    inputs.push_back(noise);
+  }
+  for (size_t period = 1; period <= 8; ++period) {
+    for (size_t n : {size_t(4096), size_t(70000)}) {
+      std::vector<uint8_t> runs(n);
+      for (size_t i = 0; i < n; ++i) {
+        runs[i] = static_cast<uint8_t>(0x30 + i % period);
+      }
+      inputs.push_back(runs);
+    }
+  }
+  inputs.emplace_back(100000, 0);
+  {
+    std::vector<uint8_t> noise(1 << 17);
+    for (auto& b : noise) b = static_cast<uint8_t>(rng.Next());
+    inputs.push_back(noise);
+  }
+  for (size_t esize : {size_t(4), size_t(8)}) {
+    // Bitshuffled 4 KiB blocks of a smooth float series.
+    std::vector<uint8_t> raw = MakePattern(Pattern::kFloatLike, 4096);
+    if (esize == 8) {
+      double x = 1000.0;
+      for (size_t i = 0; i < raw.size() / 8; ++i) {
+        x += rng.Normal() * 0.01;
+        std::memcpy(&raw[i * 8], &x, 8);
+      }
+    }
+    std::vector<uint8_t> planes(raw.size());
+    reference::BitTranspose(raw.data(), planes.data(), raw.size() / esize,
+                            esize);
+    inputs.push_back(planes);
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random mixtures: a small alphabet, copied back-references and
+    // zero runs at random lengths.
+    const size_t n = 1 + rng.UniformInt(trial < 30 ? 5000 : 200000);
+    const uint64_t alphabet = 1 + rng.UniformInt(trial % 4 == 0 ? 255 : 6);
+    std::vector<uint8_t> v;
+    while (v.size() < n) {
+      switch (rng.UniformInt(3)) {
+        case 0:
+          v.push_back(static_cast<uint8_t>(rng.UniformInt(alphabet)));
+          break;
+        case 1:
+          if (!v.empty()) {
+            const size_t back = 1 + rng.UniformInt(std::min<size_t>(
+                                        v.size(), trial % 2 ? 70000 : 64));
+            const size_t len = 1 + rng.UniformInt(300);
+            for (size_t k = 0; k < len; ++k) v.push_back(v[v.size() - back]);
+          }
+          break;
+        default:
+          v.insert(v.end(), rng.UniformInt(100), 0);
+      }
+    }
+    v.resize(n);
+    inputs.push_back(v);
+  }
+  for (Pattern p : {Pattern::kConstant, Pattern::kRamp, Pattern::kRepeated,
+                    Pattern::kTextLike, Pattern::kFloatLike}) {
+    inputs.push_back(MakePattern(p, 100000));
+  }
+  return inputs;
+}
+
+TEST(Lz4OracleTest, MatchesByteAtATimeReference) {
+  for (const auto& in : OracleInputs()) {
+    const ByteSpan span(in.data(), in.size());
+    for (int attempts : {1, 2, 4, 32}) {
+      Buffer want, got;
+      reference::Lz4Compress(span, attempts, &want);
+      Lz4Codec(Lz4Codec::Options{.max_attempts = attempts}).Compress(span,
+                                                                     &got);
+      ASSERT_EQ(got.ToVector(), want.ToVector())
+          << "n=" << in.size() << " attempts=" << attempts;
+    }
+  }
+}
+
+TEST(LzhOracleTest, MatchesByteAtATimeReference) {
+  for (const auto& in : OracleInputs()) {
+    const ByteSpan span(in.data(), in.size());
+    for (auto entropy :
+         {LzhCodec::Entropy::kFse, LzhCodec::Entropy::kHuffman}) {
+      for (int max_chain : {1, 32}) {
+        const LzhCodec::Options opts{.max_chain = max_chain,
+                                     .window_log = max_chain == 1 ? 10 : 20,
+                                     .entropy = entropy};
+        Buffer want, got;
+        reference::LzhCompress(span, opts, &want);
+        LzhCodec(opts).Compress(span, &got);
+        ASSERT_EQ(got.ToVector(), want.ToVector())
+            << "n=" << in.size() << " chain=" << max_chain
+            << " entropy=" << static_cast<int>(entropy);
+      }
+    }
+  }
+}
+
+TEST(FseOracleTest, EncoderMatchesStagedChunkReference) {
+  for (const auto& in : OracleInputs()) {
+    Buffer want, got;
+    reference::FseCompress(ByteSpan(in.data(), in.size()), &want);
+    FseCodec::Compress(ByteSpan(in.data(), in.size()), &got);
+    ASSERT_EQ(got.ToVector(), want.ToVector()) << "n=" << in.size();
+  }
+  // Skewed inputs over every table_log ChooseTableLog can pick.
+  Rng rng(77);
+  for (size_t n : {size_t(2), size_t(3), size_t(17), size_t(300),
+                   size_t(5000), size_t(1) << 16}) {
+    for (int skew : {1, 50, 97}) {
+      std::vector<uint8_t> v(n);
+      for (auto& b : v) {
+        b = rng.UniformInt(100) < static_cast<uint64_t>(skew)
+                ? 7
+                : static_cast<uint8_t>(rng.UniformInt(1 + rng.UniformInt(256)));
+      }
+      Buffer want, got;
+      reference::FseCompress(ByteSpan(v.data(), v.size()), &want);
+      FseCodec::Compress(ByteSpan(v.data(), v.size()), &got);
+      ASSERT_EQ(got.ToVector(), want.ToVector()) << n << " " << skew;
+    }
+  }
+}
+
+TEST(FseOracleTest, NormalizationMatchesOneStepRepair) {
+  Rng rng(99);
+  int grew = 0, shrank = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    uint64_t hist[256] = {0};
+    const int syms = 2 + static_cast<int>(rng.UniformInt(255));
+    switch (trial % 4) {
+      case 0:  // many symbols of count 1 next to a few heavy ones:
+               // rounding up to 1 oversubscribes the table
+        for (int s = 0; s < syms; ++s) {
+          hist[rng.UniformInt(256)] = s < 3 ? 1 + rng.UniformInt(1 << 20) : 1;
+        }
+        break;
+      case 1:  // near-equal counts that all round down: undersubscribed
+        for (int s = 0; s < syms; ++s) {
+          hist[s] = 1000 + rng.UniformInt(3);
+        }
+        break;
+      case 2:  // ties on the largest count and on the largest norm
+        for (int s = 0; s < syms; ++s) hist[s] = s % 2 ? 5000 : 1;
+        break;
+      default:
+        for (int s = 0; s < syms; ++s) {
+          hist[rng.UniformInt(256)] =
+              rng.UniformInt(1 + rng.UniformInt(1000000));
+        }
+    }
+    int distinct = 0;
+    uint64_t total = 0;
+    for (uint64_t h : hist) {
+      distinct += h > 0;
+      total += h;
+    }
+    if (distinct < 2) continue;
+    const int min_log = FseCodec::ChooseTableLog(1, distinct);
+    for (int table_log = min_log; table_log <= FseCodec::kMaxTableLog;
+         table_log += 1 + static_cast<int>(rng.UniformInt(3))) {
+      uint16_t want[256], got[256];
+      reference::NormalizeHistogram(hist, table_log, want);
+      FseCodec::NormalizeHistogram(hist, table_log, got);
+      ASSERT_EQ(std::vector<uint16_t>(got, got + 256),
+                std::vector<uint16_t>(want, want + 256))
+          << "trial " << trial << " table_log " << table_log;
+      uint64_t first_pass = 0;
+      for (int s = 0; s < 256; ++s) {
+        if (hist[s] == 0) continue;
+        first_pass += std::max<uint64_t>(
+            1, (hist[s] * (uint64_t(1) << table_log) + total / 2) / total);
+      }
+      grew += first_pass < (uint64_t(1) << table_log);
+      shrank += first_pass > (uint64_t(1) << table_log);
+    }
+  }
+  // Both repair directions were exercised, many times.
+  EXPECT_GT(grew, 100);
+  EXPECT_GT(shrank, 100);
+}
+
+TEST(TransposeOracleTest, FastPathsMatchGenericLoop) {
+  Rng rng(5);
+  for (size_t esize : {size_t(4), size_t(8)}) {
+    // Whole 8-group blocks plus every tail length, up to bitshuffle's
+    // 4 KiB blocks and beyond.
+    for (size_t groups = 0; groups <= 80; ++groups) {
+      for (size_t count : {groups * 8, (groups * 8 * 8 + 8) / 8 * 8}) {
+        std::vector<uint8_t> src(count * esize);
+        for (auto& b : src) b = static_cast<uint8_t>(rng.Next());
+        std::vector<uint8_t> want(src.size(), 0xAA), got(src.size(), 0x55);
+        reference::BitTranspose(src.data(), want.data(), count, esize);
+        compressors::BitTranspose(src.data(), got.data(), count, esize);
+        ASSERT_EQ(got, want) << "esize=" << esize << " count=" << count;
+      }
+    }
+  }
 }
 
 // --- integer codecs ---------------------------------------------------------

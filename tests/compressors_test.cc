@@ -18,6 +18,7 @@
 #include "compressors/pfpc.h"
 #include "compressors/spdp.h"
 #include "compressors/transpose.h"
+#include "util/bitio.h"
 #include "util/rng.h"
 
 namespace fcbench::compressors {
@@ -431,6 +432,55 @@ TEST(PfpcTest, ThreadCountDoesNotAffectDecodeCorrectness) {
     ASSERT_TRUE(comp2->Decompress(c.span(), desc, &d).ok());
     EXPECT_EQ(std::memcmp(d.data(), v.data(), v.size() * 8), 0)
         << threads << " threads";
+  }
+}
+
+TEST(PfpcTest, CorruptStreamsLeaveTheDecoderTablesClean) {
+  // The decoder reuses the per-thread predictor tables and must zero what
+  // it wrote even when a chunk turns out corrupt: a large chunk (full
+  // refill) and a small one (replayed writes), each damaged three ways,
+  // then the intact stream must still decode exactly on the same thread
+  // (one thread: the chunk runs inline on it).
+  CompressorConfig cfg;
+  cfg.threads = 1;
+  auto comp = PfpcCompressor::Make(cfg);
+  for (size_t n : {size_t(50000), size_t(1000)}) {
+    auto v = RandomWalk<double>(n, 67);
+    auto desc = DataDesc::Make(DType::kFloat64, {n});
+    Buffer c;
+    ASSERT_TRUE(comp->Compress(AsBytes(v), desc, &c).ok());
+    const std::vector<uint8_t> good = c.ToVector();
+    for (int damage = 0; damage < 3; ++damage) {
+      std::vector<uint8_t> bad = good;
+      if (damage == 0) bad[bad.size() / 2] ^= 0x5a;  // a residual byte
+      if (damage == 1) bad[24] ^= 0xff;              // early code nibbles
+      if (damage == 2) {
+        // Residue one byte short: the chunk fails on its last word, after
+        // every other word went through the tables.
+        const ByteSpan span(bad.data(), bad.size());
+        size_t off = 0;
+        uint64_t field = 0;
+        // nchunks, chunk_words, tail, the one chunk's size, its code size.
+        for (int f = 0; f < 5; ++f) {
+          ASSERT_TRUE(GetVarint64(span, &off, &field));
+        }
+        const size_t at = off;
+        ASSERT_TRUE(GetVarint64(span, &off, &field));
+        ASSERT_EQ(off - at, VarintSize(field - 1));
+        PutVarint64(bad.data() + at, field - 1);
+      }
+      Buffer junk;
+      const Status st =
+          comp->Decompress(ByteSpan(bad.data(), bad.size()), desc, &junk);
+      if (damage == 2) {
+        ASSERT_FALSE(st.ok());
+      }
+      Buffer d;
+      ASSERT_TRUE(comp->Decompress(c.span(), desc, &d).ok());
+      ASSERT_EQ(d.size(), n * 8);
+      EXPECT_EQ(std::memcmp(d.data(), v.data(), n * 8), 0)
+          << n << " words after damage " << damage;
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "select/auto_compressor.h"
 #include "select/selector.h"
 #include "util/fs.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -120,6 +121,85 @@ TEST(ConcurrencyTest, SharedInstanceSequentialReuse) {
       ASSERT_EQ(dec.size(), input.size()) << name;
       EXPECT_EQ(std::memcmp(dec.data(), input.data(), input.size()), 0)
           << name << " state leaked between calls (count=" << count << ")";
+    }
+  }
+}
+
+TEST(ConcurrencyTest, PerThreadCodecScratchKeepsStreamsByteIdentical) {
+  // The LZ matchers, the FSE encoder, bitshuffle's block buffers, SPDP's
+  // stages and pFPC's predictor tables (the SPDP and pFPC decoders' too)
+  // live in per-thread scratch that is reused across calls. Every stream
+  // must equal the one a fresh single-threaded call produces, and decode
+  // back to the input, whichever thread runs it, in whatever order, and
+  // whatever ran on that thread before.
+  RegisterAllCompressors();
+  struct Job {
+    std::string method;
+    int threads;
+    DataDesc desc;
+    std::vector<uint8_t> input;
+    uint64_t want = 0;
+  };
+  std::vector<Job> jobs;
+  for (const char* method : {"bitshuffle_lz4", "bitshuffle_zstd", "spdp",
+                             "pfpc", "auto", "auto-ratio"}) {
+    for (int threads : {1, 4}) {
+      // Sizes that grow and shrink the scratch between calls, f32 and f64.
+      for (size_t count : {size_t(6000), size_t(301), size_t(2048)}) {
+        Job job{method, threads, {}, ThreadData(count + threads, count)};
+        const bool f32 = count == 2048;
+        job.desc.dtype = f32 ? DType::kFloat32 : DType::kFloat64;
+        job.desc.extent = {f32 ? 2 * count : count};
+        jobs.push_back(std::move(job));
+      }
+    }
+  }
+  auto compress_hash = [](const Job& job, uint64_t* hash) {
+    CompressorConfig cfg;
+    cfg.threads = job.threads;
+    auto comp = CompressorRegistry::Global().Create(job.method, cfg);
+    Buffer out, back;
+    if (!comp.ok() ||
+        !comp.value()
+             ->Compress(ByteSpan(job.input.data(), job.input.size()),
+                        job.desc, &out)
+             .ok() ||
+        !comp.value()->Decompress(out.span(), job.desc, &back).ok() ||
+        back.ToVector() != job.input) {
+      return false;
+    }
+    *hash = XxHash64(out.span());
+    return true;
+  };
+  for (Job& job : jobs) {
+    ASSERT_TRUE(compress_hash(job, &job.want)) << job.method;
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 2; ++round) {
+        for (size_t k = 0; k < jobs.size(); ++k) {
+          const Job& job = jobs[(k * (2 * t + 1) + t + round) % jobs.size()];
+          uint64_t got = 0;
+          if (!compress_hash(job, &got) || got != job.want) ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Two compressors interleaved on one thread: each call must start from
+  // scratch as good as fresh, whatever the other one left behind.
+  for (size_t a = 0; a < jobs.size(); a += 5) {
+    for (size_t b = 1; b < jobs.size(); b += 7) {
+      for (const Job* job : {&jobs[a], &jobs[b], &jobs[a], &jobs[b]}) {
+        uint64_t got = 0;
+        ASSERT_TRUE(compress_hash(*job, &got));
+        EXPECT_EQ(got, job->want) << job->method << " after interleaving";
+      }
     }
   }
 }

@@ -170,9 +170,11 @@ std::vector<LzInput> LzCorpus(uint64_t seed) {
 
 // Streams of the methods built on the LZ matchers: bitshuffle's LZ4 and
 // LZH back-ends, SPDP's LZ4 stage, and the auto selectors that choose
-// among them. One xxHash64 per method chains every stream of corpus seeds
-// 1 and 2, so a matcher change that finds different matches fails here.
-// Recorded while each call still built a freshly -1-filled hash table.
+// among them, plus pFPC, whose predictor tables are reused per thread.
+// One xxHash64 per method chains every stream of corpus seeds 1 and 2, so
+// a matcher change that finds different matches fails here. Recorded
+// while each call still built a freshly -1-filled hash table (pFPC: while
+// each call still allocated fresh predictor tables).
 TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
   const struct {
     const char* method;
@@ -183,6 +185,7 @@ TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
       {"spdp", 0x785f2b31e8e6a1a5ULL},
       {"auto", 0x9405a0b4c6ddad9bULL},
       {"auto-ratio", 0x537d549682b07c2dULL},
+      {"pfpc", 0xf1408667506dbaa1ULL},
   };
   for (const auto& pin : kPinned) {
     uint64_t chained = 0;
@@ -206,6 +209,61 @@ TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
     EXPECT_EQ(chained, pin.hash)
         << pin.method << ": stream drifted, got 0x" << std::hex << chained;
   }
+}
+
+// SPDP writes each LZ block into the stream behind room for the varint of
+// its worst-case size, and moves the block up when its own varint is
+// shorter. The inputs cover both cases (all-zero blocks compress far below
+// their bound, noise does not), several blocks per call, ragged tails and
+// empty input. Recorded while each block was still compressed into a
+// buffer of its own and then appended. Every stream must also decode back,
+// after bytes already in the output.
+TEST(WireFormatTest, SpdpBlockFramingHashPinned) {
+  std::vector<std::vector<double>> inputs;
+  inputs.emplace_back(40000, 0.0);
+  std::vector<double> ramp(40000);
+  for (size_t i = 0; i < ramp.size(); ++i) ramp[i] = 1000.0 + 0.25 * i;
+  inputs.push_back(ramp);
+  std::vector<double> noisy(40000);
+  uint64_t x = 88172645463325252ULL;  // xorshift64
+  for (double& v : noisy) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const uint64_t bits = 0x4059000000000000ULL | (x >> 24);
+    std::memcpy(&v, &bits, sizeof(v));
+  }
+  inputs.push_back(noisy);
+
+  uint64_t chained = 0;
+  for (size_t block_size : {size_t(0), size_t(4096), size_t(65536)}) {
+    for (const auto& in : inputs) {
+      for (size_t len : {size_t(0), size_t(7), size_t(4096 + 3),
+                         in.size() * sizeof(double)}) {
+        CompressorConfig cfg;
+        cfg.block_size = block_size;
+        auto comp = CompressorRegistry::Global().Create("spdp", cfg);
+        ASSERT_TRUE(comp.ok());
+        const ByteSpan bytes(reinterpret_cast<const uint8_t*>(in.data()), len);
+        const DataDesc desc = DataDesc::Make(DType::kFloat64, {len / 8});
+        Buffer out;
+        ASSERT_TRUE(comp.value()->Compress(bytes, desc, &out).ok());
+        chained = XxHash64(out.span(), chained);
+
+        Buffer back;
+        back.Append("prefix", 6);
+        ASSERT_TRUE(comp.value()->Decompress(out.span(), desc, &back).ok())
+            << "block_size " << block_size << " len " << len;
+        ASSERT_EQ(back.size(), 6 + len);
+        EXPECT_EQ(std::memcmp(back.data(), "prefix", 6), 0);
+        EXPECT_TRUE(len == 0 || std::memcmp(back.data() + 6, bytes.data(),
+                                            len) == 0)
+            << "block_size " << block_size << " len " << len;
+      }
+    }
+  }
+  EXPECT_EQ(chained, 0xb81ef480646f819fULL)
+      << "spdp stream drifted, got 0x" << std::hex << chained;
 }
 
 // The decoders must also read the frozen streams back to the exact inputs
