@@ -12,7 +12,8 @@
 #                               # so failures reproduce locally; the
 #                               # ASan+UBSan pass also runs the codec suites
 #                               # (codecs, wire format, corruption, golden
-#                               # round trip)
+#                               # round trip) and the engine suites (lsm,
+#                               # shard)
 #   scripts/ci.sh --tsan        # race lane: ThreadSanitizer build, run the
 #                               # concurrency- and fault-labeled suites
 #                               # (ctest -L 'concurrency|fault') so the
@@ -174,16 +175,19 @@ PY
   # load 8 bytes at a time, and the corruption suites feed the decoders
   # hostile lengths.
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
-  CODEC_SUITES="codecs_test wire_format_test corruption_test golden_roundtrip_test"
+  # The engine suites exercise segment-handle and Version lifetimes
+  # (last-release drops and quarantine moves, off-lock reads racing
+  # installs), which only a sanitizer sees go wrong.
+  SAN_SUITES="codecs_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   # shellcheck disable=SC2086  # word-split the suite list into targets
   cmake --build "${BUILD_DIR}-faults-asan" -j "${JOBS}" \
-    --target fault_injection_test lsm_crash_test ${CODEC_SUITES}
+    --target fault_injection_test lsm_crash_test ${SAN_SUITES}
   ctest --test-dir "${BUILD_DIR}-faults-asan" --output-on-failure -j "${JOBS}" -L fault
-  # The codec suites are labelled unit, not fault, so they run as whole
-  # binaries rather than through a ctest label.
-  for suite in ${CODEC_SUITES}; do
+  # These suites are labelled unit or unit-concurrency, not fault, so
+  # they run as whole binaries rather than through a ctest label.
+  for suite in ${SAN_SUITES}; do
     "${BUILD_DIR}-faults-asan/tests/${suite}"
   done
   exit 0

@@ -63,11 +63,6 @@ struct CompressorConfig {
   /// (0 = lossless). fpzip is the one studied method with a native lossy
   /// mode (paper §3.1: "provides both lossless and lossy compression").
   int fpzip_precision_bits = 0;
-  /// auto/auto-speed/auto-ratio only: probe sample bytes per chunk
-  /// (0 = $FCBENCH_SELECT_PROBE_BYTES or 16 KiB) and decision-cache
-  /// capacity (<0 = $FCBENCH_SELECT_CACHE or 1024; 0 disables).
-  size_t select_probe_bytes = 0;
-  int select_cache = -1;
   /// auto* only: when non-null, per-chunk selection decisions are
   /// appended here (the --explain API). Not owned; must outlive every
   /// Compress call. See select/selector.h.

@@ -252,29 +252,35 @@ uint64_t SegmentDiskBytes(const std::string& dir, uint64_t id) {
   return total;
 }
 
-/// Moves every `seg-<id>.*` file of the given segments from `dir` into
-/// `<dir>/quarantine/` and makes the moves durable. Serves both the last
-/// release of a quarantined segment's handle and Open, which finishes a
-/// move that a crash, a failure or a still-held handle left undone.
-Status QuarantineFiles(const std::string& dir,
-                       const std::vector<uint64_t>& ids) {
-  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
+/// Moves the named files from `dir` into `<dir>/quarantine/` and makes
+/// the moves durable: the quarantine dir is synced, then `dir`. No-op
+/// (no directory created) when `names` is empty.
+Status MoveToQuarantine(const std::string& dir,
+                        const std::vector<std::string>& names) {
+  if (names.empty()) return Status::OK();
   const std::string qdir = fs::JoinPath(dir, kQuarantineDir);
-  bool moved = false;
+  FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
   for (const auto& name : names) {
-    uint64_t id = 0;
-    if (!ParseSegmentId(name, &id) ||
-        std::find(ids.begin(), ids.end(), id) == ids.end()) {
-      continue;
-    }
-    if (!moved) FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
-    moved = true;
     FCB_RETURN_IF_ERROR(
         fs::RenameFile(fs::JoinPath(dir, name), fs::JoinPath(qdir, name)));
   }
-  if (!moved) return Status::OK();
   FCB_RETURN_IF_ERROR(fs::SyncDir(qdir));
   return fs::SyncDir(dir);
+}
+
+/// Moves every `seg-<id>.*` file of the given segments into quarantine.
+/// Serves both the last release of a quarantined segment's handle and
+/// Open, which finishes a move that a crash, a failure or a still-held
+/// handle left undone.
+Status QuarantineFiles(const std::string& dir,
+                       const std::vector<uint64_t>& ids) {
+  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
+  std::erase_if(names, [&](const std::string& name) {
+    uint64_t id = 0;
+    return !ParseSegmentId(name, &id) ||
+           std::find(ids.begin(), ids.end(), id) == ids.end();
+  });
+  return MoveToQuarantine(dir, names);
 }
 
 /// f64 -> column dtype -> f64, so memtable reads agree bit-for-bit with
@@ -284,6 +290,23 @@ double RoundTripValue(double v, DType dtype) {
       static_cast<float>(v));
   return v;
 }
+
+/// Longest RetryIo backoff wait (about 35 years): the wait's deadline is
+/// a steady_clock time in int64 nanoseconds, which this cannot overflow.
+constexpr uint64_t kMaxBackoffMs = uint64_t{1} << 40;
+
+/// The wait before retry number `retry` (the first try is retry 0, which
+/// never waits): `base_ms << (retry - 1)`, saturating at kMaxBackoffMs.
+constexpr uint64_t BackoffMs(int base_ms, int retry) {
+  if (base_ms <= 0 || retry <= 0) return 0;
+  const int shift = retry - 1;
+  const auto base = static_cast<uint64_t>(base_ms);
+  if (shift >= 64 || base > (kMaxBackoffMs >> shift)) return kMaxBackoffMs;
+  return base << shift;
+}
+static_assert(BackoffMs(1, 1) == 1 && BackoffMs(3, 4) == 24);
+static_assert(BackoffMs(1 << 30, 40) == kMaxBackoffMs);
+static_assert(BackoffMs(1, 1000) == kMaxBackoffMs);
 
 /// The fail-fast error writers see once bg_error_ is sticky. Keeps the
 /// root cause's code (a ResourceExhausted flush stays typed ENOSPC).
@@ -295,7 +318,7 @@ Status ReadOnlyStatus(const Status& bg) {
 
 }  // namespace
 
-/// A retiring call (compaction after its manifest swap, scrub after a
+/// A retiring call (compaction after its install, scrub after a
 /// quarantine) sets the fate; whichever holder releases the handle last
 /// applies it, off-lock. `fate` is atomic because that store and the
 /// final release may run on different threads.
@@ -327,6 +350,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   FCB_RETURN_IF_ERROR(fs::CreateDir(dir));
 
   const std::string mpath = fs::JoinPath(dir, kManifestName);
+  Version v;
   if (fs::FileExists(mpath)) {
     FCB_ASSIGN_OR_RETURN(Buffer raw, fs::ReadFile(mpath));
     FCB_ASSIGN_OR_RETURN(ManifestState m, ParseManifest(raw.span()));
@@ -337,12 +361,12 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     // adopt the stored schema wholesale when none was given.
     eng->schema_ = schema.empty() ? m.schema : schema;
     eng->next_segment_id_ = m.next_segment_id;
-    eng->wal_floor_ = m.wal_floor;
+    v.wal_floor = m.wal_floor;
     for (const auto& info : m.segments) {
-      eng->segments_.push_back(
+      v.segments.push_back(
           std::make_shared<const Segment>(info, eng->SegPrefix(info.id)));
     }
-    eng->quarantined_ = m.quarantined;
+    v.quarantined = std::move(m.quarantined);
   } else {
     if (schema.empty()) {
       return Status::InvalidArgument("lsm: new engine needs a schema");
@@ -355,7 +379,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     eng->schema_ = schema;
     // The schema must be durable before the first WAL record refers to
     // it, so an empty engine is recoverable from its very first byte.
-    FCB_RETURN_IF_ERROR(eng->PersistManifestLocked());
+    FCB_RETURN_IF_ERROR(eng->WriteManifestLocked(v));
   }
 
   // Files of a *quarantined* segment still here are moved, not swept:
@@ -363,7 +387,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   // move a crash (or a failure) interrupted is finished, keeping the
   // corrupt files as evidence.
   std::vector<uint64_t> quarantined_ids;
-  for (const auto& q : eng->quarantined_) quarantined_ids.push_back(q.id);
+  for (const auto& q : v.quarantined) quarantined_ids.push_back(q.id);
   FCB_RETURN_IF_ERROR(QuarantineFiles(dir, quarantined_ids));
 
   // Sweep unpublished state: stale atomic-write temps, segment files a
@@ -371,7 +395,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   // manifest (or a retired segment's leftovers), and WAL segments below
   // the floor (their rows live in published segments).
   std::vector<bool> live;  // indexed by segment id
-  for (const auto& s : eng->segments_) {
+  for (const auto& s : v.segments) {
     if (s->info.id >= live.size()) live.resize(s->info.id + 1, false);
     live[s->info.id] = true;
   }
@@ -386,7 +410,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
         FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
       }
     } else if (Wal::ParseSegmentFileName(name, &seq)) {
-      if (seq < eng->wal_floor_) FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
+      if (seq < v.wal_floor) FCB_RETURN_IF_ERROR(fs::RemoveFile(path));
     }
   }
 
@@ -394,7 +418,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   // a torn tail is expected after a crash, never an error.
   eng->mem_ = std::make_unique<MemTable>(eng->schema_.size());
   FCB_ASSIGN_OR_RETURN(WalReader::Replay replay,
-                       WalReader::ReplayDir(dir, eng->wal_floor_));
+                       WalReader::ReplayDir(dir, v.wal_floor));
   // Where the applied prefix ends: a checksum-valid but malformed record
   // ends it early, at that record's start.
   uint64_t end_seq = replay.end_seq;
@@ -417,22 +441,13 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   // to the next segment, so a second crash replays the sealed prefix and
   // then every row acknowledged since, instead of stopping at this
   // crash's torn tail. Recovery never appends to a sealed segment.
-  uint64_t next_seq = eng->wal_floor_;
+  uint64_t next_seq = v.wal_floor;
   if (!replay.segments.empty()) {
-    const std::string qdir = fs::JoinPath(dir, kQuarantineDir);
-    bool moved = false;
+    std::vector<std::string> discarded;
     for (uint64_t seq : replay.segments) {
-      if (seq <= end_seq) continue;
-      if (!moved) FCB_RETURN_IF_ERROR(fs::CreateDir(qdir));
-      moved = true;
-      const std::string name = Wal::SegmentFileName(seq);
-      FCB_RETURN_IF_ERROR(fs::RenameFile(fs::JoinPath(dir, name),
-                                         fs::JoinPath(qdir, name)));
+      if (seq > end_seq) discarded.push_back(Wal::SegmentFileName(seq));
     }
-    if (moved) {
-      FCB_RETURN_IF_ERROR(fs::SyncDir(qdir));
-      FCB_RETURN_IF_ERROR(fs::SyncDir(dir));
-    }
+    FCB_RETURN_IF_ERROR(MoveToQuarantine(dir, discarded));
     FCB_RETURN_IF_ERROR(Wal::Seal(dir, end_seq, end_offset));
     next_seq = end_seq + 1;
   }
@@ -440,6 +455,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
   wopt.segment_bytes = options.wal_segment_bytes;
   wopt.sync_on_commit = options.sync_on_commit;
   FCB_ASSIGN_OR_RETURN(eng->wal_, Wal::Open(dir, next_seq, wopt));
+  eng->current_ = std::make_shared<const Version>(std::move(v));
   return eng;
 }
 
@@ -473,19 +489,16 @@ Status IngestEngine::RetryIo(const std::string& what, Op&& op) {
   const int attempts = std::max(1, opt_.io_retry_attempts);
   Status st;
   for (int i = 0; i < attempts; ++i) {
+    const uint64_t backoff_ms = BackoffMs(opt_.io_retry_backoff_ms, i);
     if (i > 0) {
       Count<&EngineStats::retry_attempts>();
-      const uint64_t backoff_ms =
-          opt_.io_retry_backoff_ms > 0
-              ? static_cast<uint64_t>(opt_.io_retry_backoff_ms) << (i - 1)
-              : 0;
       obs::EventTrace::Global().Record(obs::EventKind::kRetryBackoff, dir_,
                                        static_cast<uint64_t>(i), backoff_ms);
     }
-    if (i > 0 && opt_.io_retry_backoff_ms > 0) {
+    if (backoff_ms > 0) {
       std::unique_lock<std::mutex> lk(retry_cancel_.mu);
       const bool interrupted = retry_cancel_.cv.wait_for(
-          lk, std::chrono::milliseconds(opt_.io_retry_backoff_ms << (i - 1)),
+          lk, std::chrono::milliseconds(backoff_ms),
           [&] { return retry_cancel_.cancelled; });
       if (interrupted) {
         return Status(st.ok() ? StatusCode::kIoError : st.code(),
@@ -545,18 +558,27 @@ std::string IngestEngine::SegPrefix(uint64_t id) const {
   return fs::JoinPath(dir_, buf);
 }
 
-Status IngestEngine::PersistManifestLocked() {
+Status IngestEngine::WriteManifestLocked(const Version& v) const {
   FCB_FAIL_RETURN("lsm.manifest", fs::JoinPath(dir_, kManifestName));
   ManifestState m;
   m.schema = schema_;
   m.next_segment_id = next_segment_id_;
-  m.wal_floor = wal_floor_;
-  for (const auto& s : segments_) m.segments.push_back(s->info);
-  m.quarantined = quarantined_;
+  m.wal_floor = v.wal_floor;
+  for (const auto& s : v.segments) m.segments.push_back(s->info);
+  m.quarantined = v.quarantined;
   Buffer buf;
   SerializeManifest(m, &buf);
   return fs::WriteFileAtomic(fs::JoinPath(dir_, kManifestName), buf.span(),
                              /*durable=*/true);
+}
+
+Status IngestEngine::InstallLocked(const std::string& what, Version next) {
+  FCB_RETURN_IF_ERROR(RetryIo(what, [&] { return WriteManifestLocked(next); }));
+  // The Version replaced here never holds the last handle of a segment
+  // that leaves the serving set: the publisher holds that one, so the
+  // file IO of its release happens off-lock.
+  current_ = std::make_shared<const Version>(std::move(next));
+  return Status::OK();
 }
 
 Status IngestEngine::ApplyWalRecord(const WalRecord& rec, bool* stop) {
@@ -621,10 +643,9 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   }
 
   if (mem_->bytes() >= opt_.memtable_bytes) {
-    bool scheduled = false;
-    Status st = PrepareFlushLocked(lk, &scheduled);
-    if (st.ok() && scheduled) RunScheduledFlush(lk);
-    // A failed flush *schedule* (st) or a flush that failed inline is
+    Result<FlushJob> job = PrepareFlushLocked(lk);
+    if (job.ok() && job.value().mem) RunScheduledFlush(lk, job.TakeValue());
+    // A failed flush *schedule* (job) or a flush that failed inline is
     // deliberately not returned: this batch IS durably committed, and
     // OK must mean exactly that. The failure is sticky (bg_error_, or
     // retried scheduling at the next append) and surfaces on the next
@@ -641,15 +662,14 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   return Status::OK();
 }
 
-Status IngestEngine::PrepareFlushLocked(std::unique_lock<std::mutex>& lk,
-                                        bool* scheduled) {
-  *scheduled = false;
+Result<IngestEngine::FlushJob> IngestEngine::PrepareFlushLocked(
+    std::unique_lock<std::mutex>& lk) {
   // Backpressure: at most one immutable memtable — an appender that
   // fills the live memtable while a flush is running waits here.
   cv_.wait(lk, [&] { return !flush_inflight_; });
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
   if (!bg_error_.ok()) return ReadOnlyStatus(bg_error_);
-  if (mem_->empty()) return Status::OK();
+  if (mem_->empty()) return FlushJob{};
   FCB_RETURN_IF_ERROR(wal_->Commit());
   // Rotate so every record of the flushing memtable lives in a segment
   // strictly below the new sequence number; publishing the flush then
@@ -657,39 +677,31 @@ Status IngestEngine::PrepareFlushLocked(std::unique_lock<std::mutex>& lk,
   FCB_RETURN_IF_ERROR(wal_->Rotate());
   imm_ = std::shared_ptr<const MemTable>(mem_.release());
   mem_ = std::make_unique<MemTable>(schema_.size());
-  imm_floor_ = wal_->seq();
-  imm_seg_id_ = next_segment_id_++;
   flush_inflight_ = true;
-  *scheduled = true;
-  return Status::OK();
+  return FlushJob{imm_, next_segment_id_++, wal_->seq()};
 }
 
-void IngestEngine::RunScheduledFlush(std::unique_lock<std::mutex>& lk) {
+void IngestEngine::RunScheduledFlush(std::unique_lock<std::mutex>& lk,
+                                     FlushJob job) {
   if (!opt_.background_flush) {
     lk.unlock();
-    DoFlushAndPublish();
+    DoFlushAndPublish(job);
     lk.lock();
     return;
   }
   ++bg_tasks_;
-  ThreadPool::Shared().Submit([this] {
-    DoFlushAndPublish();
+  ThreadPool::Shared().Submit([this, job = std::move(job)] {
+    DoFlushAndPublish(job);
     std::lock_guard<std::mutex> g(mu_);
     --bg_tasks_;
     cv_.notify_all();
   });
 }
 
-void IngestEngine::DoFlushAndPublish() {
-  std::shared_ptr<const MemTable> imm;
-  uint64_t seg_id = 0, floor = 0;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    imm = imm_;
-    seg_id = imm_seg_id_;
-    floor = imm_floor_;
-  }
-  const uint64_t raw_bytes = imm->bytes();
+void IngestEngine::DoFlushAndPublish(const FlushJob& job) {
+  const MemTable& imm = *job.mem;
+  const uint64_t seg_id = job.seg_id;
+  const uint64_t raw_bytes = imm.bytes();
   // Nests under the triggering append when that append's trace context
   // rode along with the pool task (ThreadPool::Submit), or directly
   // under the caller for inline flushes.
@@ -709,7 +721,7 @@ void IngestEngine::DoFlushAndPublish() {
                               : schema_[c].compressor;
     specs[c].dtype = schema_[c].dtype;
     specs[c].precision_digits = schema_[c].precision_digits;
-    specs[c].values = imm->column(c);
+    specs[c].values = imm.column(c);
   }
   Status st = RetryIo("lsm: flush of segment " + SegPrefix(seg_id),
                       [&]() -> Status {
@@ -723,20 +735,14 @@ void IngestEngine::DoFlushAndPublish() {
   {
     std::lock_guard<std::mutex> g(mu_);
     if (st.ok()) {
-      const uint64_t prev_floor = wal_floor_;
-      segments_.push_back(std::make_shared<const Segment>(
-          SegmentInfo{seg_id, imm->rows(), 0}, SegPrefix(seg_id)));
-      wal_floor_ = floor;
+      // A failed install leaves the previous Version, floor included, so
+      // the rows stay safe in the WAL.
+      Version next = *current_;
+      next.segments.push_back(std::make_shared<const Segment>(
+          SegmentInfo{seg_id, imm.rows(), 0}, SegPrefix(seg_id)));
+      next.wal_floor = job.floor;
       obs::ScopedSpan manifest_span("lsm.manifest", seg_id);
-      st = RetryIo("lsm: manifest publish",
-                   [&] { return PersistManifestLocked(); });
-      if (!st.ok()) {
-        // Publish failed: disk still holds the previous manifest; put
-        // the in-memory view back in step with it. The rows stay safe
-        // in the WAL (floor unchanged).
-        segments_.pop_back();
-        wal_floor_ = prev_floor;
-      }
+      st = InstallLocked("lsm: manifest publish", std::move(next));
     }
     if (st.ok()) {
       imm_.reset();
@@ -786,7 +792,7 @@ void IngestEngine::DoFlushAndPublish() {
     // their memtable bytes are no longer buffered. A failed flush
     // deliberately does NOT fire this — the bytes are still pinned in
     // imm_ and admission control must keep counting them.
-    if (opt_.on_memtable_released) opt_.on_memtable_released(imm->bytes());
+    if (opt_.on_memtable_released) opt_.on_memtable_released(raw_bytes);
     DeleteWalBelowFloor();
     if (opt_.compact_fanout >= 2) {
       bool merged = false;
@@ -799,7 +805,7 @@ void IngestEngine::DeleteWalBelowFloor() {
   uint64_t floor = 0;
   {
     std::lock_guard<std::mutex> g(mu_);
-    floor = wal_floor_;
+    floor = current_->wal_floor;
   }
   auto names = fs::ListDir(dir_);
   if (!names.ok()) return;  // cleaned up at next Open
@@ -813,22 +819,20 @@ void IngestEngine::DeleteWalBelowFloor() {
 
 Status IngestEngine::Flush() {
   std::unique_lock<std::mutex> lk(mu_);
-  bool scheduled = false;
-  FCB_RETURN_IF_ERROR(PrepareFlushLocked(lk, &scheduled));
-  if (!scheduled) return bg_error_;
+  FCB_ASSIGN_OR_RETURN(FlushJob job, PrepareFlushLocked(lk));
+  if (!job.mem) return bg_error_;
   lk.unlock();
-  DoFlushAndPublish();
+  DoFlushAndPublish(job);
   lk.lock();
   return bg_error_;
 }
 
 Status IngestEngine::ScheduleFlush() {
   std::unique_lock<std::mutex> lk(mu_);
-  bool scheduled = false;
-  FCB_RETURN_IF_ERROR(PrepareFlushLocked(lk, &scheduled));
+  FCB_ASSIGN_OR_RETURN(FlushJob job, PrepareFlushLocked(lk));
   // A queued flush cannot have failed yet: it needs mu_, held since
   // PrepareFlushLocked saw bg_error_ OK.
-  if (scheduled) RunScheduledFlush(lk);
+  if (job.mem) RunScheduledFlush(lk, std::move(job));
   return bg_error_;
 }
 
@@ -868,11 +872,12 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
 
   // First adjacent run of >= min_run small segments, oldest first.
   const uint64_t small = SmallRowsThresholdLocked();
+  const SegmentSet& segs = current_->segments;
   size_t run_begin = 0, run_len = 0;
-  for (size_t i = 0; i < segments_.size();) {
-    if (segments_[i]->info.rows <= small) {
+  for (size_t i = 0; i < segs.size();) {
+    if (segs[i]->info.rows <= small) {
       size_t j = i;
-      while (j < segments_.size() && segments_[j]->info.rows <= small &&
+      while (j < segs.size() && segs[j]->info.rows <= small &&
              j - i < kMaxCompactRun) {
         ++j;
       }
@@ -888,8 +893,7 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
   if (run_len == 0) return Status::OK();
 
-  run.assign(segments_.begin() + run_begin,
-             segments_.begin() + run_begin + run_len);
+  run.assign(segs.begin() + run_begin, segs.begin() + run_begin + run_len);
   const uint64_t new_id = next_segment_id_++;
   compact_inflight_ = true;
   lk.unlock();
@@ -933,27 +937,28 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
 
   lk.lock();
-  // The run must still be in place, handle for handle: flushes only
-  // append, but a scrub may have quarantined one of its segments.
-  auto it = std::search(segments_.begin(), segments_.end(), run.begin(),
-                        run.end());
-  if (st.ok() && it == segments_.end()) {
-    st = Status::Internal("lsm: compaction run changed (quarantined)");
-  }
   if (st.ok()) {
-    it = segments_.insert(
-        segments_.erase(it, it + run_len),
-        std::make_shared<const Segment>(
-            SegmentInfo{new_id, total_rows, max_level + 1}, SegPrefix(new_id)));
-    obs::ScopedSpan manifest_span("lsm.manifest", new_id);
-    st = RetryIo("lsm: compaction manifest publish",
-                 [&] { return PersistManifestLocked(); });
-    if (!st.ok()) segments_.insert(segments_.erase(it), run.begin(), run.end());
+    // The run must still be in place, handle for handle: flushes only
+    // append, but a scrub may have quarantined one of its segments.
+    Version next = *current_;
+    auto it = std::search(next.segments.begin(), next.segments.end(),
+                          run.begin(), run.end());
+    if (it == next.segments.end()) {
+      st = Status::Internal("lsm: compaction run changed (quarantined)");
+    } else {
+      next.segments.insert(
+          next.segments.erase(it, it + run_len),
+          std::make_shared<const Segment>(
+              SegmentInfo{new_id, total_rows, max_level + 1},
+              SegPrefix(new_id)));
+      obs::ScopedSpan manifest_span("lsm.manifest", new_id);
+      st = InstallLocked("lsm: compaction manifest publish", std::move(next));
+    }
   }
   compact_inflight_ = false;
   cv_.notify_all();
-  // A failed compaction leaves both views unchanged; a half-written
-  // merged segment is unreferenced state that the next Open sweeps.
+  // A failed compaction installs nothing; a half-written merged segment
+  // is unreferenced state that the next Open sweeps.
   if (!st.ok()) return st;
   for (const auto& s : run) s->fate = Segment::Fate::kDrop;
   lk.unlock();
@@ -963,7 +968,7 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     for (const auto& s : run) in_bytes += SegmentDiskBytes(dir_, s->info.id);
     out_bytes = SegmentDiskBytes(dir_, new_id);
   }
-  // Readers that captured the run before the swap still hold it; the
+  // Readers that captured the run before the install still hold it; the
   // last of them deletes the files.
   run.clear();
   Count<&EngineStats::compactions>();
@@ -994,10 +999,11 @@ Result<std::vector<double>> IngestEngine::ReadColumn(
   }
   const DType dtype = schema_[col].dtype;
 
-  const SegmentSet segs = segments_;
+  const std::shared_ptr<const Version> version = current_;
   std::shared_ptr<const MemTable> imm = imm_;
   std::vector<double> tail = mem_->column(col);
   lk.unlock();
+  const SegmentSet& segs = version->segments;
 
   // Size the result once; each segment then decodes straight into its
   // own slice, and the memtables fill the end.
@@ -1026,14 +1032,15 @@ Result<ScrubReport> IngestEngine::Scrub() {
   ScrubReport report;
   obs::ScopedSpan span("lsm.scrub");
   obs::ScopedWatch watch("lsm.scrub", dir_, opt_.watchdog_budget_ms);
-  // The captured handles keep their files alive while they are verified,
-  // whatever flushes and compactions do meanwhile. Declared before the
-  // lock so every return releases them off-lock.
-  SegmentSet segs;
+  // The captured Version keeps its segments' files alive while they are
+  // verified, whatever flushes and compactions install meanwhile.
+  // Declared before the lock so every return releases it off-lock.
+  std::shared_ptr<const Version> version;
   std::unique_lock<std::mutex> lk(mu_);
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
-  segs = segments_;
+  version = current_;
   lk.unlock();
+  const SegmentSet& segs = version->segments;
 
   // Re-verify every published segment in parallel on the shared pool:
   // whole-file checksums against the identities captured at write time.
@@ -1060,27 +1067,20 @@ Result<ScrubReport> IngestEngine::Scrub() {
                              ": verify error: " + v.ToString());
       continue;
     }
-    auto it = std::find(segments_.begin(), segments_.end(), segs[i]);
-    if (it == segments_.end()) continue;  // retired meanwhile
+    Version next = *current_;
+    auto it = std::find(next.segments.begin(), next.segments.end(), segs[i]);
+    if (it == next.segments.end()) continue;  // retired meanwhile
     // Quarantine protocol: record the verdict in the manifest FIRST,
     // then move the files. A crash between the two is completed by the
     // next Open (quarantined ids found in the main dir are moved, not
-    // swept), so the evidence can never be lost to the sweep.
-    it = segments_.erase(it);
-    QuarantinedSegment q;
-    q.id = info.id;
-    q.rows = info.rows;
-    q.reason = v.message().substr(0, kMaxReasonBytes);
-    quarantined_.push_back(q);
-    Status ps = RetryIo("lsm: quarantine manifest publish",
-                        [&] { return PersistManifestLocked(); });
-    if (!ps.ok()) {
-      // Roll back to the on-disk manifest's view; the corruption is
-      // still present and a later scrub will retry.
-      quarantined_.pop_back();
-      segments_.insert(it, segs[i]);
-      return ps;
-    }
+    // swept), so the evidence can never be lost to the sweep. A failed
+    // install leaves the segment serving; a later scrub retries.
+    next.segments.erase(it);
+    QuarantinedSegment q{info.id, info.rows,
+                         v.message().substr(0, kMaxReasonBytes)};
+    next.quarantined.push_back(q);
+    FCB_RETURN_IF_ERROR(
+        InstallLocked("lsm: quarantine manifest publish", std::move(next)));
     segs[i]->fate = Segment::Fate::kQuarantine;
     report.quarantined_ids.push_back(q.id);
     report.notes.push_back("segment " + std::to_string(q.id) +
@@ -1092,7 +1092,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
 
   // WAL verification runs under the lock: no appender can be mid-commit,
   // so the on-disk tail is exactly the committed prefix.
-  auto rr = WalReader::ReplayDir(dir_, wal_floor_);
+  auto rr = WalReader::ReplayDir(dir_, current_->wal_floor);
   if (rr.ok()) {
     report.wal_records_verified = rr.value().records.size();
     report.wal_clean = !rr.value().truncated;
@@ -1109,7 +1109,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
   // Releasing the snapshot moves each quarantined segment whose last
   // handle it held. The move is best-effort: the manifest already
   // records the quarantine, so a failure is finished by the next Open.
-  segs.clear();
+  version.reset();
   for (uint64_t id : report.quarantined_ids) {
     if (SegmentDiskBytes(dir_, id) > 0) {
       report.notes.push_back("quarantine move pending: segment " +
@@ -1139,13 +1139,13 @@ Status IngestEngine::background_error() const {
 
 std::vector<QuarantinedSegment> IngestEngine::quarantined() const {
   std::lock_guard<std::mutex> g(mu_);
-  return quarantined_;
+  return current_->quarantined;
 }
 
 uint64_t IngestEngine::rows() const {
   std::lock_guard<std::mutex> g(mu_);
   uint64_t n = 0;
-  for (const auto& s : segments_) n += s->info.rows;
+  for (const auto& s : current_->segments) n += s->info.rows;
   if (imm_ != nullptr) n += imm_->rows();
   n += mem_->rows();
   return n;
@@ -1154,7 +1154,7 @@ uint64_t IngestEngine::rows() const {
 std::vector<SegmentInfo> IngestEngine::segments() const {
   std::lock_guard<std::mutex> g(mu_);
   std::vector<SegmentInfo> out;
-  for (const auto& s : segments_) out.push_back(s->info);
+  for (const auto& s : current_->segments) out.push_back(s->info);
   return out;
 }
 

@@ -230,14 +230,16 @@ class IngestEngine {
   /// every acknowledged row is either in a published segment, in a
   /// memtable (WAL-backed), or both.
   ///
-  /// The segment handles and memtables are captured under the engine
-  /// lock; segment files are then read off-lock. The handles keep those
-  /// files alive, so a compaction or scrub that retires a segment
-  /// meanwhile never waits for the read: the last release drops (or
-  /// quarantines) the files. The result is sized once, and each segment
-  /// is decoded straight into its slice (ColumnStore::ReadRowsInto: one
-  /// column-file read, one copy). Decoding may fan out on
-  /// ThreadPool::Shared(), whose callers never run queued tasks.
+  /// Under the engine lock the read takes one pointer to the installed
+  /// Version, the immutable memtable and a copy of the live memtable's
+  /// column; segment files are then read off-lock. The Version's
+  /// segment handles keep those files alive, so a compaction or scrub
+  /// that installs a successor meanwhile never waits for the read: the
+  /// last release of a retired segment drops (or quarantines) its
+  /// files. The result is sized once, and each segment is decoded
+  /// straight into its slice (ColumnStore::ReadRowsInto: one column-file
+  /// read, one copy). Decoding may fan out on ThreadPool::Shared(), whose
+  /// callers never run queued tasks.
   Result<std::vector<double>> ReadColumn(const std::string& column) const;
 
   /// Integrity scrub: re-reads every published segment and verifies its
@@ -246,9 +248,12 @@ class IngestEngine {
   /// fails verification is removed from the serving set, recorded in the
   /// engine manifest, and its files are moved to `<dir>/quarantine/`;
   /// the remaining data keeps serving. Runs concurrently with appends,
-  /// reads, flushes and compactions: it verifies the segment set it
-  /// captured at its start, and takes the engine lock only for the
-  /// manifest swap and the WAL check. The move happens at the last
+  /// reads, flushes and compactions: it verifies the Version installed
+  /// at its start, and takes the engine lock only to install each
+  /// quarantine and for the WAL check. A quarantine is a new Version
+  /// without the segment, installed only once the manifest recording it
+  /// is durable; if that write fails, the scrub returns the error and
+  /// the engine still serves the segment. The move happens at the last
   /// release of the segment's handle; while a read or compaction still
   /// holds it, the report carries a "quarantine move pending" note and
   /// that holder's release (or the next Open) moves the files.
@@ -298,21 +303,45 @@ class IngestEngine {
   struct Segment;
   using SegmentSet = std::vector<std::shared_ptr<const Segment>>;
 
+  /// The published state: everything the engine MANIFEST records except
+  /// the schema and the segment-id counter. Never changed once
+  /// installed; a publisher copies the current Version, edits the copy
+  /// and installs it (InstallLocked).
+  struct Version {
+    /// WAL segments below this sequence number hold only published rows.
+    uint64_t wal_floor = 0;
+    /// The serving set, oldest first.
+    SegmentSet segments;
+    std::vector<QuarantinedSegment> quarantined;
+  };
+
+  /// A swapped-out memtable and what publishing it needs: the segment id
+  /// reserved for it and the WAL floor its publish advances to.
+  struct FlushJob {
+    std::shared_ptr<const MemTable> mem;  // null: nothing to flush
+    uint64_t seg_id = 0;
+    uint64_t floor = 0;
+  };
+
   IngestEngine() = default;
 
   std::string SegPrefix(uint64_t id) const;
-  Status PersistManifestLocked();
+  /// Writes the MANIFEST for `v` once (no retry).
+  Status WriteManifestLocked(const Version& v) const;
+  /// The one publish path: writes the manifest for `next` under RetryIo
+  /// and installs `next` as current_ only once that write succeeded.
+  /// On failure nothing in memory has changed.
+  Status InstallLocked(const std::string& what, Version next);
   /// Waits out any in-flight flush, then (if the memtable is non-empty)
   /// rotates the WAL, swaps the memtable to immutable and marks a flush
-  /// in flight. Returns via *scheduled whether there is work to run.
-  Status PrepareFlushLocked(std::unique_lock<std::mutex>& lk,
-                            bool* scheduled);
-  /// Runs the flush PrepareFlushLocked scheduled: on ThreadPool::Shared()
-  /// with background_flush, else inline with `lk` dropped around it.
-  void RunScheduledFlush(std::unique_lock<std::mutex>& lk);
-  /// The heavy half: compress + publish the immutable memtable. Called
+  /// in flight. The returned job's `mem` is null when there is no work.
+  Result<FlushJob> PrepareFlushLocked(std::unique_lock<std::mutex>& lk);
+  /// Runs `job`: on ThreadPool::Shared() with background_flush, else
+  /// inline with `lk` dropped around it.
+  void RunScheduledFlush(std::unique_lock<std::mutex>& lk, FlushJob job);
+  /// The heavy half: compress + publish the job's memtable. Called
   /// off-lock (from the pool or the appending thread).
-  void DoFlushAndPublish();
+  void DoFlushAndPublish(const FlushJob& job);
   void DeleteWalBelowFloor();
   /// Merges the first adjacent run of >= min_run small segments.
   /// *merged reports whether anything happened.
@@ -335,11 +364,9 @@ class IngestEngine {
 
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<MemTable> mem_;
-  /// Memtable being flushed; readers still see it. Never mutated while
-  /// set — the flusher and readers both only read it.
+  /// Memtable being flushed (the in-flight FlushJob's `mem`); readers
+  /// still see it. Never mutated while set.
   std::shared_ptr<const MemTable> imm_;
-  uint64_t imm_floor_ = 0;    // WAL floor once imm_ is published
-  uint64_t imm_seg_id_ = 0;   // segment id reserved for imm_
   bool flush_inflight_ = false;
   bool compact_inflight_ = false;
   bool closed_ = false;
@@ -348,11 +375,11 @@ class IngestEngine {
   int bg_tasks_ = 0;
 
   uint64_t next_segment_id_ = 0;
-  uint64_t wal_floor_ = 0;
-  /// The serving set, oldest first; readers, scrubs and compactions copy
-  /// these handles under mu_ and read the files off-lock.
-  SegmentSet segments_;
-  std::vector<QuarantinedSegment> quarantined_;
+  /// The installed Version: the state the last successful manifest
+  /// write recorded. Readers and scrubs copy this pointer under mu_ (a
+  /// compaction copies its run's handles) and read segment files
+  /// off-lock; publishers replace it only through InstallLocked.
+  std::shared_ptr<const Version> current_;
   /// Sticky: set by a background flush/compaction failure that exhausted
   /// its retries. Appends fail fast with it; reads keep serving.
   Status bg_error_;

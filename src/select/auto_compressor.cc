@@ -47,8 +47,6 @@ AutoCompressor::AutoCompressor(Objective objective,
       selector_([&] {
         Selector::Config sc;
         sc.objective = objective;
-        sc.probe_bytes = config.select_probe_bytes;
-        sc.cache_capacity = config.select_cache;
         return sc;
       }()),
       inner_config_(config),

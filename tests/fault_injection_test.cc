@@ -689,6 +689,155 @@ TEST_F(EngineFaultTest, ScrubQuarantinesBitFlippedSegment) {
 }
 
 // ---------------------------------------------------------------------------
+// A failed manifest install leaves the live engine unchanged
+// ---------------------------------------------------------------------------
+
+/// Sorted names of every `seg-<id>.*` file in `dir` whose id is in `ids`.
+std::vector<std::string> SegmentFiles(const std::string& dir,
+                                      const std::vector<uint64_t>& ids) {
+  std::vector<std::string> out;
+  auto names = fs::ListDir(dir);
+  if (!names.ok()) return out;
+  for (const auto& n : names.value()) {
+    for (uint64_t id : ids) {
+      char prefix[32];
+      std::snprintf(prefix, sizeof(prefix), "seg-%06llu.",
+                    static_cast<unsigned long long>(id));
+      if (n.rfind(prefix, 0) == 0) out.push_back(n);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool SameSegments(const std::vector<SegmentInfo>& a,
+                  const std::vector<SegmentInfo>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].rows != b[i].rows ||
+        a[i].level != b[i].level) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(EngineFaultTest, FailedCompactionManifestLeavesEngineUnchanged) {
+  auto opts = FaultOptions();
+  opts.memtable_bytes = 1 << 20;
+  opts.compact_fanout = 0;  // compaction only when asked
+  auto engr = IngestEngine::Open(dir_, FaultSchema(), opts);
+  ASSERT_TRUE(engr.ok());
+  auto& eng = engr.value();
+  std::vector<double> acked;
+  for (size_t b = 0; b < 3; ++b) {
+    ASSERT_TRUE(eng->AppendBatch(BatchRows(b, 30)).ok());
+    ASSERT_TRUE(eng->Flush().ok());
+    for (size_t r = 0; r < 30; ++r) acked.push_back(b * 1000.0 + r);
+  }
+  const std::vector<SegmentInfo> before = eng->segments();
+  ASSERT_EQ(before.size(), 3u);
+  std::vector<uint64_t> ids;
+  for (const auto& s : before) ids.push_back(s.id);
+  const std::vector<std::string> files = SegmentFiles(dir_, ids);
+  ASSERT_FALSE(files.empty());
+
+  // Every attempt of the merged run's manifest publish fails.
+  ASSERT_TRUE(fail::FailPoints::Set("lsm.manifest", "err").ok());
+  Status st = eng->Compact();
+  fail::FailPoints::ClearAll();
+  EXPECT_FALSE(st.ok());
+
+  EXPECT_TRUE(SameSegments(eng->segments(), before));
+  EXPECT_EQ(SegmentFiles(dir_, ids), files);
+  auto v = eng->ReadColumn("v");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value(), acked);
+  EXPECT_FALSE(eng->read_only());  // a failed compaction does not degrade
+
+  // With the fault cleared the same run merges.
+  ASSERT_TRUE(eng->Compact().ok());
+  const std::vector<SegmentInfo> after = eng->segments();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].rows, 90u);
+  EXPECT_EQ(after[0].level, 1u);
+  v = eng->ReadColumn("v");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value(), acked);
+  engr.value().reset();
+  EXPECT_TRUE(SegmentFiles(dir_, ids).empty());
+  CheckRecovery(dir_, acked);
+}
+
+TEST_F(EngineFaultTest, FailedQuarantineManifestLeavesEngineUnchanged) {
+  auto opts = FaultOptions();
+  opts.memtable_bytes = 1 << 20;
+  opts.compact_fanout = 0;  // keep the two segments separate
+  uint64_t bad_id = 0, good_id = 0;
+  {
+    auto engr = IngestEngine::Open(dir_, FaultSchema(), opts);
+    ASSERT_TRUE(engr.ok());
+    auto& eng = engr.value();
+    ASSERT_TRUE(eng->AppendBatch(BatchRows(0, 40)).ok());
+    ASSERT_TRUE(eng->Flush().ok());
+    ASSERT_TRUE(eng->AppendBatch(BatchRows(1, 40)).ok());
+    ASSERT_TRUE(eng->Flush().ok());
+    const std::vector<SegmentInfo> before = eng->segments();
+    ASSERT_EQ(before.size(), 2u);
+    bad_id = before[0].id;
+    good_id = before[1].id;
+
+    char name[32];
+    std::snprintf(name, sizeof(name), "seg-%06llu.0.col",
+                  static_cast<unsigned long long>(bad_id));
+    const std::string path = fs::JoinPath(dir_, name);
+    auto bytes = fs::ReadFile(path);
+    ASSERT_TRUE(bytes.ok());
+    Buffer flipped = std::move(bytes).TakeValue();
+    flipped.data()[flipped.size() / 2] ^= 0x01;
+    ASSERT_TRUE(
+        fs::WriteFileAtomic(path, flipped.span(), /*durable=*/false).ok());
+    const std::vector<std::string> files = SegmentFiles(dir_, {bad_id});
+    ASSERT_FALSE(files.empty());
+
+    // The verdict is corruption, but recording it fails on every attempt.
+    ASSERT_TRUE(fail::FailPoints::Set("lsm.manifest", "err").ok());
+    auto rep = eng->Scrub();
+    fail::FailPoints::ClearAll();
+    EXPECT_FALSE(rep.ok());
+
+    EXPECT_TRUE(eng->quarantined().empty());
+    EXPECT_TRUE(SameSegments(eng->segments(), before));
+    EXPECT_EQ(SegmentFiles(dir_, {bad_id}), files);
+    EXPECT_FALSE(fs::FileExists(
+        fs::JoinPath(fs::JoinPath(dir_, "quarantine"), name)));
+
+    // With the fault cleared the next scrub quarantines the segment.
+    auto rep2 = eng->Scrub();
+    ASSERT_TRUE(rep2.ok()) << rep2.status().ToString();
+    EXPECT_EQ(rep2.value().quarantined_ids, std::vector<uint64_t>{bad_id});
+    ASSERT_EQ(eng->quarantined().size(), 1u);
+    EXPECT_EQ(eng->quarantined()[0].id, bad_id);
+    ASSERT_EQ(eng->segments().size(), 1u);
+    EXPECT_EQ(eng->segments()[0].id, good_id);
+    EXPECT_TRUE(SegmentFiles(dir_, {bad_id}).empty());
+  }
+
+  // A reopen agrees.
+  auto engr = IngestEngine::Open(dir_, FaultSchema(), opts);
+  ASSERT_TRUE(engr.ok()) << engr.status().ToString();
+  ASSERT_EQ(engr.value()->quarantined().size(), 1u);
+  EXPECT_EQ(engr.value()->quarantined()[0].id, bad_id);
+  ASSERT_EQ(engr.value()->segments().size(), 1u);
+  EXPECT_EQ(engr.value()->segments()[0].id, good_id);
+  std::vector<double> kept;
+  for (size_t r = 0; r < 40; ++r) kept.push_back(1000.0 + r);
+  auto v = engr.value()->ReadColumn("v");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value(), kept);
+}
+
+// ---------------------------------------------------------------------------
 // The exhaustive fault sweep
 // ---------------------------------------------------------------------------
 
