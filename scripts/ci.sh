@@ -2,7 +2,10 @@
 # Configure + build + test, exiting non-zero on any failure.
 #
 # Usage:
-#   scripts/ci.sh               # full lane: build everything, run all tests
+#   scripts/ci.sh               # full lane: build everything, run all tests;
+#                               # a Release build also fails on any
+#                               # compiler warning in src/, tests/, bench/
+#                               # or examples/
 #   scripts/ci.sh --smoke       # fast lane: unit-labeled tests only
 #   scripts/ci.sh --faults      # fault lane: run the fault-injection and
 #                               # WAL crash-recovery suites
@@ -217,5 +220,19 @@ if [[ "${1:-}" == "--smoke" ]]; then
 fi
 
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE="${BUILD_TYPE}"
-cmake --build "${BUILD_DIR}" -j "${JOBS}"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" 2>&1 | tee "${BUILD_DIR}/build.log"
+# Warning gate (Release): any compiler warning located in the project's
+# own sources fails the lane. Warnings reported at other locations (GCC
+# 12's libstdc++ false positives, gtest's own sources) are not ours, which
+# is why this is not a global -Werror. An incremental build only reports
+# the files it recompiled, so the gate is complete on a fresh build dir.
+if [[ "${BUILD_TYPE}" == "Release" ]]; then
+  ours=$(grep -E "^(${PWD}/)?(src|tests|bench|examples)/[^:]+:[0-9]+:([0-9]+:)? warning:" \
+    "${BUILD_DIR}/build.log" | sort -u || true)
+  if [[ -n "${ours}" ]]; then
+    echo "ci: compiler warnings in project sources:"
+    echo "${ours}"
+    exit 1
+  fi
+fi
 ctest --test-dir "${BUILD_DIR}" "${CTEST_ARGS[@]}"

@@ -237,15 +237,26 @@ bool ParseSegmentId(const std::string& name, uint64_t* id) {
   return true;
 }
 
+/// Names of the `seg-<id>.*` files in `dir` (temps included) whose id
+/// is one of `ids`.
+Result<std::vector<std::string>> SegmentFileNames(
+    const std::string& dir, const std::vector<uint64_t>& ids) {
+  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
+  std::erase_if(names, [&](const std::string& name) {
+    uint64_t id = 0;
+    return !ParseSegmentId(name, &id) ||
+           std::find(ids.begin(), ids.end(), id) == ids.end();
+  });
+  return names;
+}
+
 /// On-disk footprint of a published segment: every `seg-<id>.*` file.
 /// Best-effort (0 on listing errors) — feeds metrics only.
 uint64_t SegmentDiskBytes(const std::string& dir, uint64_t id) {
-  auto names = fs::ListDir(dir);
+  auto names = SegmentFileNames(dir, {id});
   if (!names.ok()) return 0;
   uint64_t total = 0;
   for (const auto& name : names.value()) {
-    uint64_t got = 0;
-    if (!ParseSegmentId(name, &got) || got != id) continue;
     auto sz = fs::FileSize(fs::JoinPath(dir, name));
     if (sz.ok()) total += sz.value();
   }
@@ -274,13 +285,30 @@ Status MoveToQuarantine(const std::string& dir,
 /// handle left undone.
 Status QuarantineFiles(const std::string& dir,
                        const std::vector<uint64_t>& ids) {
-  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names, fs::ListDir(dir));
-  std::erase_if(names, [&](const std::string& name) {
-    uint64_t id = 0;
-    return !ParseSegmentId(name, &id) ||
-           std::find(ids.begin(), ids.end(), id) == ids.end();
-  });
+  FCB_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                       SegmentFileNames(dir, ids));
   return MoveToQuarantine(dir, names);
+}
+
+/// Removes every `seg-<id>.*` file in `dir`. Best-effort: what a failure
+/// leaves, Open sweeps as unreferenced.
+void RemoveSegmentFiles(const std::string& dir, uint64_t id) {
+  auto names = SegmentFileNames(dir, {id});
+  if (!names.ok()) return;
+  for (const auto& name : names.value()) {
+    fs::RemoveFile(fs::JoinPath(dir, name));
+  }
+}
+
+/// False only when the engine MANIFEST in `dir` reads, verifies and does
+/// not list segment `id`; an unreadable manifest might list it.
+bool ManifestMayList(const std::string& dir, uint64_t id) {
+  auto raw = fs::ReadFile(fs::JoinPath(dir, kManifestName));
+  if (!raw.ok()) return true;
+  auto m = ParseManifest(raw.value().span());
+  if (!m.ok()) return true;
+  return std::any_of(m.value().segments.begin(), m.value().segments.end(),
+                     [&](const SegmentInfo& s) { return s.id == id; });
 }
 
 /// f64 -> column dtype -> f64, so memtable reads agree bit-for-bit with
@@ -547,6 +575,11 @@ Status IngestEngine::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
   lk.unlock();
+  {
+    std::lock_guard<std::mutex> g(spare_->mu);
+    spare_->closed = true;
+    spare_->mem.reset();
+  }
   if (wal_ != nullptr) return wal_->Close();
   return Status::OK();
 }
@@ -617,12 +650,11 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   obs::ScopedSpan span("lsm.append", nrows,
                        rows_row_major.size() * sizeof(double));
   Timer append_timer;
-  // The WAL record payload is built before taking mu_, so the lock only
-  // covers the log write, the commit and the memtable insert.
-  Buffer payload;
-  PutVarint64(&payload, nrows);
-  payload.Append(rows_row_major.data(),
-                 rows_row_major.size() * sizeof(double));
+  // The WAL record's payload is varint(nrows) then the rows. Wal::Append
+  // copies both straight from here into its pending batch, so a row is
+  // copied once into the log and once into the memtable.
+  uint8_t head[10];  // the longest varint
+  const size_t head_len = PutVarint64(head, nrows) - head;
 
   std::unique_lock<std::mutex> lk(mu_);
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
@@ -630,7 +662,8 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
   // caller gets the root cause, not a mystery timeout.
   if (!bg_error_.ok()) return ReadOnlyStatus(bg_error_);
 
-  FCB_RETURN_IF_ERROR(wal_->Append(Wal::kTypeRows, payload.span()));
+  FCB_RETURN_IF_ERROR(wal_->Append(Wal::kTypeRows, ByteSpan(head, head_len),
+                                   AsBytes(rows_row_major)));
   // Group commit: the whole batch costs one write and (when configured)
   // one fsync. A failure here (ENOSPC included) rejected exactly this
   // batch — the WAL healed itself back to the previous commit, so the
@@ -665,8 +698,17 @@ Status IngestEngine::AppendBatch(const std::vector<double>& rows_row_major) {
 Result<IngestEngine::FlushJob> IngestEngine::PrepareFlushLocked(
     std::unique_lock<std::mutex>& lk) {
   // Backpressure: at most one immutable memtable — an appender that
-  // fills the live memtable while a flush is running waits here.
-  cv_.wait(lk, [&] { return !flush_inflight_; });
+  // fills the live memtable while a flush is running waits here. That
+  // wait is a write stall, traced and timed as its own layer.
+  if (flush_inflight_) {
+    static obs::Histogram* stall_nanos =
+        obs::MetricsRegistry::Global().GetHistogram("lsm.stall_nanos",
+                                                    obs::Unit::kNanos);
+    obs::ScopedSpan stall_span("lsm.stall");
+    Timer stall_timer;
+    cv_.wait(lk, [&] { return !flush_inflight_; });
+    stall_nanos->Record(stall_timer.ElapsedNanos());
+  }
   if (closed_) return Status::InvalidArgument("lsm: engine is closed");
   if (!bg_error_.ok()) return ReadOnlyStatus(bg_error_);
   if (mem_->empty()) return FlushJob{};
@@ -675,8 +717,28 @@ Result<IngestEngine::FlushJob> IngestEngine::PrepareFlushLocked(
   // strictly below the new sequence number; publishing the flush then
   // simply advances the floor to it.
   FCB_RETURN_IF_ERROR(wal_->Rotate());
-  imm_ = std::shared_ptr<const MemTable>(mem_.release());
-  mem_ = std::make_unique<MemTable>(schema_.size());
+  // The last release of the immutable memtable, the flush's or a
+  // reader's, clears it and parks it as the spare; the next swap here
+  // takes it, capacity and all. After Close it is freed instead.
+  imm_ = std::shared_ptr<const MemTable>(
+      mem_.release(), [spare = spare_](MemTable* mem) {
+        std::unique_ptr<MemTable> owned(mem);  // freed after the unlock
+        std::lock_guard<std::mutex> g(spare->mu);
+        if (spare->closed) return;
+        owned->Clear();
+        spare->mem = std::move(owned);
+      });
+  {
+    std::lock_guard<std::mutex> g(spare_->mu);
+    mem_ = std::move(spare_->mem);
+  }
+  if (mem_ != nullptr) {
+    static obs::Counter* recycled =
+        obs::MetricsRegistry::Global().GetCounter("lsm.memtable.recycled");
+    recycled->Increment();
+  } else {
+    mem_ = std::make_unique<MemTable>(schema_.size());
+  }
   flush_inflight_ = true;
   return FlushJob{imm_, next_segment_id_++, wal_->seq()};
 }
@@ -685,23 +747,24 @@ void IngestEngine::RunScheduledFlush(std::unique_lock<std::mutex>& lk,
                                      FlushJob job) {
   if (!opt_.background_flush) {
     lk.unlock();
-    DoFlushAndPublish(job);
+    DoFlushAndPublish(std::move(job));
     lk.lock();
     return;
   }
   ++bg_tasks_;
-  ThreadPool::Shared().Submit([this, job = std::move(job)] {
-    DoFlushAndPublish(job);
+  ThreadPool::Shared().Submit([this, job = std::move(job)]() mutable {
+    DoFlushAndPublish(std::move(job));
     std::lock_guard<std::mutex> g(mu_);
     --bg_tasks_;
     cv_.notify_all();
   });
 }
 
-void IngestEngine::DoFlushAndPublish(const FlushJob& job) {
+void IngestEngine::DoFlushAndPublish(FlushJob job) {
   const MemTable& imm = *job.mem;
   const uint64_t seg_id = job.seg_id;
   const uint64_t raw_bytes = imm.bytes();
+  const uint64_t rows = imm.rows();
   // Nests under the triggering append when that append's trace context
   // rode along with the pool task (ThreadPool::Submit), or directly
   // under the caller for inline flushes.
@@ -739,7 +802,7 @@ void IngestEngine::DoFlushAndPublish(const FlushJob& job) {
       // the rows stay safe in the WAL.
       Version next = *current_;
       next.segments.push_back(std::make_shared<const Segment>(
-          SegmentInfo{seg_id, imm.rows(), 0}, SegPrefix(seg_id)));
+          SegmentInfo{seg_id, rows, 0}, SegPrefix(seg_id)));
       next.wal_floor = job.floor;
       obs::ScopedSpan manifest_span("lsm.manifest", seg_id);
       st = InstallLocked("lsm: manifest publish", std::move(next));
@@ -754,6 +817,10 @@ void IngestEngine::DoFlushAndPublish(const FlushJob& job) {
       // flush is scheduled while imm_ lingers.
       bg_error_ = st;
     }
+    // Drop the flush's reference before the next swap can run: unless a
+    // reader still holds the memtable, this was the last one, and the
+    // swap finds it parked as the spare.
+    job.mem.reset();
     flush_inflight_ = false;
     cv_.notify_all();
   }
@@ -822,7 +889,7 @@ Status IngestEngine::Flush() {
   FCB_ASSIGN_OR_RETURN(FlushJob job, PrepareFlushLocked(lk));
   if (!job.mem) return bg_error_;
   lk.unlock();
-  DoFlushAndPublish(job);
+  DoFlushAndPublish(std::move(job));
   lk.lock();
   return bg_error_;
 }
@@ -957,9 +1024,18 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
   compact_inflight_ = false;
   cv_.notify_all();
-  // A failed compaction installs nothing; a half-written merged segment
-  // is unreferenced state that the next Open sweeps.
-  if (!st.ok()) return st;
+  if (!st.ok()) {
+    // A failed compaction installs nothing, so its merged files are
+    // garbage unless the MANIFEST on disk lists them: a manifest write
+    // whose rename landed but whose directory fsync failed leaves a
+    // MANIFEST the next Open recovers from. Checked under mu_, so no
+    // manifest write is in progress; later ones are written from
+    // current_, which never lists new_id.
+    const bool keep = ManifestMayList(dir_, new_id);
+    lk.unlock();
+    if (!keep) RemoveSegmentFiles(dir_, new_id);
+    return st;
+  }
   for (const auto& s : run) s->fate = Segment::Fate::kDrop;
   lk.unlock();
 

@@ -267,11 +267,12 @@ class IngestEngine {
   void InterruptRetries();
 
   /// Interrupts retries, waits for in-flight flushes and compactions,
-  /// and closes the WAL (reporting a failed final fsync). Does not wait
-  /// for reads or scrubs: the segment handles they hold keep their files
-  /// alive. Idempotent; the destructor calls it, so the engine must not
-  /// be destroyed while a call on it runs. After Close the engine
-  /// rejects appends, flushes, compactions and scrubs.
+  /// frees the spare memtable and closes the WAL (reporting a failed
+  /// final fsync). Does not wait for reads or scrubs: the segment
+  /// handles they hold keep their files alive. Idempotent; the
+  /// destructor calls it, so the engine must not be destroyed while a
+  /// call on it runs. After Close the engine rejects appends, flushes,
+  /// compactions and scrubs.
   Status Close();
 
   /// True once a background failure degraded the engine to read-only.
@@ -340,8 +341,10 @@ class IngestEngine {
   /// inline with `lk` dropped around it.
   void RunScheduledFlush(std::unique_lock<std::mutex>& lk, FlushJob job);
   /// The heavy half: compress + publish the job's memtable. Called
-  /// off-lock (from the pool or the appending thread).
-  void DoFlushAndPublish(const FlushJob& job);
+  /// off-lock (from the pool or the appending thread). Owns the job so
+  /// that it drops its memtable reference in the publish critical
+  /// section, before the next swap looks for the spare.
+  void DoFlushAndPublish(FlushJob job);
   void DeleteWalBelowFloor();
   /// Merges the first adjacent run of >= min_run small segments.
   /// *merged reports whether anything happened.
@@ -365,8 +368,20 @@ class IngestEngine {
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<MemTable> mem_;
   /// Memtable being flushed (the in-flight FlushJob's `mem`); readers
-  /// still see it. Never mutated while set.
+  /// still see it. Never mutated while set, nor while any copy of this
+  /// pointer lives: only its last release clears it, into spare_.
   std::shared_ptr<const MemTable> imm_;
+  /// A flushed memtable, cleared with its capacity kept, waiting to be
+  /// the next live one (memtable.h). Shared with imm_'s deleter, which
+  /// may run on a reader's thread without mu_, so it has its own lock
+  /// (taken after mu_ when both are held) and never needs the engine.
+  struct SpareMemTable {
+    std::mutex mu;
+    std::unique_ptr<MemTable> mem;
+    bool closed = false;  // set by Close; later releases free, not park
+  };
+  const std::shared_ptr<SpareMemTable> spare_ =
+      std::make_shared<SpareMemTable>();
   bool flush_inflight_ = false;
   bool compact_inflight_ = false;
   bool closed_ = false;

@@ -18,4 +18,9 @@ void MemTable::AppendRows(const double* rows, size_t nrows) {
   rows_ += nrows;
 }
 
+void MemTable::Clear() {
+  for (std::vector<double>& col : cols_) col.clear();
+  rows_ = 0;
+}
+
 }  // namespace fcbench::db::lsm

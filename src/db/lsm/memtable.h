@@ -19,6 +19,17 @@ namespace fcbench::db::lsm {
 /// not O(memtable): a column is reallocated and copied only when it runs
 /// out of capacity, and each reallocation doubles that capacity.
 ///
+/// Clear() empties the table but keeps that capacity, so the engine
+/// recycles a flushed memtable instead of allocating a new one: when the
+/// last reference to its immutable memtable drops (the flush's, or a
+/// reader's), the table is cleared and parked as the engine's one spare,
+/// and the next memtable swap takes it. Its columns are then already
+/// grown and faulted in, so refilling it copies each row once and grows
+/// nothing. An engine holds at most one spare. Its heap, up to about 2x
+/// EngineOptions::memtable_bytes, is not charged to admission control
+/// (bytes() is 0 while it waits) and is freed on Close; a memtable
+/// whose last reference drops after Close is freed, not parked.
+///
 /// Not thread-safe; the engine serializes access under its mutex.
 class MemTable {
  public:
@@ -37,6 +48,9 @@ class MemTable {
   /// these logical bytes; the heap capacity behind them may reach up to
   /// 2x this under geometric growth.
   size_t bytes() const { return rows_ * cols_.size() * sizeof(double); }
+
+  /// Drops every row and keeps each column's capacity.
+  void Clear();
 
   const std::vector<double>& column(size_t i) const { return cols_[i]; }
   /// Moves column `i` out (flush path; the memtable is discarded after).

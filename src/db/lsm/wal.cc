@@ -93,21 +93,26 @@ Status Wal::Seal(const std::string& dir, uint64_t seq, uint64_t length) {
   return fs::TruncateFile(path, length);
 }
 
-Status Wal::Append(uint8_t type, ByteSpan payload) {
+Status Wal::Append(uint8_t type, ByteSpan head, ByteSpan body) {
   if (!poison_.ok()) return poison_;
-  if (payload.size() > kMaxRecordBytes) {
+  if (head.size() > kMaxRecordBytes ||
+      body.size() > kMaxRecordBytes - head.size()) {
     return Status::InvalidArgument("wal: record payload too large");
   }
   // Serialize straight into the pending batch: hash | len | type |
-  // payload, where the hash covers everything after itself (hashed in
-  // place) so a torn or bit-flipped record can never verify.
-  const uint32_t len = static_cast<uint32_t>(payload.size());
+  // head | body, where the hash covers everything after itself (hashed
+  // in place) so a torn or bit-flipped record can never verify.
+  const uint32_t len = static_cast<uint32_t>(head.size() + body.size());
   uint8_t* rec = pending_.ExtendUninit(kRecordHeaderBytes + len);
-  uint8_t* body = rec + sizeof(uint64_t);  // len | type | payload
-  std::memcpy(body, &len, sizeof(len));
-  body[sizeof(len)] = type;
-  if (len > 0) std::memcpy(body + sizeof(len) + 1, payload.data(), len);
-  const uint64_t hash = XxHash64(body, sizeof(len) + 1 + len);
+  uint8_t* covered = rec + sizeof(uint64_t);  // len | type | payload
+  std::memcpy(covered, &len, sizeof(len));
+  covered[sizeof(len)] = type;
+  uint8_t* payload = covered + sizeof(len) + 1;
+  if (!head.empty()) std::memcpy(payload, head.data(), head.size());
+  if (!body.empty()) {
+    std::memcpy(payload + head.size(), body.data(), body.size());
+  }
+  const uint64_t hash = XxHash64(covered, sizeof(len) + 1 + len);
   std::memcpy(rec, &hash, sizeof(hash));
   return Status::OK();
 }

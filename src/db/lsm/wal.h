@@ -92,8 +92,14 @@ class Wal {
   /// has that length.
   static Status Seal(const std::string& dir, uint64_t seq, uint64_t length);
 
-  /// Buffers one record for the next Commit.
-  Status Append(uint8_t type, ByteSpan payload);
+  /// Buffers one record for the next Commit. Its payload is `head`
+  /// followed by `body`: a caller whose record is a small prefix plus a
+  /// large array it already holds passes the two apart, so the record is
+  /// serialized once, straight into the pending batch, and hashed there.
+  /// The bytes written are those of the one-span form with the two spans
+  /// concatenated. InvalidArgument when the payload exceeds
+  /// kMaxRecordBytes; the poison status once the WAL is poisoned.
+  Status Append(uint8_t type, ByteSpan head, ByteSpan body = {});
 
   /// Writes all buffered records to the current segment, syncs once
   /// when configured, and rotates past the segment watermark.

@@ -608,6 +608,92 @@ TEST(ConcurrencyTest, ScrubAndCompactRaceLiveAppendsWithoutLossOrReorder) {
   lsmrace::RemoveTree(dir);
 }
 
+TEST(ConcurrencyTest, ReadersHoldingFlushedMemtablesSeeExactlyTheAckedRows) {
+  // A read copies the immutable memtable's column last, after decoding
+  // every segment. A large first segment makes that decode slow, so a
+  // reader often still holds a memtable when its flush publishes and
+  // the memtables after it fill. That memtable is recycled (cleared and
+  // refilled as a later live memtable) only once the last reader lets
+  // go. Any reuse under a reader shows up here as a read that is not
+  // exactly the acked prefix, and under TSan as a race.
+  using db::lsm::ColumnDef;
+  using db::lsm::EngineOptions;
+  using db::lsm::IngestEngine;
+
+  const std::string dir = lsmrace::UniqueDir("recycle_readers");
+  lsmrace::RemoveTree(dir);
+
+  EngineOptions opt;
+  opt.sync_on_commit = false;
+  opt.background_flush = true;
+  opt.compact_fanout = 0;
+  opt.flush_compressor = "fpzip";
+  std::vector<ColumnDef> schema(1);
+  schema[0].name = "v";
+
+  constexpr size_t kPreload = 1 << 16;
+  {
+    auto preload = IngestEngine::Open(dir, schema, opt);
+    ASSERT_TRUE(preload.ok()) << preload.status().ToString();
+    std::vector<double> rows(kPreload);
+    for (size_t i = 0; i < kPreload; ++i) rows[i] = static_cast<double>(i);
+    ASSERT_TRUE(preload.value()->AppendBatch(rows).ok());
+    ASSERT_TRUE(preload.value()->Flush().ok());
+  }
+  opt.memtable_bytes = 1 << 10;
+  auto opened = IngestEngine::Open(dir, schema, opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+
+  constexpr size_t kBatches = 800;
+  constexpr size_t kRows = 8;
+  std::atomic<uint64_t> acked{kPreload};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> bad_reads{0}, reads{0};
+
+  auto reader = [&] {
+    while (!done.load()) {
+      const uint64_t floor = acked.load();
+      auto v = eng.ReadColumn("v");
+      const uint64_t ceiling = acked.load();
+      ++reads;
+      // A batch is readable just before the writer counts it as acked.
+      bool exact = v.ok() && v.value().size() >= floor &&
+                   v.value().size() <= ceiling + kRows;
+      for (size_t i = 0; exact && i < v.value().size(); ++i) {
+        exact = v.value()[i] == static_cast<double>(i);
+      }
+      if (!exact) ++bad_reads;
+    }
+  };
+  std::thread r1(reader), r2(reader);
+
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<double> rows(kRows);
+    for (size_t r = 0; r < kRows; ++r) {
+      rows[r] = static_cast<double>(kPreload + b * kRows + r);
+    }
+    ASSERT_TRUE(eng.AppendBatch(rows).ok()) << "batch " << b;
+    acked += kRows;
+  }
+  done = true;
+  r1.join();
+  r2.join();
+  ASSERT_TRUE(eng.WaitForFlush().ok());
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(bad_reads.load(), 0u);
+  auto v = eng.ReadColumn("v");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_EQ(v.value().size(), kPreload + kBatches * kRows);
+  for (size_t i = 0; i < v.value().size(); ++i) {
+    ASSERT_EQ(v.value()[i], static_cast<double>(i)) << "row " << i;
+  }
+
+  ASSERT_TRUE(eng.Close().ok());
+  lsmrace::RemoveTree(dir);
+}
+
 TEST(ThreadPoolLivenessTest, CallerNeverRunsForeignTasksAndLateStubsSkipFn) {
   // Both workers are parked, so every helper stub ParallelFor submits
   // sits in the queue behind a task another thread submitted. The

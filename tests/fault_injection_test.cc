@@ -769,6 +769,102 @@ TEST_F(EngineFaultTest, FailedCompactionManifestLeavesEngineUnchanged) {
   CheckRecovery(dir_, acked);
 }
 
+TEST_F(EngineFaultTest, FailedCompactionManifestDropsMergedFiles) {
+  auto opts = FaultOptions();
+  opts.memtable_bytes = 1 << 20;
+  opts.compact_fanout = 0;  // compaction only when asked
+  auto engr = IngestEngine::Open(dir_, FaultSchema(), opts);
+  ASSERT_TRUE(engr.ok());
+  auto& eng = engr.value();
+  std::vector<double> acked;
+  for (size_t b = 0; b < 3; ++b) {
+    ASSERT_TRUE(eng->AppendBatch(BatchRows(b, 30)).ok());
+    ASSERT_TRUE(eng->Flush().ok());
+    for (size_t r = 0; r < 30; ++r) acked.push_back(b * 1000.0 + r);
+  }
+  std::vector<uint64_t> live;
+  for (const auto& s : eng->segments()) live.push_back(s.id);
+  const std::vector<std::string> live_files = SegmentFiles(dir_, live);
+  ASSERT_FALSE(live_files.empty());
+  // Each attempt takes a fresh id above the live ones for its merged run.
+  const std::vector<uint64_t> merged = {live.back() + 1, live.back() + 2,
+                                        live.back() + 3};
+  ASSERT_TRUE(SegmentFiles(dir_, merged).empty());
+
+  // Each compaction writes a merged segment whose manifest publish then
+  // fails; the MANIFEST on disk never names it, so nothing may stay.
+  ASSERT_TRUE(fail::FailPoints::Set("lsm.manifest", "err").ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(eng->Compact().ok());
+    EXPECT_TRUE(SegmentFiles(dir_, merged).empty())
+        << "after compaction " << i;
+    EXPECT_EQ(SegmentFiles(dir_, live), live_files)
+        << "after compaction " << i;
+  }
+  fail::FailPoints::ClearAll();
+
+  ASSERT_TRUE(eng->Compact().ok());
+  ASSERT_EQ(eng->segments().size(), 1u);
+  engr.value().reset();
+  CheckRecovery(dir_, acked);
+}
+
+TEST_F(EngineFaultTest, CompactionManifestRenamedButNotSyncedKeepsMergedFiles) {
+  auto opts = FaultOptions();
+  opts.memtable_bytes = 1 << 20;
+  opts.compact_fanout = 0;
+  opts.io_retry_attempts = 1;
+  auto load = [&](const std::string& dir, std::vector<double>* acked) {
+    auto engr = IngestEngine::Open(dir, FaultSchema(), opts);
+    EXPECT_TRUE(engr.ok());
+    for (size_t b = 0; b < 3; ++b) {
+      EXPECT_TRUE(engr.value()->AppendBatch(BatchRows(b, 30)).ok());
+      EXPECT_TRUE(engr.value()->Flush().ok());
+      for (size_t r = 0; r < 30; ++r) acked->push_back(b * 1000.0 + r);
+    }
+    return std::move(engr).TakeValue();
+  };
+
+  // The engine MANIFEST's directory fsync is the last one a compaction
+  // makes (dropping the run syncs nothing); count them on a probe engine.
+  const std::string probe = dir_ + "_probe";
+  RemoveTree(probe);
+  uint64_t dir_syncs = 0;
+  {
+    std::vector<double> unused;
+    auto eng = load(probe, &unused);
+    fail::FailPoints::EnableCounting(true);
+    fail::FailPoints::ResetCounters();
+    ASSERT_TRUE(eng->Compact().ok());
+    dir_syncs = fail::FailPoints::HitCount("fs.sync_dir");
+    fail::FailPoints::EnableCounting(false);
+  }
+  RemoveTree(probe);
+  ASSERT_GT(dir_syncs, 0u);
+
+  std::vector<double> acked;
+  auto eng = load(dir_, &acked);
+  const uint64_t merged_id = eng->segments().back().id + 1;
+  ASSERT_TRUE(fail::FailPoints::Set(
+                  "fs.sync_dir", "err@" + std::to_string(dir_syncs))
+                  .ok());
+  EXPECT_FALSE(eng->Compact().ok());
+  fail::FailPoints::ClearAll();
+  // The renamed MANIFEST names the merged segment, so a crash now would
+  // recover from it: its files must stay.
+  EXPECT_EQ(eng->segments().size(), 3u);
+  EXPECT_FALSE(SegmentFiles(dir_, {merged_id}).empty());
+  eng.reset();
+
+  auto reopened = IngestEngine::Open(dir_, FaultSchema(), opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(reopened.value()->segments().size(), 1u);
+  EXPECT_EQ(reopened.value()->segments()[0].id, merged_id);
+  auto v = reopened.value()->ReadColumn("v");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value(), acked);
+}
+
 TEST_F(EngineFaultTest, FailedQuarantineManifestLeavesEngineUnchanged) {
   auto opts = FaultOptions();
   opts.memtable_bytes = 1 << 20;

@@ -30,6 +30,7 @@
 #include "db/lsm/memtable.h"
 #include "db/lsm/wal.h"
 #include "lsm_test_util.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/thread_pool.h"
@@ -99,6 +100,45 @@ TEST(MemTableTest, ColumnGrowthIsAmortized) {
   }
   EXPECT_EQ(mem.rows(), 256 * kBatchRows);
   EXPECT_LE(moves, 16u);
+}
+
+TEST(MemTableTest, ClearKeepsCapacityAndRefillsExactly) {
+  constexpr size_t kCols = 3;
+  MemTable mem(kCols);
+  const std::vector<double> first = RowMajor(0, 500, kCols);
+  mem.AppendRows(first.data(), 500);
+  std::vector<const double*> data(kCols);
+  std::vector<size_t> capacity(kCols);
+  for (size_t c = 0; c < kCols; ++c) {
+    data[c] = mem.column(c).data();
+    capacity[c] = mem.column(c).capacity();
+  }
+
+  mem.Clear();
+  EXPECT_TRUE(mem.empty());
+  EXPECT_EQ(mem.bytes(), 0u);
+  EXPECT_EQ(mem.num_columns(), kCols);
+  for (size_t c = 0; c < kCols; ++c) {
+    EXPECT_TRUE(mem.column(c).empty());
+    EXPECT_EQ(mem.column(c).capacity(), capacity[c]);
+  }
+
+  // Refilled up to the old size, the columns hold exactly the new rows,
+  // in the same storage.
+  size_t total = 0;
+  for (const size_t nrows : {3, 200, 297}) {
+    const std::vector<double> batch = RowMajor(1000 + total, nrows, kCols);
+    mem.AppendRows(batch.data(), nrows);
+    total += nrows;
+  }
+  ASSERT_EQ(mem.rows(), total);
+  for (size_t c = 0; c < kCols; ++c) {
+    EXPECT_EQ(mem.column(c).data(), data[c]) << "col=" << c;
+    ASSERT_EQ(mem.column(c).size(), total);
+    for (size_t r = 0; r < total; ++r) {
+      ASSERT_EQ(mem.column(c)[r], Cell(1000 + r, c)) << "row=" << r;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +395,9 @@ TEST_F(WalTest, KillAtAnyByteTruncationSweepZeroPadded) {
         std::all_of(file.data() + std::min(boundary, cut), file.data() + cut,
                     [](uint8_t b) { return b == 0; });
     EXPECT_EQ(replay.value().truncated, !zero_rest) << "cut=" << cut;
-    if (cut == boundary) EXPECT_FALSE(replay.value().truncated);
+    if (cut == boundary) {
+      EXPECT_FALSE(replay.value().truncated);
+    }
     EXPECT_EQ(replay.value().end_offset, header_ok ? boundary : 0u)
         << "cut=" << cut;
     RemoveTree(probe);
@@ -523,6 +565,54 @@ TEST_F(WalTest, CommittedRecordBytesMatchGoldenFormat) {
             "bb5f84c53c9b664d040000000700ff1080");
 }
 
+TEST_F(WalTest, TwoSpanAppendWritesTheOneSpanBytes) {
+  // Every split of a payload into head and body, the empty ones
+  // included, must commit the bytes of the one-span form.
+  const Buffer payload = Payload(9);
+  const ByteSpan all = payload.span();
+  Wal::Options opt;
+  auto joined = Wal::Open(dir_, 0, opt);
+  auto split = Wal::Open(dir_, 1, opt);
+  ASSERT_TRUE(joined.ok() && split.ok());
+  for (size_t cut = 0; cut <= all.size(); ++cut) {
+    ASSERT_TRUE(joined.value()->Append(Wal::kTypeRows, all).ok());
+    ASSERT_TRUE(split.value()
+                    ->Append(Wal::kTypeRows, all.first(cut),
+                             all.subspan(cut))
+                    .ok());
+  }
+  ASSERT_TRUE(joined.value()->Append(3, ByteSpan()).ok());
+  ASSERT_TRUE(split.value()->Append(3, ByteSpan(), ByteSpan()).ok());
+  ASSERT_TRUE(joined.value()->Close().ok());
+  ASSERT_TRUE(split.value()->Close().ok());
+
+  auto a = fs::ReadFile(fs::JoinPath(dir_, Wal::SegmentFileName(0)));
+  auto b = fs::ReadFile(fs::JoinPath(dir_, Wal::SegmentFileName(1)));
+  ASSERT_TRUE(a.ok() && b.ok());
+  // Past the headers, which differ only in the segment seq varint.
+  constexpr size_t kHeader = 6;
+  ASSERT_GT(a.value().size(), kHeader);
+  const ByteSpan ra = a.value().span().subspan(kHeader);
+  const ByteSpan rb = b.value().span().subspan(kHeader);
+  EXPECT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()));
+}
+
+TEST_F(WalTest, TwoSpanAppendRejectsAnOversizedPayload) {
+  // Each span alone fits; together they are one byte over the limit.
+  const std::vector<uint8_t> half(Wal::kMaxRecordBytes / 2 + 1);
+  const ByteSpan span(half.data(), half.size());
+  Wal::Options opt;
+  auto wal = Wal::Open(dir_, 0, opt);
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal.value()->Append(Wal::kTypeRows, span, span.first(
+                                    Wal::kMaxRecordBytes / 2)).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(wal.value()->Close().ok());
+  auto replay = WalReader::ReplayDir(dir_, 0);
+  ASSERT_TRUE(replay.ok());
+  EXPECT_TRUE(replay.value().records.empty());
+}
+
 // ---------------------------------------------------------------------------
 // IngestEngine
 // ---------------------------------------------------------------------------
@@ -536,6 +626,30 @@ TEST_F(LsmEngineTest, AppendFlushReadBack) {
   ASSERT_EQ(eng.value()->segments().size(), 1u);
   EXPECT_EQ(eng.value()->segments()[0].rows, 3000u);
   ExpectColumnsEqualPrefix(*eng.value(), 3000);
+}
+
+TEST_F(LsmEngineTest, FlushesRecycleTheMemtable) {
+  // Each flush parks its memtable, cleared, as the spare, and the next
+  // swap takes it instead of allocating: every flush after the first
+  // reuses one. Reads stay exact across the reuse.
+  if (!obs::Enabled()) GTEST_SKIP() << "metrics disabled";
+  obs::Counter* recycled =
+      obs::MetricsRegistry::Global().GetCounter("lsm.memtable.recycled");
+  auto eng = IngestEngine::Open(dir_, Schema(), FastOptions());
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  const uint64_t before = recycled->value();
+  constexpr uint64_t kFlushes = 5;
+  constexpr uint64_t kRows = 700;
+  for (uint64_t f = 0; f < kFlushes; ++f) {
+    ASSERT_TRUE(AppendRows(*eng.value(), f * kRows, (f + 1) * kRows, 50).ok());
+    ExpectColumnsEqualPrefix(*eng.value(), (f + 1) * kRows);
+    ASSERT_TRUE(eng.value()->Flush().ok());
+  }
+  EXPECT_EQ(recycled->value() - before, kFlushes - 1);
+  ASSERT_TRUE(AppendRows(*eng.value(), kFlushes * kRows,
+                         (kFlushes + 1) * kRows, 50).ok());
+  EXPECT_EQ(eng.value()->buffered_bytes(), kRows * 3 * sizeof(double));
+  ExpectColumnsEqualPrefix(*eng.value(), (kFlushes + 1) * kRows);
 }
 
 TEST_F(LsmEngineTest, MemtableRecoversFromWalAfterCrash) {
@@ -1085,7 +1199,9 @@ TEST_F(LsmEngineTest, ScrubCompletesUnderBackToBackReaders) {
   ASSERT_TRUE(rep.ok()) << rep.status().ToString();
   EXPECT_LT(elapsed, std::chrono::seconds(2));
   EXPECT_EQ(rep.value().quarantined_ids, std::vector<uint64_t>{1});
-  if (files_left) EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+  if (files_left) {
+    EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+  }
 
   EXPECT_TRUE(SegmentFiles(dir_, 1).empty());
   EXPECT_FALSE(SegmentFiles(fs::JoinPath(dir_, "quarantine"), 1).empty());
@@ -1154,7 +1270,9 @@ TEST_F(LsmEngineTest, CompactionPublishesOnlyIfItsWholeRunIsStillServed) {
     if (!rep.value().quarantined_ids.empty()) {
       EXPECT_EQ(rep.value().quarantined_ids, std::vector<uint64_t>{1});
       EXPECT_FALSE(compacted.ok()) << "merged a run that lost a segment";
-      if (b_files_left) EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+      if (b_files_left) {
+        EXPECT_TRUE(HasMovePendingNote(rep.value(), 1));
+      }
       // The compaction held B last; its release moved the files.
       EXPECT_TRUE(SegmentFiles(dir_, 1).empty());
       EXPECT_FALSE(

@@ -62,11 +62,12 @@ class LsmEngineTest : public ::testing::Test {
   }
 
   static std::vector<ColumnDef> Schema() {
-    return {
-        {.name = "ts", .dtype = DType::kFloat64},
-        {.name = "value", .dtype = DType::kFloat64},
-        {.name = "flag", .dtype = DType::kFloat32},
-    };
+    std::vector<ColumnDef> schema(3);
+    schema[0].name = "ts";
+    schema[1].name = "value";
+    schema[2].name = "flag";
+    schema[2].dtype = DType::kFloat32;
+    return schema;
   }
 
   /// Row i of the deterministic test table.
