@@ -14,9 +14,9 @@
 #                               # chaos seed (FCBENCH_FAULT_SEED, default 42)
 #                               # so failures reproduce locally; the
 #                               # ASan+UBSan pass also runs the codec suites
-#                               # (codecs, wire format, corruption, golden
-#                               # round trip) and the engine suites (lsm,
-#                               # shard)
+#                               # (codecs, compressors, wire format,
+#                               # corruption, golden round trip) and the
+#                               # engine suites (lsm, shard)
 #   scripts/ci.sh --tsan        # race lane: ThreadSanitizer build, run the
 #                               # concurrency- and fault-labeled suites
 #                               # (ctest -L 'concurrency|fault') so the
@@ -175,13 +175,15 @@ PY
   # sanitizers, so a leak or UB on a rarely-taken failure branch fails
   # the lane instead of shipping. The codec suites run here too: the
   # compress kernels write through raw pointers into reserved buffers and
-  # load 8 bytes at a time, and the corruption suites feed the decoders
-  # hostile lengths.
+  # load 8 bytes at a time, the decoders write in place (pFPC chunks into
+  # their slices, LZ4 matches a word at a time), compressors_test holds
+  # the pFPC, bitshuffle, SPDP and transpose round trips, and the
+  # corruption suites feed the decoders hostile lengths.
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
   # The engine suites exercise segment-handle and Version lifetimes
   # (last-release drops and quarantine moves, off-lock reads racing
   # installs), which only a sanitizer sees go wrong.
-  SAN_SUITES="codecs_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test"
+  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   # shellcheck disable=SC2086  # word-split the suite list into targets

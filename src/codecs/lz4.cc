@@ -148,11 +148,15 @@ void Lz4Codec::Compress(ByteSpan input, Buffer* out) const {
 
 Status Lz4Codec::Decompress(ByteSpan input, size_t decompressed_size,
                             Buffer* out) const {
+  const size_t base = out->size();
+  out->Resize(base + decompressed_size);
+  return DecompressTo(input, decompressed_size, out->data() + base);
+}
+
+Status Lz4Codec::DecompressTo(ByteSpan input, size_t decompressed_size,
+                              uint8_t* dst) const {
   const uint8_t* src = input.data();
   const size_t n = input.size();
-  size_t base = out->size();
-  out->Resize(base + decompressed_size);
-  uint8_t* dst = out->data() + base;
   size_t dpos = 0;
   size_t spos = 0;
 
@@ -200,9 +204,20 @@ Status Lz4Codec::Decompress(ByteSpan input, size_t decompressed_size,
     if (dpos + match_len > decompressed_size) {
       return Status::Corruption("lz4: match run out of bounds");
     }
-    // Byte-by-byte copy: offsets < length overlap intentionally (RLE-ish).
     const uint8_t* from = dst + dpos - off;
-    for (size_t i = 0; i < match_len; ++i) dst[dpos + i] = from[i];
+    uint8_t* to = dst + dpos;
+    if (off >= 8 &&
+        ((match_len + 7) & ~size_t{7}) <= decompressed_size - dpos) {
+      // Whole words: with off >= 8 each word's source was written before
+      // it is read. The last word may run up to 7 bytes past the match,
+      // never past decompressed_size; later sequences overwrite them.
+      for (size_t i = 0; i < match_len; i += 8) {
+        std::memcpy(to + i, from + i, 8);
+      }
+    } else {
+      // Byte by byte: offsets < length overlap intentionally (RLE-ish).
+      for (size_t i = 0; i < match_len; ++i) to[i] = from[i];
+    }
     dpos += match_len;
   }
 

@@ -47,10 +47,19 @@ class Lz4Codec {
   /// Worst-case size of the block Compress writes for `n` input bytes.
   static size_t CompressBound(size_t n);
 
-  /// Decompresses a block produced by Compress. `decompressed_size` must be
-  /// the exact original size (the framing layer stores it).
+  /// Decompresses a block produced by Compress, appending to `out`.
+  /// `decompressed_size` must be the exact original size (the framing
+  /// layer stores it).
   Status Decompress(ByteSpan input, size_t decompressed_size,
                     Buffer* out) const;
+
+  /// Decompress into the `decompressed_size` bytes at `dst`. Matches with
+  /// an offset of at least 8 are copied a word at a time, and such a copy
+  /// may write up to 7 bytes past the match, but only when they lie inside
+  /// `dst`: no write ever goes past dst + decompressed_size. On error the
+  /// contents of `dst` are unspecified.
+  Status DecompressTo(ByteSpan input, size_t decompressed_size,
+                      uint8_t* dst) const;
 
  private:
   Options opts_;

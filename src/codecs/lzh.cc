@@ -178,6 +178,15 @@ void LzhCodec::Compress(ByteSpan input, Buffer* out) const {
 
 Status LzhCodec::Decompress(ByteSpan input, size_t decompressed_size,
                             Buffer* out) {
+  const size_t base = out->size();
+  out->Resize(base + decompressed_size);
+  Status st = DecompressTo(input, decompressed_size, out->data() + base);
+  if (!st.ok()) out->Resize(base);
+  return st;
+}
+
+Status LzhCodec::DecompressTo(ByteSpan input, size_t decompressed_size,
+                              uint8_t* dst) {
   size_t off = 0;
   uint64_t orig = 0, num_seq = 0;
   if (!GetVarint64(input, &off, &orig) ||
@@ -224,9 +233,6 @@ Status LzhCodec::Decompress(ByteSpan input, size_t decompressed_size,
     off += consumed;
   }
 
-  size_t base = out->size();
-  out->Resize(base + orig);
-  uint8_t* dst = out->data() + base;
   size_t dpos = 0;
   size_t lit_pos = 0;
   size_t ll_off = 0, ml_off = 0, d_off = 0;

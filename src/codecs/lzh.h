@@ -46,12 +46,18 @@ class LzhCodec {
   /// re-entrant per thread: nothing it calls runs another LZ matcher.
   void Compress(ByteSpan input, Buffer* out) const;
 
-  /// Decompresses a frame produced by Compress, appending to `out`.
+  /// Decompresses a frame produced by Compress, appending to `out`, which
+  /// keeps its size on entry when the frame is corrupt.
   /// `decompressed_size` must be the exact original size (the framing
   /// layer knows it); a frame declaring any other size is Corruption,
-  /// rejected before anything is allocated.
+  /// rejected before its streams are decoded.
   static Status Decompress(ByteSpan input, size_t decompressed_size,
                            Buffer* out);
+
+  /// Decompress into the `decompressed_size` bytes at `dst`. On error the
+  /// contents of `dst` are unspecified.
+  static Status DecompressTo(ByteSpan input, size_t decompressed_size,
+                             uint8_t* dst);
 
  private:
   Options opts_;

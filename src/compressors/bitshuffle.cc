@@ -15,8 +15,8 @@ namespace {
 
 constexpr size_t kDefaultBlock = 4096;  // bytes; bitshuffle's L1 target
 
-/// The transposed block, kept per thread and reused (as large as the
-/// largest block the thread has compressed).
+/// The transposed block, kept per thread and reused by compress and
+/// decompress (as large as the largest block the thread has coded).
 uint8_t* TransposeScratch(size_t block) {
   thread_local std::vector<uint8_t> transposed;
   if (transposed.size() < block) transposed.resize(block);
@@ -32,11 +32,11 @@ void BackendCompress(BitshuffleBackend backend, ByteSpan in, Buffer* out) {
 }
 
 Status BackendDecompress(BitshuffleBackend backend, ByteSpan in,
-                         size_t orig_size, Buffer* out) {
+                         size_t orig_size, uint8_t* dst) {
   if (backend == BitshuffleBackend::kLz4) {
-    return codecs::Lz4Codec().Decompress(in, orig_size, out);
+    return codecs::Lz4Codec().DecompressTo(in, orig_size, dst);
   }
-  return codecs::LzhCodec::Decompress(in, orig_size, out);
+  return codecs::LzhCodec::DecompressTo(in, orig_size, dst);
 }
 
 }  // namespace
@@ -149,9 +149,9 @@ Status BitshuffleCompressor::Decompress(ByteSpan input, const DataDesc& desc,
       [&](size_t b) {
         size_t begin = b * block;
         size_t len = std::min<size_t>(block, total - begin);
-        Buffer transposed;
+        uint8_t* transposed = TransposeScratch(len);
         Status st = BackendDecompress(
-            backend_, input.subspan(starts[b], sizes[b]), len, &transposed);
+            backend_, input.subspan(starts[b], sizes[b]), len, transposed);
         if (!st.ok()) {
           stats[b] = st;
           return;
@@ -160,8 +160,8 @@ Status BitshuffleCompressor::Decompress(ByteSpan input, const DataDesc& desc,
         size_t whole_elems = (elems / 8) * 8;
         size_t whole_bytes = whole_elems * esize;
         uint8_t* dst = out->data() + base + begin;
-        BitUntranspose(transposed.data(), dst, whole_elems, esize);
-        std::copy(transposed.data() + whole_bytes, transposed.data() + len,
+        BitUntranspose(transposed, dst, whole_elems, esize);
+        std::copy(transposed + whole_bytes, transposed + len,
                   dst + whole_bytes);
       },
       {/*grain=*/0, /*max_parallelism=*/static_cast<size_t>(threads_)});

@@ -110,7 +110,8 @@ Status FpzipDecode(ByteSpan input, const DataDesc& desc, Buffer* out) {
   uint64_t sym_size = 0, raw_size = 0;
   if (!GetVarint64(input, &off, &sym_size) ||
       !GetVarint64(input, &off, &raw_size) ||
-      off + sym_size + raw_size > input.size()) {
+      sym_size > input.size() - off ||
+      raw_size > input.size() - off - sym_size) {
     return Status::Corruption("fpzip: bad header");
   }
   codecs::RangeDecoder dec(input.subspan(off, sym_size));

@@ -105,41 +105,51 @@ class FpcKernel {
     }
   }
 
-  Status Decompress(ByteSpan in, size_t n, Buffer* out) {
+  /// Decodes the n words of chunk `in` into `dst` (8n bytes). `*decoded`
+  /// is the number of words written, all n on success; they are the words
+  /// that went through the tables.
+  Status Decompress(ByteSpan in, size_t n, uint8_t* dst, size_t* decoded) {
+    *decoded = 0;
     size_t off = 0;
     uint64_t codes_size = 0, residue_size = 0;
     if (!GetVarint64(in, &off, &codes_size) ||
         !GetVarint64(in, &off, &residue_size) ||
-        off + codes_size + residue_size > in.size()) {
+        codes_size > in.size() - off ||
+        residue_size > in.size() - off - codes_size) {
       return Status::Corruption("pfpc: bad chunk header");
     }
-    ByteSpan codes = in.subspan(off, codes_size);
-    ByteSpan residue = in.subspan(off + codes_size, residue_size);
+    if (codes_size < (n + 1) / 2) {
+      return Status::Corruption("pfpc: truncated code stream");
+    }
+    const uint8_t* const codes = in.data() + off;
+    const uint8_t* const residue = codes + codes_size;
     size_t rpos = 0;
 
     for (size_t i = 0; i < n; ++i) {
-      if (i / 2 >= codes.size()) {
-        return Status::Corruption("pfpc: truncated code stream");
-      }
       uint8_t nibble = (i % 2 == 0) ? (codes[i / 2] >> 4)
                                     : (codes[i / 2] & 0x0f);
       bool use_dfcm = (nibble & 8) != 0;
       int code = nibble & 7;
       int lzb = (code == 7) ? 8 : code;
-      int keep = 8 - lzb;
-      if (rpos + keep > residue.size()) {
+      size_t keep = 8 - lzb;
+      uint64_t x = 0;
+      if (residue_size - rpos >= 8) {
+        // One big-endian load; the residual is its top `keep` bytes.
+        if (keep > 0) x = LoadBigEndian64(residue + rpos) >> (8 * lzb);
+      } else if (keep <= residue_size - rpos) {
+        for (size_t b = 0; b < keep; ++b) x = (x << 8) | residue[rpos + b];
+      } else {
+        *decoded = i;
         return Status::Corruption("pfpc: truncated residuals");
       }
-      uint64_t x = 0;
-      for (int b = keep - 1; b >= 0; --b) {
-        x |= static_cast<uint64_t>(residue[rpos++]) << (8 * b);
-      }
+      rpos += keep;
       uint64_t pred =
           use_dfcm ? (last_ + dfcm_[dfcm_hash_]) : fcm_[fcm_hash_];
       uint64_t v = x ^ pred;
       UpdateTables(v);
-      out->Append(&v, 8);
+      std::memcpy(dst + i * 8, &v, 8);
     }
+    *decoded = n;
     return Status::OK();
   }
 
@@ -270,18 +280,23 @@ Status PfpcCompressor::Decompress(ByteSpan input, const DataDesc& desc,
   if (nchunks > input.size() - off) {  // each chunk needs >= 1 header byte
     return Status::Corruption("pfpc: implausible chunk count");
   }
+  // Each chunk decodes into its own slice of `out`, so the directory must
+  // cover every word exactly once: a short one would leave words unwritten.
+  // Every word also takes half a code byte, so the stream bounds the
+  // output allocated below.
+  const uint64_t total_words = desc.num_bytes() / 8;
+  if (total_words == 0 ? nchunks != 0
+                       : chunk_words == 0 ||
+                             nchunks != (total_words - 1) / chunk_words + 1 ||
+                             total_words / 2 > input.size()) {
+    return Status::Corruption("pfpc: inconsistent chunk directory");
+  }
   std::vector<uint64_t> sizes(nchunks);
   for (auto& s : sizes) {
     if (!GetVarint64(input, &off, &s)) {
       return Status::Corruption("pfpc: bad chunk size");
     }
   }
-  uint64_t total_words = desc.num_bytes() / 8;
-  if (nchunks > 0 &&
-      (chunk_words == 0 || (nchunks - 1) * chunk_words >= total_words)) {
-    return Status::Corruption("pfpc: inconsistent chunk directory");
-  }
-
   // Chunk start offsets for parallel decompression. Every offset is
   // validated as it accumulates so corrupt sizes can neither wrap the
   // offset nor push a subspan past the input.
@@ -301,24 +316,32 @@ Status PfpcCompressor::Decompress(ByteSpan input, const DataDesc& desc,
     off = pos;
   }
 
-  std::vector<Buffer> parts(nchunks);
+  const size_t base = out->size();
+  out->Resize(base + total_words * 8);
+  uint8_t* const words = out->data() + base;
   std::vector<Status> stats(nchunks);
   ThreadPool::Shared().ParallelFor(
       nchunks,
       [&](size_t c) {
         size_t begin = c * chunk_words;
         size_t end = std::min<uint64_t>(total_words, begin + chunk_words);
+        uint8_t* dst = words + begin * 8;
         PredictorTables& tables = PredictorTables::ForChunk(table_log_);
         FpcKernel kernel(table_log_, tables.fcm.data(), tables.dfcm.data());
+        size_t decoded = 0;
         stats[c] = kernel.Decompress(input.subspan(starts[c], sizes[c]),
-                                     end - begin, &parts[c]);
+                                     end - begin, dst, &decoded);
         // Every decoded word, and only those, went through the tables,
         // also when the chunk turned out corrupt.
-        tables.Release(&kernel, parts[c].data(), parts[c].size() / 8);
+        tables.Release(&kernel, dst, decoded);
       },
       {/*grain=*/1, /*max_parallelism=*/static_cast<size_t>(threads_)});
-  for (const auto& st : stats) FCB_RETURN_IF_ERROR(st);
-  for (const auto& p : parts) out->Append(p.span());
+  for (const auto& st : stats) {
+    if (!st.ok()) {
+      out->Resize(base);
+      return st;
+    }
+  }
   out->Append(input.data() + off, tail);
   return Status::OK();
 }

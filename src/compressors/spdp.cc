@@ -141,7 +141,7 @@ Status SpdpCompressor::Decompress(ByteSpan input, const DataDesc& desc,
     size_t len = static_cast<size_t>(std::min<uint64_t>(bs, remaining));
     uint64_t packed_size = 0;
     if (!GetVarint64(input, &off, &packed_size) ||
-        off + packed_size > input.size()) {
+        packed_size > input.size() - off) {
       return Status::Corruption("spdp: truncated block");
     }
     // The LZ block decodes straight into `out`; the inverse stages then

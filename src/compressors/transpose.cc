@@ -66,6 +66,34 @@ inline void LoadGroupBytePlanes(const uint8_t* base, uint64_t m[K]) {
   }
 }
 
+/// Inverse of LoadGroupBytePlanes: stores the group whose byte k of
+/// element j is byte lane j of m[k]. Each stage is self-inverse, so they
+/// run in reverse order.
+template <size_t K>
+inline void StoreGroupBytePlanes(uint64_t m[K], uint8_t* base) {
+  if constexpr (K == 8) {
+    ByteMatrixTranspose8x8(m);
+    for (size_t j = 0; j < 8; ++j) std::memcpy(base + j * 8, &m[j], 8);
+  } else {
+    for (size_t i : {0, 2}) {
+      uint64_t t = ((m[i] >> 8) ^ m[i + 1]) & 0x00FF00FF00FF00FFULL;
+      m[i + 1] ^= t;
+      m[i] ^= t << 8;
+    }
+    for (size_t i : {0, 1}) {
+      uint64_t t = ((m[i] >> 16) ^ m[i + 2]) & 0x0000FFFF0000FFFFULL;
+      m[i + 2] ^= t;
+      m[i] ^= t << 16;
+    }
+    for (size_t q = 0; q < 4; ++q) {
+      const uint32_t lo = static_cast<uint32_t>(m[q]);
+      const uint32_t hi = static_cast<uint32_t>(m[q] >> 32);
+      std::memcpy(base + q * 4, &lo, 4);
+      std::memcpy(base + (q + 4) * 4, &hi, 4);
+    }
+  }
+}
+
 /// f32/f64 fast path of BitTranspose, byte-identical to the generic loop
 /// (little-endian lanes). Eight groups (64 elements) per block: the
 /// element side moves through whole-word loads, and a byte-matrix
@@ -89,6 +117,31 @@ size_t BitTransposeFast(const uint8_t* src, uint8_t* dst, size_t groups) {
       for (size_t i = 0; i < 8; ++i) {
         std::memcpy(dst + (k * 8 + i) * plane_bytes + g, &y[i], 8);
       }
+    }
+  }
+  return g;
+}
+
+/// f32/f64 fast path of BitUntranspose, the exact mirror of
+/// BitTransposeFast: plane data arrives through single unaligned 64-bit
+/// loads, and each group leaves through whole-element stores. Returns the
+/// number of groups done.
+template <size_t K>
+size_t BitUntransposeFast(const uint8_t* src, uint8_t* dst, size_t groups) {
+  const size_t plane_bytes = groups;
+  size_t g = 0;
+  for (; g + 8 <= groups; g += 8) {
+    uint64_t planes[8][K];  // [group-in-block][byte k]
+    for (size_t k = 0; k < K; ++k) {
+      uint64_t y[8];
+      for (size_t i = 0; i < 8; ++i) {
+        std::memcpy(&y[i], src + (k * 8 + i) * plane_bytes + g, 8);
+      }
+      ByteMatrixTranspose8x8(y);  // y[t] lane i = plane k*8+i, group g+t
+      for (size_t t = 0; t < 8; ++t) planes[t][k] = Transpose8x8(y[t]);
+    }
+    for (size_t t = 0; t < 8; ++t) {
+      StoreGroupBytePlanes<K>(planes[t], dst + (g + t) * 8 * K);
     }
   }
   return g;
@@ -131,46 +184,14 @@ void BitUntranspose(const uint8_t* src, uint8_t* dst, size_t count,
                     size_t elem_size) {
   const size_t groups = count / 8;
   const size_t plane_bytes = groups;
+  size_t g = 0;
   if (elem_size == 8) {
-    // f64 fast path: exact mirror of the blocked forward — plane data
-    // arrives through single unaligned 64-bit loads, leaves through one
-    // 64-bit store per element.
-    size_t g = 0;
-    for (; g + 8 <= groups; g += 8) {
-      uint64_t planes[8][8];  // [group-in-block][byte k]
-      for (size_t k = 0; k < 8; ++k) {
-        uint64_t y[8];
-        for (size_t i = 0; i < 8; ++i) {
-          std::memcpy(&y[i], src + (k * 8 + i) * plane_bytes + g, 8);
-        }
-        ByteMatrixTranspose8x8(y);  // y[t] lane i = plane k*8+i, group g+t
-        for (size_t t = 0; t < 8; ++t) planes[t][k] = Transpose8x8(y[t]);
-      }
-      for (size_t t = 0; t < 8; ++t) {
-        uint8_t* base = dst + (g + t) * 64;
-        uint64_t m[8];
-        for (size_t k = 0; k < 8; ++k) m[k] = planes[t][k];
-        ByteMatrixTranspose8x8(m);  // m[j] = element j's 64-bit word
-        for (size_t j = 0; j < 8; ++j) std::memcpy(base + j * 8, &m[j], 8);
-      }
-    }
-    for (; g < groups; ++g) {  // tail groups
-      uint8_t* base = dst + g * 64;
-      uint64_t m[8];
-      for (size_t k = 0; k < 8; ++k) {
-        uint64_t x = 0;
-        for (size_t i = 0; i < 8; ++i) {
-          x |= static_cast<uint64_t>(src[(k * 8 + i) * plane_bytes + g])
-               << (8 * i);
-        }
-        m[k] = Transpose8x8(x);
-      }
-      ByteMatrixTranspose8x8(m);
-      for (size_t j = 0; j < 8; ++j) std::memcpy(base + j * 8, &m[j], 8);
-    }
-    return;
+    g = BitUntransposeFast<8>(src, dst, groups);
+  } else if (elem_size == 4) {
+    g = BitUntransposeFast<4>(src, dst, groups);
   }
-  for (size_t g = 0; g < groups; ++g) {
+  // Generic loop; for f32/f64 it only runs the tail groups.
+  for (; g < groups; ++g) {
     uint8_t* base = dst + g * 8 * elem_size;
     for (size_t k = 0; k < elem_size; ++k) {
       uint64_t x = 0;

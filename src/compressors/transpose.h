@@ -28,10 +28,15 @@ inline uint64_t Transpose8x8(uint64_t x) {
   return x;
 }
 
-/// Transposes bits of `count` elements, each `elem_size` bytes wide
-/// (elem_size in {4, 8}), from `src` to `dst`. Output layout: bit plane 0
-/// (MSB? no — bit 0 = LSB) of all elements packed first, then plane 1, ...
-/// `count` must be a multiple of 8. src and dst must not alias.
+/// Transposes bits of `count` elements, each `elem_size` bytes wide, from
+/// `src` to `dst`. Output layout: bit plane 0 (bit 0 = LSB) of all
+/// elements packed first, then plane 1, ... `count` must be a multiple of
+/// 8. src and dst must not alias.
+///
+/// Both directions run f32 and f64 (elem_size 4 and 8) through blocked
+/// fast paths, 64 elements at a time, with whole-word loads and stores;
+/// other sizes and the last count % 64 elements take a byte-at-a-time
+/// loop. Both give the same bytes.
 void BitTranspose(const uint8_t* src, uint8_t* dst, size_t count,
                   size_t elem_size);
 

@@ -14,6 +14,13 @@ inline void StoreBigEndian64(uint8_t* p, uint64_t w) {
   for (int b = 0; b < 8; ++b) p[b] = static_cast<uint8_t>(w >> (56 - 8 * b));
 }
 
+/// Loads 8 bytes at `p` most significant first (one load + bswap).
+inline uint64_t LoadBigEndian64(const uint8_t* p) {
+  uint64_t w = 0;
+  for (int b = 0; b < 8; ++b) w = (w << 8) | p[b];
+  return w;
+}
+
 /// MSB-first bit writer, as used by Gorilla/Chimp-style XOR coders where
 /// variable-length control codes are concatenated most-significant-bit
 /// first.

@@ -1,8 +1,11 @@
-// Test-only reference encoders: the straightforward byte-at-a-time LZ4
+// Test-only reference coders: the straightforward byte-at-a-time LZ4
 // and LZH matchers, the one-count-at-a-time FSE normalization repair, the
-// chunk-staging FSE encoder and the generic BitTranspose loop, written the
-// plain way with fresh tables per call. The production kernels are speed
-// layers over these and must produce byte-identical output.
+// chunk-staging FSE encoder and the generic BitTranspose loop, and on the
+// decode side a byte-at-a-time LZ4 decoder, the generic BitUntranspose
+// loop and a pFPC decoder that reads each residual a byte at a time,
+// written the plain way with fresh tables per call. The production
+// kernels are speed layers over these and must produce byte-identical
+// output.
 
 #ifndef FCBENCH_TESTS_CODEC_REFERENCE_H_
 #define FCBENCH_TESTS_CODEC_REFERENCE_H_
@@ -358,6 +361,133 @@ inline void BitTranspose(const uint8_t* src, uint8_t* dst, size_t count,
       }
     }
   }
+}
+
+/// BitUntranspose's generic loop: one bit gathered per element per plane.
+inline void BitUntranspose(const uint8_t* src, uint8_t* dst, size_t count,
+                           size_t elem_size) {
+  const size_t groups = count / 8;
+  for (size_t g = 0; g < groups; ++g) {
+    uint8_t* base = dst + g * 8 * elem_size;
+    for (size_t k = 0; k < elem_size; ++k) {
+      for (size_t j = 0; j < 8; ++j) {
+        uint8_t elem_byte = 0;
+        for (size_t i = 0; i < 8; ++i) {
+          elem_byte |= static_cast<uint8_t>(
+              ((src[(k * 8 + i) * groups + g] >> j) & 1u) << i);
+        }
+        base[j * elem_size + k] = elem_byte;
+      }
+    }
+  }
+}
+
+/// Lz4Codec::Decompress, copying every byte one at a time. Returns false
+/// where the production decoder reports Corruption.
+inline bool Lz4Decompress(ByteSpan input, size_t decompressed_size,
+                          std::vector<uint8_t>* out) {
+  out->assign(decompressed_size, 0);
+  const size_t n = input.size();
+  size_t spos = 0, dpos = 0;
+  auto read_len = [&](size_t nibble, size_t* len) {
+    *len = nibble;
+    if (nibble != 15) return true;
+    uint8_t b = 0;
+    do {
+      if (spos >= n) return false;
+      b = input[spos++];
+      *len += b;
+    } while (b == 255);
+    return true;
+  };
+  while (spos < n) {
+    const uint8_t token = input[spos++];
+    size_t lit_len = 0;
+    if (!read_len(token >> 4, &lit_len)) return false;
+    if (lit_len > n - spos || lit_len > decompressed_size - dpos) {
+      return false;
+    }
+    for (size_t i = 0; i < lit_len; ++i) (*out)[dpos++] = input[spos++];
+    if (spos >= n) break;
+    if (n - spos < 2) return false;
+    const size_t off = input[spos] | (size_t{input[spos + 1]} << 8);
+    spos += 2;
+    if (off == 0 || off > dpos) return false;
+    size_t match_len = 0;
+    if (!read_len(token & 0x0f, &match_len)) return false;
+    match_len += 4;
+    if (match_len > decompressed_size - dpos) return false;
+    for (size_t i = 0; i < match_len; ++i, ++dpos) {
+      (*out)[dpos] = (*out)[dpos - off];
+    }
+  }
+  return dpos == decompressed_size;
+}
+
+/// PfpcCompressor::Decompress of a valid stream of `total_words` words:
+/// fresh predictor tables (2^16 entries) per chunk, and each residual
+/// read one byte at a time. Returns false on a malformed stream.
+inline bool PfpcDecompress(ByteSpan in, uint64_t total_words,
+                           std::vector<uint8_t>* out) {
+  constexpr size_t kMask = (size_t(1) << 16) - 1;
+  out->clear();
+  size_t off = 0;
+  uint64_t nchunks = 0, chunk_words = 0, tail = 0;
+  if (!GetVarint64(in, &off, &nchunks) ||
+      !GetVarint64(in, &off, &chunk_words) ||
+      !GetVarint64(in, &off, &tail) || nchunks > in.size()) {
+    return false;
+  }
+  std::vector<uint64_t> sizes(nchunks);
+  for (auto& size : sizes) {
+    if (!GetVarint64(in, &off, &size)) return false;
+  }
+  for (uint64_t c = 0; c < nchunks; ++c) {
+    if (sizes[c] > in.size() - off) return false;
+    const ByteSpan chunk = in.subspan(off, sizes[c]);
+    off += sizes[c];
+    const uint64_t n =
+        std::min(chunk_words, total_words - std::min(total_words,
+                                                     c * chunk_words));
+    size_t pos = 0;
+    uint64_t codes_size = 0, residue_size = 0;
+    if (!GetVarint64(chunk, &pos, &codes_size) ||
+        !GetVarint64(chunk, &pos, &residue_size) ||
+        codes_size > chunk.size() - pos ||
+        residue_size > chunk.size() - pos - codes_size) {
+      return false;
+    }
+    const uint8_t* codes = chunk.data() + pos;
+    const uint8_t* residue = codes + codes_size;
+    size_t rpos = 0;
+    std::vector<uint64_t> fcm(kMask + 1, 0), dfcm(kMask + 1, 0);
+    size_t fcm_hash = 0, dfcm_hash = 0;
+    uint64_t last = 0;
+    for (uint64_t i = 0; i < n; ++i) {
+      if (i / 2 >= codes_size) return false;
+      const uint8_t nibble =
+          i % 2 == 0 ? codes[i / 2] >> 4 : codes[i / 2] & 0x0f;
+      const int code = nibble & 7;
+      const size_t keep = code == 7 ? 0 : 8 - code;
+      if (keep > residue_size - rpos) return false;
+      uint64_t x = 0;
+      for (size_t b = 0; b < keep; ++b) x = (x << 8) | residue[rpos++];
+      const uint64_t v =
+          x ^ ((nibble & 8) ? last + dfcm[dfcm_hash] : fcm[fcm_hash]);
+      fcm[fcm_hash] = v;
+      fcm_hash = ((fcm_hash << 6) ^ (v >> 48)) & kMask;
+      const uint64_t delta = v - last;
+      dfcm[dfcm_hash] = delta;
+      dfcm_hash = ((dfcm_hash << 2) ^ (delta >> 40)) & kMask;
+      last = v;
+      for (int b = 0; b < 8; ++b) {
+        out->push_back(static_cast<uint8_t>(v >> (8 * b)));
+      }
+    }
+  }
+  if (tail > in.size() - off) return false;
+  out->insert(out->end(), in.begin() + off, in.begin() + off + tail);
+  return true;
 }
 
 }  // namespace fcbench::reference

@@ -17,6 +17,7 @@
 #include "codecs/lzh.h"
 #include "codecs/range_coder.h"
 #include "codec_reference.h"
+#include "compressors/pfpc.h"
 #include "compressors/transpose.h"
 #include "util/bitio.h"
 #include "util/entropy.h"
@@ -833,6 +834,129 @@ TEST(TransposeOracleTest, FastPathsMatchGenericLoop) {
         reference::BitTranspose(src.data(), want.data(), count, esize);
         compressors::BitTranspose(src.data(), got.data(), count, esize);
         ASSERT_EQ(got, want) << "esize=" << esize << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(TransposeOracleTest, UntransposeMatchesGenericLoop) {
+  Rng rng(6);
+  for (size_t esize : {size_t(2), size_t(4), size_t(8)}) {
+    // Every group count up to 80: whole 64-element blocks, and counts
+    // that leave 1-7 tail groups after them.
+    for (size_t groups = 0; groups <= 80; ++groups) {
+      const size_t count = groups * 8;
+      std::vector<uint8_t> planes(count * esize);
+      for (auto& b : planes) b = static_cast<uint8_t>(rng.Next());
+      std::vector<uint8_t> want(planes.size(), 0xAA);
+      std::vector<uint8_t> got(planes.size(), 0x55);
+      reference::BitUntranspose(planes.data(), want.data(), count, esize);
+      compressors::BitUntranspose(planes.data(), got.data(), count, esize);
+      ASSERT_EQ(got, want) << "esize=" << esize << " count=" << count;
+      std::vector<uint8_t> back(planes.size());
+      compressors::BitTranspose(got.data(), back.data(), count, esize);
+      ASSERT_EQ(back, planes) << "esize=" << esize << " count=" << count;
+    }
+  }
+}
+
+/// Decodes `block` with Lz4Codec::DecompressTo into a buffer with 16
+/// guard bytes behind the output, checks the guard, and compares status
+/// and bytes with the byte-at-a-time reference.
+void ExpectLz4DecodeMatchesReference(ByteSpan block, size_t size) {
+  std::vector<uint8_t> want;
+  const bool want_ok = reference::Lz4Decompress(block, size, &want);
+  std::vector<uint8_t> got(size + 16, 0xEE);
+  Status st = Lz4Codec().DecompressTo(block, size, got.data());
+  ASSERT_EQ(st.ok(), want_ok) << st.ToString() << " size=" << size;
+  ASSERT_EQ(std::vector<uint8_t>(got.begin() + size, got.end()),
+            std::vector<uint8_t>(16, 0xEE))
+      << "wrote past decompressed_size " << size;
+  if (want_ok) {
+    got.resize(size);
+    ASSERT_EQ(got, want) << "size=" << size;
+  }
+}
+
+TEST(Lz4OracleTest, DecoderMatchesByteAtATimeReference) {
+  Rng rng(8);
+  // Hand-built blocks: 16 literals, one match at every offset 1..16 and
+  // length 4..27, then 0-7 closing literals (none: the block ends on the
+  // match), so each match ends 0-7 bytes before the end of the output.
+  for (size_t offset = 1; offset <= 16; ++offset) {
+    for (size_t match_len = 4; match_len < 28; ++match_len) {
+      for (size_t last = 0; last < 8; ++last) {
+        Buffer block;
+        block.PushBack(static_cast<uint8_t>(0xF0 | (match_len - 4)));
+        block.PushBack(1);  // 15 + 1 literals
+        for (int i = 0; i < 16; ++i) {
+          block.PushBack(static_cast<uint8_t>(rng.Next()));
+        }
+        block.PushBack(static_cast<uint8_t>(offset));
+        block.PushBack(0);
+        if (match_len - 4 >= 15) {
+          block.PushBack(static_cast<uint8_t>(match_len - 4 - 15));
+        }
+        if (last > 0) {
+          block.PushBack(static_cast<uint8_t>(last << 4));
+          for (size_t i = 0; i < last; ++i) {
+            block.PushBack(static_cast<uint8_t>(rng.Next()));
+          }
+        }
+        const size_t size = 16 + match_len + last;
+        ExpectLz4DecodeMatchesReference(block.span(), size);
+        // A declared size one short fails in both.
+        ExpectLz4DecodeMatchesReference(block.span(), size - 1);
+      }
+    }
+  }
+  // Every oracle input's block, whole and truncated.
+  for (const auto& in : OracleInputs()) {
+    Buffer block;
+    Lz4Codec().Compress(ByteSpan(in.data(), in.size()), &block);
+    ExpectLz4DecodeMatchesReference(block.span(), in.size());
+    for (size_t cut = 1; cut < block.size(); cut += block.size() / 7 + 1) {
+      ExpectLz4DecodeMatchesReference(block.span().subspan(0, cut),
+                                      in.size());
+    }
+  }
+}
+
+TEST(PfpcOracleTest, DecoderMatchesPerByteResidualReference) {
+  // Streams whose residue ends at every distance from its last 8 bytes:
+  // 0-141 words of data that keeps 0-8 residual bytes per word, and f32
+  // counts 0-141, the odd ones with a 4-byte tail after the words.
+  Rng rng(9);
+  for (int threads : {1, 3}) {
+    CompressorConfig cfg;
+    cfg.threads = threads;
+    compressors::PfpcCompressor pfpc(cfg);
+    for (DType dtype : {DType::kFloat64, DType::kFloat32}) {
+      for (size_t count = 0; count <= 141; ++count) {
+        const size_t esize = DTypeSize(dtype);
+        std::vector<uint8_t> raw(count * esize);
+        uint64_t w = rng.Next();
+        for (size_t i = 0; i < raw.size(); i += 8) {
+          // Change the low 0-8 bytes of a slowly moving word.
+          const size_t noise = rng.UniformInt(9);
+          if (noise > 0) w ^= rng.Next() >> (64 - 8 * noise);
+          std::memcpy(&raw[i], &w, std::min<size_t>(8, raw.size() - i));
+        }
+        DataDesc desc;
+        desc.dtype = dtype;
+        desc.extent = {count};
+        Buffer stream;
+        ASSERT_TRUE(
+            pfpc.Compress(ByteSpan(raw.data(), raw.size()), desc, &stream)
+                .ok());
+        std::vector<uint8_t> want;
+        ASSERT_TRUE(
+            reference::PfpcDecompress(stream.span(), raw.size() / 8, &want));
+        ASSERT_EQ(want, raw) << "count=" << count;
+        Buffer got;
+        ASSERT_TRUE(pfpc.Decompress(stream.span(), desc, &got).ok());
+        ASSERT_EQ(got.ToVector(), want)
+            << "threads=" << threads << " count=" << count;
       }
     }
   }

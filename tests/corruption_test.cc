@@ -21,6 +21,7 @@
 #include "util/bitio.h"
 #include "util/fs.h"
 #include "util/hash.h"
+#include "util/mem_tracker.h"
 #include "util/rng.h"
 
 namespace fcbench {
@@ -306,6 +307,158 @@ TEST_F(MixedFrameCorruption, TruncatedMixedFramesFailCleanly) {
     Status st =
         auto_->Decompress(frame_.span().subspan(0, keep), desc_, &out);
     EXPECT_FALSE(st.ok()) << "truncated to " << keep << " bytes";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Codec hostile chunk headers: pFPC, SPDP and fpzip chunks start with
+// 64-bit sizes read from the stream. Values whose sum wraps past 2^64 must
+// surface as Corruption, never as a read past the stream. Each stream is
+// decoded from an exact-size heap copy, so the ASan lane reports a single
+// byte of over-read.
+// ---------------------------------------------------------------------------
+
+class CodecHostileHeader : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    RegisterAllCompressors();
+    desc_.dtype = DType::kFloat64;
+    desc_.extent = {4096};
+  }
+
+  /// Decodes `stream` with `method` into `out`, which keeps what it held.
+  Status Decode(const std::string& method, const Buffer& stream,
+                Buffer* out) {
+    CompressorConfig cfg;
+    cfg.threads = 1;
+    auto comp = CompressorRegistry::Global().Create(method, cfg).TakeValue();
+    const std::vector<uint8_t> exact = stream.ToVector();
+    return comp->Decompress(ByteSpan(exact.data(), exact.size()), desc_, out);
+  }
+
+  void ExpectRejected(const std::string& method, const Buffer& stream) {
+    Buffer out;
+    Status st = Decode(method, stream, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << method << ": " << st.ToString();
+  }
+
+  DataDesc desc_;
+};
+
+TEST_F(CodecHostileHeader, PfpcChunkSizesWrapPastTheChunk) {
+  // One chunk of all 4096 words whose code stream claims 2^64 - 2 bytes
+  // and residue 3: the sum wraps to 12, inside the 16-byte chunk. The five
+  // code bytes present mean "eight zero bytes, no residue" for ten words,
+  // after which an unchecked decoder reads codes past the stream. (2^64 - 1
+  // would not do: as a span count it means "to the end".)
+  Buffer s;
+  PutVarint64(&s, 1);     // nchunks
+  PutVarint64(&s, 4096);  // chunk_words
+  PutVarint64(&s, 0);     // tail
+  PutVarint64(&s, 16);    // chunk size
+  PutVarint64(&s, ~uint64_t{1});
+  PutVarint64(&s, 3);
+  for (int i = 0; i < 5; ++i) s.PushBack(0x77);
+  ExpectRejected("pfpc", s);
+}
+
+TEST_F(CodecHostileHeader, SpdpBlockSizeWrapsPastTheStream) {
+  // A packed LZ block of 2^64 - 2 bytes: off + size wraps to just below
+  // the stream size, and the block's first literal run (541 bytes) would
+  // be copied from past the stream.
+  Buffer s;
+  PutVarint64(&s, 4096 * 8);           // total
+  PutVarint64(&s, uint64_t{1} << 20);  // block size
+  PutVarint64(&s, ~uint64_t{1});       // packed size
+  for (uint8_t b : {0xF0, 0xFF, 0xFF, 0x10, 0x00}) s.PushBack(b);
+  ExpectRejected("spdp", s);
+}
+
+TEST_F(CodecHostileHeader, FpzipStreamSizesWrapPastTheStream) {
+  // Symbol stream 2^64 - 2 bytes, raw bits 3: the sum wraps to one byte
+  // short of the stream's end, where the range decoder starts reading.
+  Buffer s;
+  PutVarint64(&s, ~uint64_t{1});
+  PutVarint64(&s, 3);
+  s.PushBack(0);
+  ExpectRejected("fpzip", s);
+}
+
+TEST_F(CodecHostileHeader, PfpcDirectoryMustCoverEveryWord) {
+  // A valid one-chunk stream of 2048 words, decoded against a descriptor
+  // of 4096: the directory covers half the output. Decoding in place
+  // would leave the other half unwritten at the right size.
+  const std::vector<uint8_t> half = SmoothData(DType::kFloat64, 2048, 3);
+  CompressorConfig cfg;
+  cfg.threads = 1;
+  auto pfpc = CompressorRegistry::Global().Create("pfpc", cfg).TakeValue();
+  DataDesc half_desc = desc_;
+  half_desc.extent = {2048};
+  Buffer stream;
+  ASSERT_TRUE(
+      pfpc->Compress(ByteSpan(half.data(), half.size()), half_desc, &stream)
+          .ok());
+  Buffer out;
+  out.Append("abc", 3);
+  Status st = Decode("pfpc", stream, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_EQ(out.ToVector(), (std::vector<uint8_t>{'a', 'b', 'c'}));
+}
+
+TEST_F(CodecHostileHeader, PfpcOutputIsBoundedByTheStream) {
+  // A 128 MiB descriptor and a 9-byte stream whose one chunk claims all
+  // the words: every word needs half a code byte, so the decoder rejects
+  // the stream before it sizes the output.
+  Buffer s;
+  PutVarint64(&s, 1);                  // nchunks
+  PutVarint64(&s, uint64_t{1} << 24);  // chunk_words
+  PutVarint64(&s, 0);                  // tail
+  PutVarint64(&s, 2);                  // chunk size
+  PutVarint64(&s, 0);
+  PutVarint64(&s, 0);
+  ASSERT_EQ(s.size(), 9u);
+  desc_.extent = {uint64_t{1} << 24};
+  MemTracker::Global().ResetPeak();
+  const size_t before = MemTracker::Global().current();
+  ExpectRejected("pfpc", s);
+  EXPECT_LT(MemTracker::Global().peak() - before, size_t{1} << 20);
+}
+
+TEST_F(CodecHostileHeader, PfpcErrorRestoresTheOutput) {
+  // Two chunks, the second truncated mid-residue: the first decodes into
+  // its slice before the second fails, and `out` still comes back at its
+  // size on entry.
+  const std::vector<uint8_t> data = SmoothData(DType::kFloat64, 4096, 5);
+  CompressorConfig cfg;
+  cfg.threads = 2;
+  auto pfpc = CompressorRegistry::Global().Create("pfpc", cfg).TakeValue();
+  Buffer stream;
+  ASSERT_TRUE(
+      pfpc->Compress(ByteSpan(data.data(), data.size()), desc_, &stream)
+          .ok());
+  // Zero the second chunk's code stream: every word then claims eight
+  // residue bytes, more than its residue holds.
+  size_t off = 0;
+  uint64_t nchunks = 0, chunk_words = 0, tail = 0, size0 = 0;
+  ASSERT_TRUE(GetVarint64(stream.span(), &off, &nchunks));
+  ASSERT_TRUE(GetVarint64(stream.span(), &off, &chunk_words));
+  ASSERT_TRUE(GetVarint64(stream.span(), &off, &tail));
+  ASSERT_EQ(nchunks, 2u);
+  ASSERT_TRUE(GetVarint64(stream.span(), &off, &size0));
+  uint64_t size1 = 0;
+  ASSERT_TRUE(GetVarint64(stream.span(), &off, &size1));
+  size_t chunk1 = off + size0;
+  uint64_t codes_size = 0, residue_size = 0;
+  ASSERT_TRUE(GetVarint64(stream.span(), &chunk1, &codes_size));
+  ASSERT_TRUE(GetVarint64(stream.span(), &chunk1, &residue_size));
+  std::memset(stream.data() + chunk1, 0, codes_size);
+  for (size_t prefix : {size_t(0), size_t(5)}) {
+    Buffer out;
+    out.Append("hello", prefix);
+    Status st = Decode("pfpc", stream, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_EQ(out.size(), prefix);
   }
 }
 
