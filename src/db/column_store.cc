@@ -1,5 +1,6 @@
 #include "db/column_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/span.h"
@@ -10,6 +11,7 @@
 #include "util/fs.h"
 #include "util/hash.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace fcbench::db {
 
@@ -87,24 +89,29 @@ Result<Manifest> ReadManifest(const std::string& prefix) {
   return m;
 }
 
-/// Widens stored little-endian elements into `dst` (one pass; f64 is a
-/// plain copy). `bytes` holds exactly dst.size() elements.
-void ToDoubles(const Buffer& bytes, DType dtype, std::span<double> dst) {
+/// Widens `dst.size()` stored little-endian elements at `src` into `dst`
+/// (f64 is a plain copy).
+void ToDoubles(const uint8_t* src, DType dtype, std::span<double> dst) {
   if (dst.empty()) return;
   if (dtype == DType::kFloat32) {
-    const float* src = reinterpret_cast<const float*>(bytes.data());
-    for (size_t r = 0; r < dst.size(); ++r) dst[r] = src[r];
+    const float* f = reinterpret_cast<const float*>(src);
+    for (size_t r = 0; r < dst.size(); ++r) dst[r] = f[r];
   } else {
-    std::memcpy(dst.data(), bytes.data(), dst.size() * sizeof(double));
+    std::memcpy(dst.data(), src, dst.size() * sizeof(double));
   }
 }
 
-/// The shared half of ReadRows/ReadRowsInto: one manifest read, then one
-/// read of the column file, which also yields its dtype.
-Result<Buffer> ReadRowBytes(const std::string& prefix,
-                            const std::string& column, uint64_t row_begin,
-                            uint64_t row_count, ColumnStore::ReadStats* stats,
-                            DType* dtype) {
+uint64_t StoredRows(const PagedFile::Pages& file) {
+  return file.desc().num_bytes() / DTypeSize(file.desc().dtype);
+}
+
+/// The first half of every row read: one manifest read, then one read
+/// and validation of the column file, which must hold rows
+/// [row_begin, row_begin + row_count).
+Result<PagedFile::Pages> OpenRows(const std::string& prefix,
+                                  const std::string& column,
+                                  uint64_t row_begin, uint64_t row_count,
+                                  PagedFile::ReadTiming* timing) {
   FCB_ASSIGN_OR_RETURN(Manifest m, ReadManifest(prefix));
   size_t idx = m.names.size();
   for (size_t i = 0; i < m.names.size(); ++i) {
@@ -117,22 +124,48 @@ Result<Buffer> ReadRowBytes(const std::string& prefix,
     return Status::InvalidArgument("column_store: no column '" + column +
                                    "'");
   }
-
-  const std::string path = ColumnPath(prefix, idx);
-  PagedFile::ReadTiming timing;
-  DataDesc desc;
-  FCB_ASSIGN_OR_RETURN(
-      Buffer bytes, PagedFile::ReadElementRange(path, row_begin, row_count,
-                                                &timing, &desc));
-  if (stats != nullptr) {
-    stats->io_seconds += timing.io_seconds;
-    stats->decode_seconds += timing.decode_seconds;
-    stats->bytes_decoded += timing.decoded_bytes;  // whole touched pages
-    auto fs = PagedFile::FileSize(path);
-    if (fs.ok()) stats->bytes_on_disk += fs.value();
+  FCB_ASSIGN_OR_RETURN(PagedFile::Pages file,
+                       PagedFile::Pages::Open(ColumnPath(prefix, idx), timing));
+  const uint64_t rows = StoredRows(file);
+  if (row_begin > rows || row_count > rows - row_begin) {
+    return Status::OutOfRange("column_store: rows past end of column '" +
+                              column + "'");
   }
-  *dtype = desc.dtype;
-  return bytes;
+  return file;
+}
+
+/// The second half: rows [row_begin, row_begin + dst.size()) of `file`
+/// into `dst`, each touched page decoded into the calling thread's page
+/// scratch and copied or widened into its rows. With `stats`, adds the
+/// decode time, the raw bytes of the touched pages and the file size.
+Status DecodeRows(const PagedFile::Pages& file, uint64_t row_begin,
+                  std::span<double> dst,
+                  ColumnStore::ReadStats* stats = nullptr) {
+  thread_local Buffer page;
+  Timer decode_timer;
+  const DType dtype = file.desc().dtype;
+  const uint64_t esize = DTypeSize(dtype);
+  const uint64_t page_rows = file.page_bytes() / esize;
+  uint64_t decoded = 0;
+  size_t done = 0;
+  while (done < dst.size()) {
+    const uint64_t row = row_begin + done;
+    const size_t p = static_cast<size_t>(row / page_rows);
+    page.Clear();
+    FCB_RETURN_IF_ERROR(file.DecodePage(p, &page));
+    decoded += page.size();
+    const uint64_t in_page = row - p * page_rows;
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(
+        dst.size() - done, page.size() / esize - in_page));
+    ToDoubles(page.data() + in_page * esize, dtype, dst.subspan(done, n));
+    done += n;
+  }
+  if (stats != nullptr) {
+    stats->decode_seconds += decode_timer.ElapsedSeconds();
+    stats->bytes_decoded += decoded;  // whole touched pages
+    stats->bytes_on_disk += file.file_bytes();
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -284,7 +317,7 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
     }
 
     std::vector<double> col(bytes.size() / DTypeSize(desc.dtype));
-    ToDoubles(bytes, desc.dtype, col);
+    ToDoubles(bytes.data(), desc.dtype, col);
     out_names.push_back(m.names[idx]);
     out_cols.push_back(std::move(col));
   }
@@ -295,11 +328,12 @@ Status ColumnStore::ReadRowsInto(const std::string& prefix,
                                  const std::string& column,
                                  uint64_t row_begin, std::span<double> dst,
                                  ReadStats* stats) {
-  DType dtype = DType::kFloat64;
+  PagedFile::ReadTiming timing;
   FCB_ASSIGN_OR_RETURN(
-      Buffer bytes, ReadRowBytes(prefix, column, row_begin, dst.size(),
-                                 stats, &dtype));
-  ToDoubles(bytes, dtype, dst);
+      PagedFile::Pages file,
+      OpenRows(prefix, column, row_begin, dst.size(), &timing));
+  FCB_RETURN_IF_ERROR(DecodeRows(file, row_begin, dst, stats));
+  if (stats != nullptr) stats->io_seconds += timing.io_seconds;
   return Status::OK();
 }
 
@@ -310,12 +344,13 @@ Result<std::vector<double>> ColumnStore::ReadRows(const std::string& prefix,
                                                   ReadStats* stats) {
   // Same read as ReadRowsInto; the vector is sized only after the range
   // has been checked against the stored column.
-  DType dtype = DType::kFloat64;
+  PagedFile::ReadTiming timing;
   FCB_ASSIGN_OR_RETURN(
-      Buffer bytes,
-      ReadRowBytes(prefix, column, row_begin, row_count, stats, &dtype));
+      PagedFile::Pages file,
+      OpenRows(prefix, column, row_begin, row_count, &timing));
   std::vector<double> out(row_count);
-  ToDoubles(bytes, dtype, out);
+  FCB_RETURN_IF_ERROR(DecodeRows(file, row_begin, out, stats));
+  if (stats != nullptr) stats->io_seconds += timing.io_seconds;
   return out;
 }
 
@@ -358,6 +393,103 @@ Status ColumnStore::Drop(const std::string& prefix) {
   }
   fs::RemoveFile(ManifestPath(prefix) + fs::kTempSuffix);
   return fs::RemoveFile(ManifestPath(prefix));
+}
+
+size_t ColumnReadBatch::AddOutput(uint64_t rows) {
+  outputs_.push_back({rows, {}});
+  return outputs_.size() - 1;
+}
+
+void ColumnReadBatch::AddTable(size_t output, uint64_t offset, uint64_t rows,
+                               std::string prefix, std::string column,
+                               std::shared_ptr<const void> holder) {
+  Table t;
+  t.output = output;
+  t.offset = offset;
+  t.rows = rows;
+  t.prefix = std::move(prefix);
+  t.column = std::move(column);
+  t.holder = std::move(holder);
+  tables_.push_back(std::move(t));
+}
+
+void ColumnReadBatch::AddFill(size_t output, uint64_t offset, uint64_t rows,
+                              std::function<void(std::span<double>)> fill) {
+  fills_.push_back({output, offset, rows, std::move(fill)});
+}
+
+std::vector<Status> ColumnReadBatch::Run() {
+  ThreadPool& pool = ThreadPool::Shared();
+  // Phase 1: allocate the outputs and open every table.
+  pool.ParallelFor(
+      outputs_.size() + tables_.size(),
+      [&](size_t i) {
+        if (i < outputs_.size()) {
+          outputs_[i].values.resize(outputs_[i].rows);
+          return;
+        }
+        Table& t = tables_[i - outputs_.size()];
+        obs::ScopedSpan span("segment.open", t.rows);
+        auto r = OpenRows(t.prefix, t.column, 0, t.rows, nullptr);
+        if (r.ok()) {
+          t.file = std::move(r).value();
+        } else {
+          t.status = r.status();
+        }
+      },
+      {/*grain=*/1});
+
+  // Phase 2: every page of every opened table, then the fills.
+  struct PageTask {
+    size_t table;
+    uint64_t row;  // first row of the page within its table
+    size_t rows;
+  };
+  std::vector<PageTask> pages;
+  std::vector<size_t> first_page(tables_.size() + 1, 0);
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    first_page[t] = pages.size();
+    if (!tables_[t].status.ok()) continue;
+    const PagedFile::Pages& file = tables_[t].file;
+    const uint64_t page_rows =
+        file.page_bytes() / DTypeSize(file.desc().dtype);
+    for (uint64_t row = 0; row < tables_[t].rows; row += page_rows) {
+      pages.push_back({t, row,
+                       static_cast<size_t>(
+                           std::min(page_rows, tables_[t].rows - row))});
+    }
+  }
+  first_page[tables_.size()] = pages.size();
+  std::vector<Status> page_status(pages.size());
+  pool.ParallelFor(
+      pages.size() + fills_.size(),
+      [&](size_t i) {
+        if (i >= pages.size()) {
+          const Fill& f = fills_[i - pages.size()];
+          f.fn(std::span<double>(outputs_[f.output].values)
+                   .subspan(f.offset, f.rows));
+          return;
+        }
+        const PageTask& pt = pages[i];
+        const Table& t = tables_[pt.table];
+        obs::ScopedSpan span("segment.page", pt.row, pt.rows);
+        page_status[i] = DecodeRows(
+            t.file, pt.row,
+            std::span<double>(outputs_[t.output].values)
+                .subspan(t.offset + pt.row, pt.rows));
+      },
+      {/*grain=*/1});
+
+  std::vector<Status> status(outputs_.size());
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    Status& out = status[tables_[t].output];
+    if (!out.ok()) continue;
+    out = tables_[t].status;
+    for (size_t i = first_page[t]; i < first_page[t + 1] && out.ok(); ++i) {
+      out = page_status[i];
+    }
+  }
+  return status;
 }
 
 }  // namespace fcbench::db

@@ -1,6 +1,8 @@
 #ifndef FCBENCH_DB_COLUMN_STORE_H_
 #define FCBENCH_DB_COLUMN_STORE_H_
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,9 +79,9 @@ class ColumnStore {
   /// `dst`, decoding only the pages that overlap the range
   /// (chunk-granular pushdown for point/range queries; the rest of the
   /// column is never decompressed). Cost: one manifest read, one read of
-  /// the column file, the page decode, and one copy (f64) or widening
-  /// pass (f32) into `dst` — so a caller assembling many segments can
-  /// decode each straight into its slice of one preallocated output. On
+  /// the column file, then each touched page decoded into the calling
+  /// thread's page scratch and copied (f64) or widened (f32) into its
+  /// rows of `dst`. `stats->decode_seconds` covers decode and copy. On
   /// error `dst` may be partially written.
   static Status ReadRowsInto(const std::string& prefix,
                              const std::string& column, uint64_t row_begin,
@@ -106,6 +108,76 @@ class ColumnStore {
 
   /// Removes all files written under `prefix`.
   static Status Drop(const std::string& prefix);
+};
+
+/// Column reads assembled from many tables (an engine's segments) as one
+/// flat list of page tasks on ThreadPool::Shared():
+///
+///  - Phase 1 is one ParallelFor over every queued table and output.
+///    A table task reads and validates the table's manifest and column
+///    file once (ColumnStore::ReadRowsInto's first half); an output task
+///    allocates its vector.
+///  - Phase 2 is one ParallelFor over every page of every table, plus
+///    the queued fills. A page task decodes its page into the thread's
+///    page scratch and copies or widens it straight into its rows of the
+///    output. No table is ever decoded whole into a buffer of its own.
+///
+/// Called from inside a pool task, both phases run inline (ParallelFor's
+/// contract), so a compaction on a pool worker reads through the same
+/// path serially.
+class ColumnReadBatch {
+ public:
+  /// Queues an output of `rows` values and returns its index; Run
+  /// reports one status per output.
+  size_t AddOutput(uint64_t rows);
+
+  /// Queues rows [0, rows) of `column` of the table at `prefix` into
+  /// rows [offset, offset + rows) of output `output`. `holder` is kept
+  /// until the batch is destroyed (an engine's segment handle, which
+  /// keeps the table's files alive).
+  void AddTable(size_t output, uint64_t offset, uint64_t rows,
+                std::string prefix, std::string column,
+                std::shared_ptr<const void> holder = nullptr);
+
+  /// Queues `fill`, run in phase 2 on rows [offset, offset + rows) of
+  /// output `output` (say, an engine's memtable rows).
+  void AddFill(size_t output, uint64_t offset, uint64_t rows,
+               std::function<void(std::span<double>)> fill);
+
+  /// Runs both phases once. Returns one status per output: OK, or the
+  /// first failure among its tables in queue order (a table that fails
+  /// to open, else its lowest failing page). Every table is read even
+  /// when another fails.
+  std::vector<Status> Run();
+
+  /// Output `i`'s values; complete when Run reported it OK.
+  std::vector<double>& output(size_t i) { return outputs_[i].values; }
+
+ private:
+  struct Output {
+    uint64_t rows = 0;
+    std::vector<double> values;
+  };
+  struct Table {
+    size_t output = 0;
+    uint64_t offset = 0;
+    uint64_t rows = 0;
+    std::string prefix;
+    std::string column;
+    std::shared_ptr<const void> holder;
+    PagedFile::Pages file;  // opened in phase 1
+    Status status;          // phase 1's verdict
+  };
+  struct Fill {
+    size_t output = 0;
+    uint64_t offset = 0;
+    uint64_t rows = 0;
+    std::function<void(std::span<double>)> fn;
+  };
+
+  std::vector<Output> outputs_;
+  std::vector<Table> tables_;
+  std::vector<Fill> fills_;
 };
 
 }  // namespace fcbench::db

@@ -976,23 +976,27 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     max_level = std::max(max_level, s->info.level);
   }
   span.SetArgs(run_len, total_rows);
+  // Every column of every segment of the run is read as one batch of
+  // page tasks (inline when the compaction runs on a pool worker).
+  ColumnReadBatch batch;
+  for (size_t c = 0; c < schema_.size(); ++c) {
+    const size_t out = batch.AddOutput(total_rows);
+    uint64_t pos = 0;
+    for (const auto& s : run) {
+      batch.AddTable(out, pos, s->info.rows, s->prefix, schema_[c].name);
+      pos += s->info.rows;
+    }
+  }
+  const std::vector<Status> read = batch.Run();
   std::vector<ColumnStore::ColumnSpec> specs(schema_.size());
   Status st;
   for (size_t c = 0; c < schema_.size() && st.ok(); ++c) {
+    st = read[c];
     specs[c].name = schema_[c].name;
     specs[c].compressor = opt_.compact_compressor;
     specs[c].dtype = schema_[c].dtype;
     specs[c].precision_digits = schema_[c].precision_digits;
-    specs[c].values.resize(total_rows);
-    const std::span<double> merged_col(specs[c].values);
-    size_t pos = 0;
-    for (const auto& s : run) {
-      obs::ScopedSpan read_span("segment.read", s->info.id, s->info.rows);
-      st = ColumnStore::ReadRowsInto(s->prefix, schema_[c].name, 0,
-                                     merged_col.subspan(pos, s->info.rows));
-      if (!st.ok()) break;
-      pos += s->info.rows;
-    }
+    specs[c].values = std::move(batch.output(c));
   }
   if (st.ok()) {
     st = RetryIo("lsm: compaction write of " + SegPrefix(new_id),
@@ -1056,12 +1060,11 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   return Status::OK();
 }
 
-Result<std::vector<double>> IngestEngine::ReadColumn(
-    const std::string& column) const {
+Result<size_t> IngestEngine::AddColumnRead(const std::string& column,
+                                           ColumnReadBatch* batch) const {
   // Reads deliberately do NOT check bg_error_: a read-only engine keeps
   // serving everything acknowledged — published segments plus both
   // memtables (a kept imm_ after a failed flush is WAL-durable).
-  obs::ScopedSpan span("lsm.read");
   std::unique_lock<std::mutex> lk(mu_);
   size_t col = schema_.size();
   for (size_t c = 0; c < schema_.size(); ++c) {
@@ -1074,34 +1077,46 @@ Result<std::vector<double>> IngestEngine::ReadColumn(
     return Status::InvalidArgument("lsm: no column '" + column + "'");
   }
   const DType dtype = schema_[col].dtype;
-
   const std::shared_ptr<const Version> version = current_;
   std::shared_ptr<const MemTable> imm = imm_;
   std::vector<double> tail = mem_->column(col);
   lk.unlock();
-  const SegmentSet& segs = version->segments;
 
-  // Size the result once; each segment then decodes straight into its
-  // own slice, and the memtables fill the end.
   uint64_t seg_rows = 0;
-  for (const auto& s : segs) seg_rows += s->info.rows;
-  const std::vector<double>* imm_col =
-      imm != nullptr ? &imm->column(col) : nullptr;
-  std::vector<double> out(seg_rows + (imm_col ? imm_col->size() : 0) +
-                          tail.size());
-  const std::span<double> dst(out);
-  size_t pos = 0;
-  for (const auto& s : segs) {
-    obs::ScopedSpan read_span("segment.read", s->info.id, s->info.rows);
-    FCB_RETURN_IF_ERROR(ColumnStore::ReadRowsInto(
-        s->prefix, column, 0, dst.subspan(pos, s->info.rows)));
+  for (const auto& s : version->segments) seg_rows += s->info.rows;
+  const uint64_t imm_rows = imm != nullptr ? imm->column(col).size() : 0;
+  const uint64_t mem_rows = imm_rows + tail.size();
+  const size_t out = batch->AddOutput(seg_rows + mem_rows);
+  // Each segment's pages decode into its slice; its handle, held by the
+  // batch, keeps its files alive. The memtables fill the end.
+  uint64_t pos = 0;
+  for (const auto& s : version->segments) {
+    batch->AddTable(out, pos, s->info.rows, s->prefix, column, s);
     pos += s->info.rows;
   }
-  if (imm_col != nullptr) {
-    for (double v : *imm_col) out[pos++] = RoundTripValue(v, dtype);
+  if (mem_rows > 0) {
+    batch->AddFill(out, pos, mem_rows,
+                   [imm = std::move(imm), tail = std::move(tail), col,
+                    dtype](std::span<double> dst) {
+                     size_t i = 0;
+                     if (imm != nullptr) {
+                       for (double v : imm->column(col)) {
+                         dst[i++] = RoundTripValue(v, dtype);
+                       }
+                     }
+                     for (double v : tail) dst[i++] = RoundTripValue(v, dtype);
+                   });
   }
-  for (double v : tail) out[pos++] = RoundTripValue(v, dtype);
   return out;
+}
+
+Result<std::vector<double>> IngestEngine::ReadColumn(
+    const std::string& column) const {
+  obs::ScopedSpan span("lsm.read");
+  ColumnReadBatch batch;
+  FCB_ASSIGN_OR_RETURN(size_t out, AddColumnRead(column, &batch));
+  FCB_RETURN_IF_ERROR(batch.Run()[out]);
+  return std::move(batch.output(out));
 }
 
 Result<ScrubReport> IngestEngine::Scrub() {

@@ -15,6 +15,10 @@
 #include "db/lsm/wal.h"
 #include "util/status.h"
 
+namespace fcbench::db {
+class ColumnReadBatch;
+}  // namespace fcbench::db
+
 namespace fcbench::db::lsm {
 
 /// One column of the engine's fixed schema.
@@ -236,11 +240,20 @@ class IngestEngine {
   /// segment handles keep those files alive, so a compaction or scrub
   /// that installs a successor meanwhile never waits for the read: the
   /// last release of a retired segment drops (or quarantines) its
-  /// files. The result is sized once, and each segment is decoded
-  /// straight into its slice (ColumnStore::ReadRowsInto: one column-file
-  /// read, one copy). Decoding may fan out on ThreadPool::Shared(), whose
-  /// callers never run queued tasks.
+  /// files. The read runs as page tasks (ColumnReadBatch): every
+  /// segment's column file is read and validated once, then every page
+  /// decodes straight into its rows of the result, fanned out on
+  /// ThreadPool::Shared() (whose callers never run queued tasks) and
+  /// inline when called from a pool task.
   Result<std::vector<double>> ReadColumn(const std::string& column) const;
+
+  /// ReadColumn's capture and page tasks, queued into `batch` rather
+  /// than run: returns the index of the batch output that holds the
+  /// column once batch->Run() reports it OK. The batch keeps the
+  /// captured segments alive. The sharded engine queues every shard's
+  /// read into one batch, so all their pages share one fan-out.
+  Result<size_t> AddColumnRead(const std::string& column,
+                               ColumnReadBatch* batch) const;
 
   /// Integrity scrub: re-reads every published segment and verifies its
   /// files against the checksums captured at write time (ColumnStore

@@ -1,5 +1,7 @@
 #include "db/paged_file.h"
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/bitio.h"
@@ -117,7 +119,7 @@ struct ParsedHeader {
 /// never `off + len > size`, which wraps for hostile 64-bit lengths) and
 /// bounded by a plausibility cap, and the page directory is checked for
 /// internal consistency — page count vs. extent, directory sum vs. file
-/// size — so the decode loops below cannot be steered out of bounds.
+/// size — so the page decoder cannot be steered out of bounds.
 Result<ParsedHeader> ParseHeader(ByteSpan file) {
   ParsedHeader h;
   size_t off = 0;
@@ -144,6 +146,9 @@ Result<ParsedHeader> ParseHeader(ByteSpan file) {
   }
   h.desc.dtype = dtype ? DType::kFloat64 : DType::kFloat32;
   h.desc.precision_digits = digits;
+  if (page % DTypeSize(h.desc.dtype) != 0) {
+    return Status::Corruption("paged file: page size is not whole elements");
+  }
   uint64_t rank = 0;
   if (!GetVarint64(file, &off, &rank) || rank > 8) {
     return Status::Corruption("paged file: bad rank");
@@ -185,55 +190,82 @@ Result<ParsedHeader> ParseHeader(ByteSpan file) {
 
 }  // namespace
 
-Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing,
-                               DataDesc* desc) {
+namespace {
+
+/// The calling thread's instance of page codec `name`, created on first
+/// use. Concurrent page decodes of one file each use their own thread's
+/// instance, so a codec's Decompress need not be reentrant.
+Result<Compressor*> ThreadCodec(const std::string& name) {
+  thread_local std::vector<std::pair<std::string, std::unique_ptr<Compressor>>>
+      codecs;
+  for (auto& [n, c] : codecs) {
+    if (n == name) return c.get();
+  }
+  FCB_ASSIGN_OR_RETURN(std::unique_ptr<Compressor> c,
+                       CompressorRegistry::Global().Create(name));
+  codecs.emplace_back(name, std::move(c));
+  return codecs.back().second.get();
+}
+
+}  // namespace
+
+Result<PagedFile::Pages> PagedFile::Pages::Open(const std::string& path,
+                                                ReadTiming* timing) {
   Timer io_timer;
-  auto file_r = fs::ReadFile(path);
-  if (!file_r.ok()) return file_r.status();
-  Buffer file = std::move(file_r).TakeValue();
+  Pages f;
+  FCB_ASSIGN_OR_RETURN(f.file_, fs::ReadFile(path));
   if (timing != nullptr) timing->io_seconds = io_timer.ElapsedSeconds();
 
-  auto hr = ParseHeader(file.span());
-  if (!hr.ok()) return hr.status();
-  const ParsedHeader& h = hr.value();
-  if (desc != nullptr) *desc = h.desc;
-
-  const bool raw = h.compressor == "none";
-  std::unique_ptr<Compressor> comp;
-  if (!raw) {
-    auto cr = CompressorRegistry::Global().Create(h.compressor);
-    if (!cr.ok()) return cr.status();
-    comp = std::move(cr).TakeValue();
+  FCB_ASSIGN_OR_RETURN(ParsedHeader h, ParseHeader(f.file_.span()));
+  if (h.compressor != "none") {
+    FCB_RETURN_IF_ERROR(ThreadCodec(h.compressor).status());
   }
+  f.compressor_ = std::move(h.compressor);
+  f.page_ = h.page;
+  f.desc_ = std::move(h.desc);
+  // ParseHeader bounded the directory's sum by the file size.
+  f.page_offsets_.assign(1, h.payload_offset);
+  for (uint64_t s : h.page_sizes) {
+    f.page_offsets_.push_back(f.page_offsets_.back() + s);
+  }
+  return f;
+}
+
+Status PagedFile::Pages::DecodePage(size_t p, Buffer* out) const {
+  const ByteSpan stored = file_.span().subspan(
+      page_offsets_[p], page_offsets_[p + 1] - page_offsets_[p]);
+  const uint64_t logical = page_raw_bytes(p);
+  if (compressor_ == "none") {
+    if (stored.size() != logical) {
+      return Status::Corruption("paged file: page size mismatch");
+    }
+    out->Append(stored);
+    return Status::OK();
+  }
+  FCB_ASSIGN_OR_RETURN(Compressor * comp, ThreadCodec(compressor_));
+  const size_t before = out->size();
+  FCB_RETURN_IF_ERROR(
+      comp->Decompress(stored, PageDesc(desc_, logical), out));
+  if (out->size() - before != logical) {
+    return Status::Corruption("paged file: page size mismatch");
+  }
+  return Status::OK();
+}
+
+Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing,
+                               DataDesc* desc) {
+  FCB_ASSIGN_OR_RETURN(Pages file, Pages::Open(path, timing));
+  if (desc != nullptr) *desc = file.desc();
 
   Timer decode_timer;
   Buffer out;
-  uint64_t total_bytes = h.desc.num_bytes();
-  out.Reserve(total_bytes);
-  size_t off = h.payload_offset;
-  uint64_t remaining = total_bytes;
-  for (size_t p = 0; p < h.page_sizes.size(); ++p) {
-    if (h.page_sizes[p] > file.size() - off) {
-      return Status::Corruption("paged file: truncated pages");
-    }
-    ByteSpan page_bytes = file.span().subspan(off, h.page_sizes[p]);
-    off += h.page_sizes[p];
-    size_t logical = static_cast<size_t>(
-        std::min<uint64_t>(h.page, remaining));
-    if (raw) {
-      out.Append(page_bytes);
-    } else {
-      FCB_RETURN_IF_ERROR(
-          comp->Decompress(page_bytes, PageDesc(h.desc, logical), &out));
-    }
-    remaining -= logical;
+  out.Reserve(file.desc().num_bytes());
+  for (size_t p = 0; p < file.num_pages(); ++p) {
+    FCB_RETURN_IF_ERROR(file.DecodePage(p, &out));
   }
   if (timing != nullptr) {
     timing->decode_seconds = decode_timer.ElapsedSeconds();
     timing->decoded_bytes = out.size();
-  }
-  if (out.size() != total_bytes) {
-    return Status::Corruption("paged file: size mismatch after decode");
   }
   return out;
 }
@@ -242,72 +274,32 @@ Result<Buffer> PagedFile::ReadElementRange(const std::string& path,
                                            uint64_t first, uint64_t count,
                                            ReadTiming* timing,
                                            DataDesc* desc) {
-  Timer io_timer;
-  auto file_r = fs::ReadFile(path);
-  if (!file_r.ok()) return file_r.status();
-  Buffer file = std::move(file_r).TakeValue();
-  if (timing != nullptr) timing->io_seconds = io_timer.ElapsedSeconds();
-
-  auto hr = ParseHeader(file.span());
-  if (!hr.ok()) return hr.status();
-  const ParsedHeader& h = hr.value();
-  if (desc != nullptr) *desc = h.desc;
+  FCB_ASSIGN_OR_RETURN(Pages file, Pages::Open(path, timing));
+  if (desc != nullptr) *desc = file.desc();
   // The byte range depends on the stored dtype, known only now. The
   // header bounds the array at kMaxTotalBytes, so the multiplications
   // below cannot overflow once the element range is inside it.
-  const uint64_t esize = DTypeSize(h.desc.dtype);
-  const uint64_t total_bytes = h.desc.num_bytes();
-  const uint64_t total_elems = total_bytes / esize;
+  const uint64_t esize = DTypeSize(file.desc().dtype);
+  const uint64_t total_elems = file.desc().num_bytes() / esize;
   if (first > total_elems || count > total_elems - first) {
     return Status::OutOfRange("paged file: range past end of array");
   }
+  if (count == 0) return Buffer();
   const uint64_t offset = first * esize;
   const uint64_t length = count * esize;
+  // The header's page count covers the whole array, so both pages exist.
+  const size_t first_page = static_cast<size_t>(offset / file.page_bytes());
+  const size_t last_page =
+      static_cast<size_t>((offset + length - 1) / file.page_bytes());
+  const uint64_t page_raw_begin = first_page * file.page_bytes();
 
   Timer decode_timer;
-  if (length == 0) return Buffer();
-  const size_t first_page = static_cast<size_t>(offset / h.page);
-  const size_t last_page = static_cast<size_t>((offset + length - 1) / h.page);
-  if (last_page >= h.page_sizes.size()) {
-    return Status::Corruption("paged file: page directory short of range");
-  }
-
-  const bool raw = h.compressor == "none";
-  std::unique_ptr<Compressor> comp;
-  if (!raw) {
-    auto cr = CompressorRegistry::Global().Create(h.compressor);
-    if (!cr.ok()) return cr.status();
-    comp = std::move(cr).TakeValue();
-  }
-
-  size_t page_start = h.payload_offset;
-  for (size_t p = 0; p < first_page; ++p) page_start += h.page_sizes[p];
-  const uint64_t page_raw_begin = static_cast<uint64_t>(first_page) * h.page;
-  const uint64_t page_raw_end =
-      std::min<uint64_t>(total_bytes, uint64_t(last_page + 1) * h.page);
   Buffer decoded;  // raw bytes of the touched pages only
-  decoded.Reserve(static_cast<size_t>(page_raw_end - page_raw_begin));
+  decoded.Reserve(static_cast<size_t>(
+      (last_page - first_page) * file.page_bytes() +
+      file.page_raw_bytes(last_page)));
   for (size_t p = first_page; p <= last_page; ++p) {
-    if (h.page_sizes[p] > file.size() - page_start) {
-      return Status::Corruption("paged file: truncated pages");
-    }
-    ByteSpan page_bytes = file.span().subspan(page_start, h.page_sizes[p]);
-    page_start += h.page_sizes[p];
-    size_t logical = static_cast<size_t>(
-        std::min<uint64_t>(h.page, total_bytes - uint64_t(p) * h.page));
-    if (raw) {
-      decoded.Append(page_bytes);
-    } else {
-      size_t before = decoded.size();
-      FCB_RETURN_IF_ERROR(
-          comp->Decompress(page_bytes, PageDesc(h.desc, logical), &decoded));
-      if (decoded.size() - before != logical) {
-        return Status::Corruption("paged file: page size mismatch");
-      }
-    }
-  }
-  if (decoded.size() < offset - page_raw_begin + length) {
-    return Status::Corruption("paged file: short page decode");
+    FCB_RETURN_IF_ERROR(file.DecodePage(p, &decoded));
   }
   if (timing != nullptr) {
     timing->decode_seconds = decode_timer.ElapsedSeconds();

@@ -1,7 +1,9 @@
 #ifndef FCBENCH_DB_PAGED_FILE_H_
 #define FCBENCH_DB_PAGED_FILE_H_
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/compressor.h"
 #include "core/format.h"
@@ -60,10 +62,54 @@ class PagedFile {
                       const DataDesc& desc, const Options& options,
                       WriteInfo* info = nullptr);
 
+  /// A container read whole into memory with its header and page
+  /// directory validated: the unit of the one page decoder every read
+  /// goes through (Read and ReadElementRange below, ColumnStore's row
+  /// reads and the engines' page tasks). Pages decode independently, and
+  /// DecodePage may run concurrently on one Pages from many threads:
+  /// each thread decodes with its own instance of the page codec.
+  class Pages {
+   public:
+    Pages() = default;
+
+    /// Reads `path` whole (timed into timing->io_seconds when non-null)
+    /// and validates it. An unknown page codec is an error here, before
+    /// any page is decoded.
+    static Result<Pages> Open(const std::string& path,
+                              ReadTiming* timing = nullptr);
+
+    const DataDesc& desc() const { return desc_; }
+    size_t num_pages() const { return page_offsets_.size() - 1; }
+    /// Raw bytes of every page but the last: a whole number of
+    /// elements.
+    uint64_t page_bytes() const { return page_; }
+    /// Raw bytes page `p` decodes to.
+    uint64_t page_raw_bytes(size_t p) const {
+      return std::min<uint64_t>(page_, desc_.num_bytes() - p * page_);
+    }
+    /// Size of the whole container on disk.
+    uint64_t file_bytes() const { return file_.size(); }
+
+    /// Appends the raw bytes of page `p` (< num_pages()) to `out`.
+    /// Corruption unless the page decodes to exactly
+    /// page_raw_bytes(p); `out` may then hold a partial page.
+    Status DecodePage(size_t p, Buffer* out) const;
+
+   private:
+    Buffer file_;
+    std::string compressor_;
+    uint64_t page_ = 0;
+    DataDesc desc_;
+    /// Start of each page's stored bytes in file_, plus the end of the
+    /// last one.
+    std::vector<uint64_t> page_offsets_ = {0};
+  };
+
   /// Reads the container back: file I/O and per-page decompression are
-  /// timed separately. Returns the raw little-endian element bytes. The
-  /// file is read once; when `desc` is non-null it receives the stored
-  /// array descriptor parsed from that same read.
+  /// timed separately. Returns the raw little-endian element bytes, each
+  /// page decoded straight onto the end of the result. The file is read
+  /// once; when `desc` is non-null it receives the stored array
+  /// descriptor parsed from that same read.
   static Result<Buffer> Read(const std::string& path, ReadTiming* timing,
                              DataDesc* desc = nullptr);
 
@@ -74,9 +120,9 @@ class PagedFile {
   /// is stored in the header. The file is read whole, once — the saving
   /// is decode work, which dominates for compressed columns (§6.2.2) —
   /// and `desc`, when non-null, receives the stored descriptor from that
-  /// read. The decode buffer is sized for the touched pages up front; a
-  /// range starting on a page boundary is returned in it directly,
-  /// without copying the slice out.
+  /// read. The touched pages decode back to back into one buffer sized
+  /// for them up front; a range starting on a page boundary is returned
+  /// in it directly, without copying the slice out.
   static Result<Buffer> ReadElementRange(const std::string& path,
                                          uint64_t first, uint64_t count,
                                          ReadTiming* timing = nullptr,

@@ -25,16 +25,53 @@ bool ScanPredicate::Matches(double v) const {
   return false;
 }
 
+namespace {
+
+/// Row ids of `col` for which `match` holds: every id is written into a
+/// selection sized once to the column, the cursor advances by the
+/// predicate's result, and the tail is trimmed at the end — no branch on
+/// the data and no push_back per row.
+template <typename Match>
+Selection SelectWhere(const std::vector<double>& col, Match match) {
+  Selection sel(col.size());
+  size_t n = 0;
+  for (size_t i = 0; i < col.size(); ++i) {
+    sel[n] = static_cast<uint32_t>(i);
+    n += match(col[i]) ? 1 : 0;
+  }
+  sel.resize(n);
+  return sel;
+}
+
+}  // namespace
+
 Result<Selection> Filter(const DataFrame& df, const ScanPredicate& pred) {
   if (pred.column >= df.num_columns()) {
     return Status::InvalidArgument("query: column index out of range");
   }
   const std::vector<double>& col = df.column(pred.column);
-  Selection sel;
-  for (size_t i = 0; i < col.size(); ++i) {
-    if (pred.Matches(col[i])) sel.push_back(static_cast<uint32_t>(i));
+  // The operator is chosen once; each loop repeats Matches' comparison
+  // exactly, so NaN and +-0.0 behave as Matches says.
+  const double lo = pred.value;
+  const double hi = pred.upper;
+  switch (pred.op) {
+    case CompareOp::kEq:
+      return SelectWhere(col, [lo](double v) { return v == lo; });
+    case CompareOp::kNe:
+      return SelectWhere(col, [lo](double v) { return v != lo; });
+    case CompareOp::kLt:
+      return SelectWhere(col, [lo](double v) { return v < lo; });
+    case CompareOp::kLe:
+      return SelectWhere(col, [lo](double v) { return v <= lo; });
+    case CompareOp::kGt:
+      return SelectWhere(col, [lo](double v) { return v > lo; });
+    case CompareOp::kGe:
+      return SelectWhere(col, [lo](double v) { return v >= lo; });
+    case CompareOp::kBetween:
+      return SelectWhere(col,
+                         [lo, hi](double v) { return (v >= lo) & (v <= hi); });
   }
-  return sel;
+  return Selection();
 }
 
 Result<Selection> FilterAll(const DataFrame& df,

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "db/column_store.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace fcbench::db::shard {
@@ -246,25 +246,27 @@ ShardedIngestEngine::SnapshotReadShards(const std::string& column) const {
   // off-gate and truncating yields the state as of the capture instant
   // even while ingest continues. (A concurrent scrub that quarantines a
   // segment can shrink a shard below its cut — the one documented
-  // exception.) One pool task per shard: a shard read that lands on a
-  // worker decodes its pages inline, so the per-page fan-out is replaced
-  // by shard-level parallelism.
-  std::vector<std::vector<double>> out(shards_.size());
+  // exception.) Every shard's read is queued into one batch, so the
+  // pages of all shards and segments are one flat task list: no
+  // participant idles behind the largest shard.
+  ColumnReadBatch batch;
   std::vector<Status> status(shards_.size());
-  ThreadPool::Shared().ParallelFor(
-      shards_.size(),
-      [&](size_t k) {
-        auto r = shards_[k]->ReadColumn(column);
-        if (!r.ok()) {
-          status[k] = r.status();
-          return;
-        }
-        out[k] = std::move(r).value();
-        if (out[k].size() > cut[k]) out[k].resize(cut[k]);
-      },
-      {/*grain=*/1});
+  std::vector<size_t> output(shards_.size(), 0);
   for (size_t k = 0; k < shards_.size(); ++k) {
+    auto r = shards_[k]->AddColumnRead(column, &batch);
+    if (r.ok()) {
+      output[k] = r.value();
+    } else {
+      status[k] = r.status();
+    }
+  }
+  const std::vector<Status> read = batch.Run();
+  std::vector<std::vector<double>> out(shards_.size());
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (status[k].ok()) status[k] = read[output[k]];
     if (!status[k].ok()) return Annotate(k, status[k]);
+    out[k] = std::move(batch.output(output[k]));
+    if (out[k].size() > cut[k]) out[k].resize(cut[k]);
   }
   return out;
 }

@@ -149,11 +149,13 @@ class ShardedIngestEngine {
   /// Snapshot-consistent read: one vector per shard, each truncated to
   /// the shard's row count captured at a single instant with no append
   /// in flight. Concurrent ingest never tears a batch into the result.
-  /// The cut is captured under the gate; the per-shard ReadColumn calls
-  /// then run concurrently on ThreadPool::Shared() (one task per shard,
-  /// the calling thread taking part). Every shard is read even when one
-  /// fails; the error returned is the lowest-indexed failing shard's,
-  /// annotated with that index. Caveat: a scrub that quarantines a
+  /// The cut is captured under the gate; then every shard's read
+  /// (IngestEngine::AddColumnRead) is queued into one ColumnReadBatch,
+  /// whose two ParallelFors on ThreadPool::Shared() (the calling thread
+  /// taking part) open every segment of every shard and then decode
+  /// every page of them all, one task per page. Every shard is read even
+  /// when one fails; the error returned is the lowest-indexed failing
+  /// shard's, annotated with that index. Caveat: a scrub that quarantines a
   /// segment between capture and read can make a shard return fewer
   /// rows than captured.
   Result<std::vector<std::vector<double>>> SnapshotReadShards(

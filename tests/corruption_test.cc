@@ -565,5 +565,30 @@ TEST_F(PagedFileHostileHeader, TruncatedPages) {
   ExpectRejected(b, "truncated pages");
 }
 
+TEST_F(PagedFileHostileHeader, PageSizeNotWholeElements) {
+  // Page tasks address pages by row, so a page must hold whole elements.
+  Buffer b = Prefix(4097);
+  PutVarint64(&b, 1);
+  PutVarint64(&b, 1024);  // 8 KiB of f64 => 2 pages of 4097 bytes
+  PutVarint64(&b, 2);
+  PutVarint64(&b, 4097);
+  PutVarint64(&b, 4095);
+  b.Append(std::vector<uint8_t>(8192, 0xab).data(), 8192);
+  ExpectRejected(b, "page size not whole elements");
+}
+
+TEST_F(PagedFileHostileHeader, RawPageShorterThanItsPage) {
+  // The directory sums to the array size, but page 0 stores less than a
+  // page: its raw bytes would land at the wrong rows.
+  Buffer b = Prefix(4096);
+  PutVarint64(&b, 1);
+  PutVarint64(&b, 1024);
+  PutVarint64(&b, 2);
+  PutVarint64(&b, 4000);
+  PutVarint64(&b, 4192);
+  b.Append(std::vector<uint8_t>(8192, 0xab).data(), 8192);
+  ExpectRejected(b, "raw page size mismatch");
+}
+
 }  // namespace
 }  // namespace fcbench

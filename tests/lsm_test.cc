@@ -1285,5 +1285,87 @@ TEST_F(LsmEngineTest, CompactionPublishesOnlyIfItsWholeRunIsStillServed) {
   expect_rows_except_b(*eng.value());
 }
 
+/// Column `col` of `eng` read from outside the engine: every segment
+/// through ColumnStore::ReadRows, in order, then `table` (the column's
+/// expected values) from row `mem_begin` on, for the memtables.
+std::vector<double> OracleColumn(const IngestEngine& eng, size_t col,
+                                 uint64_t mem_begin,
+                                 const std::vector<double>& table) {
+  const char* names[] = {"ts", "value", "flag"};
+  std::vector<double> out;
+  for (const SegmentInfo& s : eng.segments()) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "seg-%06llu",
+                  static_cast<unsigned long long>(s.id));
+    auto rows = ColumnStore::ReadRows(fs::JoinPath(eng.dir(), name),
+                                      names[col], 0, s.rows);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) {
+      out.insert(out.end(), rows.value().begin(), rows.value().end());
+    }
+  }
+  out.insert(out.end(), table.begin() + mem_begin, table.end());
+  return out;
+}
+
+TEST_F(LsmEngineTest, PageTasksMatchPerSegmentReadsAndBothMemtables) {
+  // 4 KiB pages hold 512 f64 or 1024 f32 rows, and no segment is a page
+  // multiple: a compacted one of 3400 rows and flushed ones of 777 and
+  // 1031. Rows also sit in the immutable memtable (its flush held in a
+  // retry backoff) and in the live one. ReadColumn from the test thread
+  // (pages fanned out on the pool) and from inside a pool task (inline,
+  // the path a compaction takes) must both equal every segment's
+  // ColumnStore::ReadRows followed by the memtable rows.
+  EngineOptions opt = FastOptions();
+  opt.page_size = 4096;
+  opt.background_flush = true;
+  opt.memtable_bytes = 16 << 20;  // flushes only when asked
+  opt.io_retry_backoff_ms = 60000;
+  auto opened = IngestEngine::Open(dir_, Schema(), opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  IngestEngine& eng = *opened.value();
+  uint64_t begin = 0;
+  for (uint64_t end : {1300, 3400, 4177, 5208}) {
+    ASSERT_TRUE(AppendRows(eng, begin, end, 100).ok());
+    ASSERT_TRUE(eng.Flush().ok());
+    if (end == 3400) {
+      ASSERT_TRUE(eng.Compact().ok());
+    }
+    begin = end;
+  }
+  ASSERT_EQ(eng.segments().size(), 3u);
+  EXPECT_EQ(eng.segments()[0].level, 1u);
+  constexpr uint64_t kSegRows = 5208, kImmEnd = 5808, kRows = 6141;
+  ASSERT_TRUE(AppendRows(eng, kSegRows, kImmEnd, 100).ok());
+  // The flush's first write fails and its retry waits out a 60 s
+  // backoff, so its memtable stays immutable and readable meanwhile.
+  ASSERT_TRUE(fail::FailPoints::Set("lsm.flush", "err@1").ok());
+  ASSERT_TRUE(eng.ScheduleFlush().ok());
+  ASSERT_TRUE(AppendRows(eng, kImmEnd, kRows, 100).ok());
+  ASSERT_EQ(eng.rows(), kRows);
+
+  const char* names[] = {"ts", "value", "flag"};
+  for (size_t c = 0; c < 3; ++c) {
+    const std::vector<double> table = ExpectedColumn(c, kRows);
+    const std::vector<double> oracle = OracleColumn(eng, c, kSegRows, table);
+    ASSERT_EQ(oracle, table) << names[c];
+    auto direct = eng.ReadColumn(names[c]);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(direct.value(), oracle) << names[c];
+
+    std::promise<Result<std::vector<double>>> in_task;
+    ThreadPool::Shared().Submit(
+        [&] { in_task.set_value(eng.ReadColumn(names[c])); });
+    auto inline_read = in_task.get_future().get();
+    ASSERT_TRUE(inline_read.ok()) << inline_read.status().ToString();
+    EXPECT_EQ(inline_read.value(), oracle) << names[c] << " in a pool task";
+  }
+  // Give the held flush up; its rows stay WAL-backed.
+  eng.InterruptRetries();
+  EXPECT_FALSE(eng.WaitForFlush().ok());
+  fail::FailPoints::ClearAll();
+  ExpectColumnsEqualPrefix(eng, kRows);
+}
+
 }  // namespace
 }  // namespace fcbench::db::lsm

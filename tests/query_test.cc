@@ -66,6 +66,52 @@ TEST(QueryFilterTest, EachOperatorMatchesReference) {
   }
 }
 
+TEST(QueryFilterTest, EveryOperatorMatchesScanPredicateOnSpecialValues) {
+  // Filter chooses the operator once, outside its row loop; it must
+  // select exactly the rows ScanPredicate::Matches accepts, including
+  // NaN (matches only kNe), +-0.0 (equal to each other) and +-inf.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> special = {nan, -0.0, 0.0, inf, -inf, 1.5,
+                                       1.5, -2.0, nan, 0.0, 7.0, -inf};
+  const std::vector<std::vector<double>> columns = {
+      special,
+      {},                    // empty column
+      {3.0, 3.0, 3.0},       // duplicates: all or none match
+      {nan, nan},            // nothing compares true but kNe
+  };
+  const double constants[] = {nan, -0.0, 0.0, inf, -inf, 1.5, 3.0, -2.0};
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                           CompareOp::kBetween};
+  size_t all_match = 0, no_match = 0;
+  for (const auto& values : columns) {
+    DataFrame df = MakeFrame(values);
+    for (CompareOp op : ops) {
+      for (double lo : constants) {
+        for (double hi : constants) {
+          ScanPredicate pred{.column = 0, .op = op, .value = lo, .upper = hi};
+          auto sel = Filter(df, pred);
+          ASSERT_TRUE(sel.ok());
+          Selection expect;
+          for (size_t i = 0; i < values.size(); ++i) {
+            if (pred.Matches(values[i])) expect.push_back(uint32_t(i));
+          }
+          EXPECT_EQ(sel.value(), expect)
+              << "op=" << static_cast<int>(op) << " value=" << lo
+              << " upper=" << hi << " rows=" << values.size();
+          if (!values.empty() && expect.size() == values.size()) ++all_match;
+          if (!values.empty() && expect.empty()) ++no_match;
+          if (op != CompareOp::kBetween) break;  // upper is unused
+        }
+      }
+    }
+  }
+  // The inputs reach both extremes, not only partial selections.
+  EXPECT_GT(all_match, 0u);
+  EXPECT_GT(no_match, 0u);
+}
+
 TEST(QueryFilterTest, BadColumnRejected) {
   DataFrame df = MakeFrame({1, 2, 3});
   auto sel = Filter(df, ScanPredicate{.column = 5});

@@ -15,15 +15,20 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <future>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "db/column_store.h"
 #include "db/shard/sharded_engine.h"
 #include "obs/metrics.h"
+#include "util/bitio.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
+#include "util/thread_pool.h"
 
 namespace fcbench::db::shard {
 namespace {
@@ -497,6 +502,311 @@ TEST_F(ShardTest, SnapshotReadReportsLowestFailingShard) {
   for (size_t k = 0; k < eng.num_shards(); ++k) {
     EXPECT_EQ(healed.value()[k].size(), 10u) << "shard " << k;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Page-task reads: one pool task per stored page, across every segment of
+// every shard
+// ---------------------------------------------------------------------------
+
+/// t and v as in Batch(), plus an f32 column f = (start + i) / 3, which
+/// rounds on its way into a segment and widens back per page.
+std::vector<ColumnDef> PageSchema() {
+  return {{"t", DType::kFloat64, 0, ""},
+          {"v", DType::kFloat64, 0, ""},
+          {"f", DType::kFloat32, 0, ""}};
+}
+
+double FValue(uint64_t row) {
+  return static_cast<double>(static_cast<float>(static_cast<double>(row) / 3));
+}
+
+std::vector<double> PageBatch(uint64_t series, uint64_t start, size_t n) {
+  std::vector<double> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(static_cast<double>(start + i));
+    rows.push_back(static_cast<double>(series) * 1e6 +
+                   static_cast<double>(start + i));
+    rows.push_back(static_cast<double>(start + i) / 3);
+  }
+  return rows;
+}
+
+/// 4 KiB pages: 512 f64 or 1024 f32 rows, so segments span several
+/// pages and their row counts are not page multiples.
+ShardOptions PageOptions() {
+  ShardOptions o = TestOptions(4);
+  o.engine.page_size = 4096;
+  o.engine.background_flush = true;
+  o.engine.flush_compressor = "bitshuffle_lz4";
+  o.engine.compact_compressor = "chimp128";
+  return o;
+}
+
+std::string SegmentPrefix(const lsm::IngestEngine& shard, uint64_t id) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "seg-%06llu",
+                static_cast<unsigned long long>(id));
+  return fs::JoinPath(shard.dir(), name);
+}
+
+/// `column` of one shard read from outside the engine: every segment
+/// through ColumnStore::ReadRows, in order.
+std::vector<double> SegmentRows(const lsm::IngestEngine& shard,
+                                const std::string& column) {
+  std::vector<double> out;
+  for (const lsm::SegmentInfo& s : shard.segments()) {
+    auto rows =
+        ColumnStore::ReadRows(SegmentPrefix(shard, s.id), column, 0, s.rows);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (rows.ok()) {
+      out.insert(out.end(), rows.value().begin(), rows.value().end());
+    }
+  }
+  return out;
+}
+
+/// The lowest series key that routes to each shard.
+std::vector<uint64_t> KeyPerShard(const ShardedIngestEngine& eng) {
+  std::vector<uint64_t> key_of(eng.num_shards(), 0);
+  std::vector<bool> seen(eng.num_shards(), false);
+  for (uint64_t key = 0, found = 0; found < eng.num_shards(); ++key) {
+    const size_t k = eng.ShardOf(key);
+    if (!seen[k]) {
+      seen[k] = true;
+      key_of[k] = key;
+      ++found;
+    }
+  }
+  return key_of;
+}
+
+TEST_F(ShardTest, PageTaskSnapshotMatchesPerSegmentReadsAndMemtables) {
+  // Every shard holds flushed segments of 1300, 777 and 1031 rows (shard
+  // 0's first two compacted into one), then live memtable rows; shard 1
+  // also has an immutable memtable whose flush waits out a retry
+  // backoff. Each shard of SnapshotReadShards, run from the test thread
+  // and from inside a pool task, must equal the shard's per-segment
+  // ColumnStore::ReadRows followed by its memtable rows.
+  ShardOptions opt = PageOptions();
+  opt.engine.io_retry_backoff_ms = 60000;
+  auto opened = ShardedIngestEngine::Open(dir_, PageSchema(), opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+  const std::vector<uint64_t> key_of = KeyPerShard(eng);
+
+  uint64_t rows = 0;
+  for (uint64_t n : {1300, 777, 1031}) {
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      ASSERT_TRUE(eng.AppendBatch(key_of[k], PageBatch(key_of[k], rows, n))
+                      .ok());
+    }
+    ASSERT_TRUE(eng.Flush().ok());
+    rows += n;
+    if (n == 777) {
+      ASSERT_TRUE(eng.shard(0)->Compact().ok());
+    }
+  }
+  ASSERT_EQ(eng.shard(0)->segments().size(), 2u);
+  const uint64_t seg_rows = rows;
+  auto append_all = [&](uint64_t n) {
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      ASSERT_TRUE(eng.AppendBatch(key_of[k], PageBatch(key_of[k], rows, n))
+                      .ok());
+    }
+    rows += n;
+  };
+  append_all(600);
+  ASSERT_TRUE(fail::FailPoints::Set("lsm.flush", "err@1").ok());
+  ASSERT_TRUE(eng.shard(1)->ScheduleFlush().ok());  // held: immutable
+  append_all(333);
+
+  const std::vector<std::string> names = {"t", "v", "f"};
+  for (size_t c = 0; c < names.size(); ++c) {
+    std::vector<std::vector<double>> oracle(eng.num_shards());
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      oracle[k] = SegmentRows(*eng.shard(k), names[c]);
+      ASSERT_EQ(oracle[k].size(), seg_rows);
+      for (uint64_t r = seg_rows; r < rows; ++r) {
+        const double v[] = {static_cast<double>(r),
+                            static_cast<double>(key_of[k]) * 1e6 +
+                                static_cast<double>(r),
+                            FValue(r)};
+        oracle[k].push_back(v[c]);
+      }
+      ASSERT_EQ(oracle[k].back(), c == 2 ? FValue(rows - 1)
+                                         : oracle[k][rows - 1]);
+    }
+    auto snap = eng.SnapshotReadShards(names[c]);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(snap.value(), oracle) << names[c];
+
+    std::promise<Result<std::vector<std::vector<double>>>> in_task;
+    ThreadPool::Shared().Submit(
+        [&] { in_task.set_value(eng.SnapshotReadShards(names[c])); });
+    auto inline_snap = in_task.get_future().get();
+    ASSERT_TRUE(inline_snap.ok()) << inline_snap.status().ToString();
+    EXPECT_EQ(inline_snap.value(), oracle) << names[c] << " in a pool task";
+  }
+  eng.shard(1)->InterruptRetries();
+  EXPECT_FALSE(eng.shard(1)->WaitForFlush().ok());
+  fail::FailPoints::ClearAll();
+}
+
+TEST_F(ShardTest, PageTaskSnapshotsAreCutsOfTheFinalSegmentsUnderIngest) {
+  // Two writers append while segments flush and compact in the
+  // background; every snapshot taken meanwhile must be batch-aligned
+  // and, shard by shard, a prefix of what the final segments hold when
+  // read one by one through ColumnStore::ReadRows.
+  ShardOptions opt = PageOptions();
+  opt.engine.memtable_bytes = 32 << 10;  // about 1365 rows per flush
+  opt.engine.compact_fanout = 2;
+  auto opened = ShardedIngestEngine::Open(dir_, PageSchema(), opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+
+  constexpr size_t kWriters = 2;
+  constexpr size_t kSeriesPerWriter = 8;
+  constexpr size_t kBatch = 50;
+  constexpr size_t kRounds = 30;
+  std::atomic<bool> write_failed{false};
+  std::vector<std::thread> writers;
+  for (size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (size_t i = 0; i < kRounds; ++i) {
+        for (size_t j = 0; j < kSeriesPerWriter; ++j) {
+          const uint64_t series = w + j * kWriters;
+          const Status st = eng.AppendBatchUntil(
+              series, PageBatch(series, i * kBatch, kBatch),
+              std::chrono::steady_clock::now() + std::chrono::seconds(30));
+          if (!st.ok()) write_failed = true;
+        }
+      }
+    });
+  }
+  constexpr uint64_t kSeries = kWriters * kSeriesPerWriter;
+  std::vector<std::vector<std::vector<double>>> v_snaps, f_snaps;
+  for (size_t i = 0; i < 20; ++i) {
+    auto v = eng.SnapshotReadShards("v");
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    for (uint64_t s = 0; s < kSeries; ++s) {
+      size_t n = 0;
+      for (double x : v.value()[eng.ShardOf(s)]) {
+        if (static_cast<uint64_t>(x / 1e6) == s) ++n;
+      }
+      ASSERT_EQ(n % kBatch, 0u) << "torn batch: series " << s;
+    }
+    v_snaps.push_back(std::move(v).value());
+    auto f = eng.SnapshotReadShards("f");
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    f_snaps.push_back(std::move(f).value());
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_FALSE(write_failed.load());
+  ASSERT_TRUE(eng.Flush().ok());
+
+  for (size_t k = 0; k < eng.num_shards(); ++k) {
+    const std::vector<double> v = SegmentRows(*eng.shard(k), "v");
+    const std::vector<double> f = SegmentRows(*eng.shard(k), "f");
+    ASSERT_EQ(v.size(), eng.shard(k)->rows()) << "shard " << k;
+    ASSERT_EQ(f.size(), v.size()) << "shard " << k;
+    for (const auto& snap : v_snaps) {
+      ASSERT_LE(snap[k].size(), v.size());
+      EXPECT_TRUE(std::equal(snap[k].begin(), snap[k].end(), v.begin()))
+          << "shard " << k << ": a v snapshot is not a prefix";
+    }
+    for (const auto& snap : f_snaps) {
+      ASSERT_LE(snap[k].size(), f.size());
+      EXPECT_TRUE(std::equal(snap[k].begin(), snap[k].end(), f.begin()))
+          << "shard " << k << ": an f snapshot is not a prefix";
+    }
+  }
+  EXPECT_EQ(eng.rows(), kSeries * kRounds * kBatch);
+}
+
+/// XORs 0xff into the first stored byte of page `page` of the PagedFile
+/// at `path` (its page codec's own header, not the container's).
+void FlipPageByte(const std::string& path, size_t page) {
+  auto bytes = fs::ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Buffer file = std::move(bytes).TakeValue();
+  const ByteSpan in = file.span();
+  size_t off = 0;
+  uint32_t magic = 0;
+  uint64_t name_len = 0, page_bytes = 0, rank = 0, extent = 0, npages = 0;
+  uint8_t dtype = 0, digits = 0;
+  ASSERT_TRUE(GetFixed(in, &off, &magic) && GetVarint64(in, &off, &name_len));
+  off += name_len;
+  ASSERT_TRUE(GetVarint64(in, &off, &page_bytes) &&
+              GetFixed(in, &off, &dtype) && GetFixed(in, &off, &digits) &&
+              GetVarint64(in, &off, &rank));
+  for (uint64_t d = 0; d < rank; ++d) {
+    ASSERT_TRUE(GetVarint64(in, &off, &extent));
+  }
+  ASSERT_TRUE(GetVarint64(in, &off, &npages));
+  ASSERT_LT(page, npages);
+  std::vector<uint64_t> sizes(npages);
+  for (auto& s : sizes) ASSERT_TRUE(GetVarint64(in, &off, &s));
+  for (size_t p = 0; p < page; ++p) off += sizes[p];
+  file.data()[off] ^= 0xff;
+  ASSERT_TRUE(fs::WriteFileAtomic(path, file.span(), /*durable=*/false).ok());
+}
+
+TEST_F(ShardTest, CorruptMiddlePageFailsEveryReadOfItsShard) {
+  // Each shard holds two 2000-row segments of 4 pages plus memtable
+  // rows. One byte flipped in page 2 of shard 2's first segment, column
+  // v, fails the snapshot with Corruption annotated with shard 2 while
+  // the other shards' pages decode on other threads; the shard's own
+  // ReadColumn and a compaction over the segment fail the same way, and
+  // column t still reads. A missing column file fails cleanly too.
+  auto opened = ShardedIngestEngine::Open(dir_, PageSchema(), PageOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+  const std::vector<uint64_t> key_of = KeyPerShard(eng);
+  for (uint64_t start : {0, 2000}) {
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      ASSERT_TRUE(
+          eng.AppendBatch(key_of[k], PageBatch(key_of[k], start, 2000)).ok());
+    }
+    ASSERT_TRUE(eng.Flush().ok());
+  }
+  for (size_t k = 0; k < eng.num_shards(); ++k) {
+    ASSERT_TRUE(
+        eng.AppendBatch(key_of[k], PageBatch(key_of[k], 4000, 10)).ok());
+  }
+  lsm::IngestEngine& shard2 = *eng.shard(2);
+  ASSERT_EQ(shard2.segments().size(), 2u);
+  const std::string seg = SegmentPrefix(shard2, shard2.segments()[0].id);
+  FlipPageByte(seg + ".1.col", 2);  // column 1 is v
+
+  auto snap = eng.SnapshotReadShards("v");
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption)
+      << snap.status().ToString();
+  EXPECT_EQ(snap.status().message().rfind("shard 2: ", 0), 0u)
+      << snap.status().ToString();
+  auto direct = shard2.ReadColumn("v");
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(snap.status().message(), "shard 2: " + direct.status().message());
+  const Status compacted = shard2.Compact();
+  EXPECT_EQ(compacted.code(), StatusCode::kCorruption) << compacted.ToString();
+  EXPECT_EQ(compacted.message(), direct.status().message());
+  EXPECT_EQ(shard2.segments().size(), 2u) << "a failed compaction installed";
+  auto t = eng.SnapshotReadShards("t");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t.value()[2].size(), 4010u);
+
+  lsm::IngestEngine& shard3 = *eng.shard(3);
+  ASSERT_TRUE(
+      fs::RemoveFile(SegmentPrefix(shard3, shard3.segments()[1].id) + ".0.col")
+          .ok());
+  auto missing = eng.SnapshotReadShards("t");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError)
+      << missing.status().ToString();
+  EXPECT_EQ(missing.status().message().rfind("shard 3: ", 0), 0u)
+      << missing.status().ToString();
+  EXPECT_TRUE(eng.SnapshotReadShards("f").ok());
 }
 
 // ---------------------------------------------------------------------------
