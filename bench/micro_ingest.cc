@@ -46,9 +46,9 @@ constexpr uint64_t kMaxFsyncRows = 2000;
 
 std::vector<ColumnDef> Schema() {
   return {
-      {.name = "ts", .dtype = DType::kFloat64, .compressor = ""},
-      {.name = "value", .dtype = DType::kFloat64, .compressor = ""},
-      {.name = "flag", .dtype = DType::kFloat32, .compressor = ""},
+      {.name = "ts", .dtype = DType::kFloat64},
+      {.name = "value", .dtype = DType::kFloat64},
+      {.name = "flag", .dtype = DType::kFloat32},
   };
 }
 

@@ -50,8 +50,8 @@ constexpr size_t kFsyncSeries = 1024;
 
 std::vector<lsm::ColumnDef> Schema() {
   return {
-      {.name = "ts", .dtype = DType::kFloat64, .compressor = ""},
-      {.name = "value", .dtype = DType::kFloat64, .compressor = ""},
+      {.name = "ts", .dtype = DType::kFloat64},
+      {.name = "value", .dtype = DType::kFloat64},
   };
 }
 

@@ -352,8 +352,8 @@ int CmdStats(int argc, char** argv) {
     db::lsm::EngineOptions opt;
     opt.background_flush = false;
     auto eng = db::lsm::IngestEngine::Open(
-        dir, {{.name = "ts", .dtype = DType::kFloat64, .compressor = ""},
-              {.name = "value", .dtype = DType::kFloat64, .compressor = ""}},
+        dir, {{.name = "ts", .dtype = DType::kFloat64},
+              {.name = "value", .dtype = DType::kFloat64}},
         opt);
     if (eng.ok()) {
       std::vector<double> batch(256 * 2);

@@ -185,7 +185,10 @@ PY
   # installs), which only a sanitizer sees go wrong. The db suites run
   # the shared page decoder (PagedFile::Pages, ColumnStore row reads and
   # their page tasks) and the query layer's branch-free Filter.
-  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test"
+  # select_test and streaming_test drive the auto* methods through the
+  # one chunk container codec (ChunkedCompressor with per-chunk methods)
+  # and StreamWriter::OpenChunked("auto-ratio").
+  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test select_test streaming_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   # shellcheck disable=SC2086  # word-split the suite list into targets

@@ -31,6 +31,62 @@ bool IsPlainMethodName(std::string_view name) {
   return true;
 }
 
+/// Serializes a header+directory for `payload_sizes` chunks, appending
+/// to `out`. With a non-empty `methods` table (and matching `method_ids`)
+/// a version-2 mixed directory is written; otherwise version 1. The
+/// payload bytes follow it verbatim.
+Status WriteDirectory(uint64_t raw_bytes, uint64_t chunk_raw_bytes,
+                      const std::vector<std::string>& methods,
+                      const std::vector<uint32_t>& method_ids,
+                      const std::vector<uint64_t>& payload_sizes,
+                      Buffer* out) {
+  using C = ChunkedCompressor;
+  const bool mixed = !methods.empty();
+  if (mixed && (methods.size() > C::kMaxMethods ||
+                method_ids.size() != payload_sizes.size())) {
+    return Status::InvalidArgument("chunked: malformed method directory");
+  }
+  for (const auto& m : methods) {
+    if (!IsPlainMethodName(m)) {
+      return Status::InvalidArgument("chunked: '" + m +
+                                     "' is not a storable method name");
+    }
+  }
+  for (uint32_t id : method_ids) {
+    if (id >= methods.size()) {
+      return Status::InvalidArgument("chunked: method id out of range");
+    }
+  }
+  Buffer header;
+  PutFixed(&header, C::kMagic);
+  PutVarint64(&header, mixed ? C::kVersionMixed : C::kVersionSingle);
+  PutVarint64(&header, raw_bytes);
+  PutVarint64(&header, chunk_raw_bytes);
+  if (mixed) {
+    PutVarint64(&header, methods.size());
+    for (const auto& m : methods) {
+      PutVarint64(&header, m.size());
+      header.Append(m.data(), m.size());
+    }
+  }
+  PutVarint64(&header, payload_sizes.size());
+  if (mixed) {
+    for (uint32_t id : method_ids) PutVarint64(&header, id);
+  }
+  for (uint64_t s : payload_sizes) PutVarint64(&header, s);
+  PutFixed(&header, XxHash64(header.span()));
+  out->Append(header.span());
+  return Status::OK();
+}
+
+DataDesc ChunkDesc(const DataDesc& desc, uint64_t raw_bytes) {
+  DataDesc chunk_desc;
+  chunk_desc.dtype = desc.dtype;
+  chunk_desc.extent = {raw_bytes / DTypeSize(desc.dtype)};
+  chunk_desc.precision_digits = desc.precision_digits;
+  return chunk_desc;
+}
+
 }  // namespace
 
 uint64_t ChunkedCompressor::Index::RawSizeOfChunk(size_t i) const {
@@ -56,27 +112,37 @@ std::unique_ptr<Compressor> ChunkedCompressor::Make(
   return std::make_unique<ChunkedCompressor>(std::move(method), config);
 }
 
-ChunkedCompressor::ChunkedCompressor(std::string method,
+ChunkedCompressor::ChunkedCompressor(CompressorTraits traits,
                                      const CompressorConfig& config)
-    : method_(std::move(method)),
+    : traits_(std::move(traits)),
       inner_config_(config),
       chunk_bytes_(config.chunk_bytes ? config.chunk_bytes
                                       : kDefaultChunkBytes),
       threads_(ThreadPool::ResolveThreads(config.threads)) {
   // Inner methods always run single-threaded: outer chunks carry the
   // parallelism, and thread-count-sensitive inner formats (pFPC) must not
-  // make par-* output depend on the thread budget.
+  // make the container depend on the thread budget.
   inner_config_.threads = 1;
+  inner_config_.selection_trace = nullptr;
+}
 
+ChunkedCompressor::ChunkedCompressor(std::string method,
+                                     const CompressorConfig& config)
+    : ChunkedCompressor(CompressorTraits{}, config) {
+  method_ = std::move(method);
   auto probe = CompressorRegistry::Global().Create(method_, inner_config_);
   if (!probe.ok()) {
     init_status_ = probe.status();
-    traits_.name = "par-" + method_;
-    return;
+  } else {
+    traits_ = probe.value()->traits();
+    traits_.parallel = true;
   }
-  traits_ = probe.value()->traits();
   traits_.name = "par-" + method_;
-  traits_.parallel = true;
+}
+
+std::string ChunkedCompressor::ChooseMethod(size_t, ByteSpan,
+                                            const DataDesc&) {
+  return method_;
 }
 
 Status ChunkedCompressor::Compress(ByteSpan input, const DataDesc& desc,
@@ -90,29 +156,42 @@ Status ChunkedCompressor::Compress(ByteSpan input, const DataDesc& desc,
   const uint64_t chunk_raw = chunk_elems * esize;
   const uint64_t nchunks =
       input.empty() ? 0 : (input.size() + chunk_raw - 1) / chunk_raw;
+  auto chunk_span = [&](uint64_t c) {
+    const uint64_t begin = c * chunk_raw;
+    return input.subspan(begin,
+                         std::min<uint64_t>(chunk_raw, input.size() - begin));
+  };
 
   obs::ScopedSpan span("chunked.compress", nchunks, input.size());
+  // Every chunk's method, serially in chunk order (see ChooseMethod), as
+  // a table in order of first use plus one id per chunk.
+  std::vector<std::string> methods;
+  std::vector<uint32_t> method_ids(nchunks);
+  for (uint64_t c = 0; c < nchunks; ++c) {
+    const ByteSpan raw = chunk_span(c);
+    std::string method = ChooseMethod(c, raw, ChunkDesc(desc, raw.size()));
+    uint32_t id = 0;
+    while (id < methods.size() && methods[id] != method) ++id;
+    if (id == methods.size()) methods.push_back(std::move(method));
+    method_ids[c] = id;
+  }
+
   std::vector<Buffer> parts(nchunks);
   std::vector<Status> stats(nchunks);
   ThreadPool::Shared().ParallelFor(
       nchunks,
       [&](size_t c) {
-        uint64_t begin = c * chunk_raw;
-        uint64_t len = std::min<uint64_t>(chunk_raw, input.size() - begin);
-        DataDesc chunk_desc;
-        chunk_desc.dtype = desc.dtype;
-        chunk_desc.extent = {len / esize};
-        chunk_desc.precision_digits = desc.precision_digits;
+        const ByteSpan raw = chunk_span(c);
         // A fresh inner instance per chunk: Compressor instances are
         // single-call; sharing one across concurrent chunks would race.
-        auto inner =
-            CompressorRegistry::Global().Create(method_, inner_config_);
+        auto inner = CompressorRegistry::Global().Create(
+            methods[method_ids[c]], inner_config_);
         if (!inner.ok()) {
           stats[c] = inner.status();
           return;
         }
-        stats[c] = inner.value()->Compress(input.subspan(begin, len),
-                                           chunk_desc, &parts[c]);
+        stats[c] = inner.value()->Compress(raw, ChunkDesc(desc, raw.size()),
+                                           &parts[c]);
       },
       {/*grain=*/1, /*max_parallelism=*/static_cast<size_t>(threads_)});
   for (const auto& st : stats) FCB_RETURN_IF_ERROR(st);
@@ -123,56 +202,20 @@ Status ChunkedCompressor::Compress(ByteSpan input, const DataDesc& desc,
     payload_sizes[c] = parts[c].size();
     out_bytes += parts[c].size();
   }
-  FCB_RETURN_IF_ERROR(WriteDirectory(input.size(), chunk_raw, {}, {},
-                                     payload_sizes, out));
+  if (!method_.empty()) {
+    // One implicit method: version 1, no table.
+    methods.clear();
+    method_ids.clear();
+  } else if (methods.empty()) {
+    methods = {"bitshuffle_lz4"};  // an empty v2 table is malformed
+  }
+  FCB_RETURN_IF_ERROR(WriteDirectory(input.size(), chunk_raw, methods,
+                                     method_ids, payload_sizes, out));
   for (const auto& p : parts) out->Append(p.span());
   auto& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("chunked.compress.chunks")->Add(nchunks);
   reg.GetCounter("chunked.compress.raw_bytes")->Add(input.size());
   reg.GetCounter("chunked.compress.out_bytes")->Add(out_bytes);
-  return Status::OK();
-}
-
-Status ChunkedCompressor::WriteDirectory(
-    uint64_t raw_bytes, uint64_t chunk_raw_bytes,
-    const std::vector<std::string>& methods,
-    const std::vector<uint32_t>& method_ids,
-    const std::vector<uint64_t>& payload_sizes, Buffer* out) {
-  const bool mixed = !methods.empty();
-  if (mixed && (methods.size() > kMaxMethods ||
-                method_ids.size() != payload_sizes.size())) {
-    return Status::InvalidArgument("chunked: malformed method directory");
-  }
-  for (const auto& m : methods) {
-    if (!IsPlainMethodName(m)) {
-      return Status::InvalidArgument("chunked: '" + m +
-                                     "' is not a storable method name");
-    }
-  }
-  for (uint32_t id : method_ids) {
-    if (id >= methods.size()) {
-      return Status::InvalidArgument("chunked: method id out of range");
-    }
-  }
-  Buffer header;
-  PutFixed(&header, kMagic);
-  PutVarint64(&header, mixed ? kVersionMixed : kVersionSingle);
-  PutVarint64(&header, raw_bytes);
-  PutVarint64(&header, chunk_raw_bytes);
-  if (mixed) {
-    PutVarint64(&header, methods.size());
-    for (const auto& m : methods) {
-      PutVarint64(&header, m.size());
-      header.Append(m.data(), m.size());
-    }
-  }
-  PutVarint64(&header, payload_sizes.size());
-  if (mixed) {
-    for (uint32_t id : method_ids) PutVarint64(&header, id);
-  }
-  for (uint64_t s : payload_sizes) PutVarint64(&header, s);
-  PutFixed(&header, XxHash64(header.span()));
-  out->Append(header.span());
   return Status::OK();
 }
 
@@ -268,44 +311,13 @@ Result<ChunkedCompressor::Index> ChunkedCompressor::ReadIndex(
   return idx;
 }
 
-Status ChunkedCompressor::DecodeChunkWithIndex(
-    const Index& idx, ByteSpan input, const DataDesc& desc, size_t chunk,
-    std::string_view fallback_method, const CompressorConfig& inner_config,
-    Buffer* out) {
-  const size_t esize = DTypeSize(desc.dtype);
-  const uint64_t raw = idx.RawSizeOfChunk(chunk);
-  DataDesc chunk_desc;
-  chunk_desc.dtype = desc.dtype;
-  chunk_desc.extent = {raw / esize};
-  chunk_desc.precision_digits = desc.precision_digits;
-  std::string_view method = idx.MethodOfChunk(chunk);
-  if (method.empty()) method = fallback_method;
-  if (method.empty()) {
-    return Status::Corruption("chunked: stream names no method for chunk");
-  }
-  auto inner = CompressorRegistry::Global().Create(method, inner_config);
-  if (!inner.ok()) return inner.status();
-  size_t before = out->size();
-  FCB_RETURN_IF_ERROR(inner.value()->Decompress(
-      input.subspan(idx.payload_offsets[chunk], idx.payload_sizes[chunk]),
-      chunk_desc, out));
-  if (out->size() - before != raw) {
-    return Status::Corruption("chunked: chunk size mismatch after decode");
-  }
-  return Status::OK();
-}
-
-Status ChunkedCompressor::DecodeOne(const Index& idx, ByteSpan input,
-                                    const DataDesc& desc, size_t chunk,
-                                    Buffer* out) {
-  return DecodeChunkWithIndex(idx, input, desc, chunk, method_,
-                              inner_config_, out);
-}
-
-Status ChunkedCompressor::Decompress(ByteSpan input, const DataDesc& desc,
-                                     Buffer* out) {
+Result<ChunkedCompressor::Index> ChunkedCompressor::OpenIndex(
+    ByteSpan input, const DataDesc& desc) const {
   FCB_RETURN_IF_ERROR(init_status_);
   FCB_ASSIGN_OR_RETURN(Index idx, ReadIndex(input));
+  if (idx.version == kVersionSingle && method_.empty()) {
+    return Status::Corruption("chunked: container lacks a method table");
+  }
   if (idx.raw_bytes != desc.num_bytes()) {
     return Status::Corruption("chunked: declared size disagrees with desc");
   }
@@ -313,7 +325,30 @@ Status ChunkedCompressor::Decompress(ByteSpan input, const DataDesc& desc,
   if (idx.raw_bytes % esize != 0 || idx.chunk_raw_bytes % esize != 0) {
     return Status::Corruption("chunked: sizes not element-aligned");
   }
+  return idx;
+}
 
+Status ChunkedCompressor::DecodeOne(const Index& idx, ByteSpan input,
+                                    const DataDesc& desc, size_t chunk,
+                                    Buffer* out) const {
+  const uint64_t raw = idx.RawSizeOfChunk(chunk);
+  std::string_view method = idx.MethodOfChunk(chunk);
+  if (method.empty()) method = method_;
+  auto inner = CompressorRegistry::Global().Create(method, inner_config_);
+  if (!inner.ok()) return inner.status();
+  size_t before = out->size();
+  FCB_RETURN_IF_ERROR(inner.value()->Decompress(
+      input.subspan(idx.payload_offsets[chunk], idx.payload_sizes[chunk]),
+      ChunkDesc(desc, raw), out));
+  if (out->size() - before != raw) {
+    return Status::Corruption("chunked: chunk size mismatch after decode");
+  }
+  return Status::OK();
+}
+
+Status ChunkedCompressor::Decompress(ByteSpan input, const DataDesc& desc,
+                                     Buffer* out) {
+  FCB_ASSIGN_OR_RETURN(Index idx, OpenIndex(input, desc));
   const size_t nchunks = idx.num_chunks();
   const size_t base = out->size();
   out->Resize(base + idx.raw_bytes);
@@ -341,15 +376,7 @@ Status ChunkedCompressor::Decompress(ByteSpan input, const DataDesc& desc,
 Status ChunkedCompressor::DecompressChunk(ByteSpan input,
                                           const DataDesc& desc, size_t index,
                                           Buffer* out) {
-  FCB_RETURN_IF_ERROR(init_status_);
-  FCB_ASSIGN_OR_RETURN(Index idx, ReadIndex(input));
-  if (idx.raw_bytes != desc.num_bytes()) {
-    return Status::Corruption("chunked: declared size disagrees with desc");
-  }
-  const size_t esize = DTypeSize(desc.dtype);
-  if (idx.raw_bytes % esize != 0 || idx.chunk_raw_bytes % esize != 0) {
-    return Status::Corruption("chunked: sizes not element-aligned");
-  }
+  FCB_ASSIGN_OR_RETURN(Index idx, OpenIndex(input, desc));
   if (index >= idx.num_chunks()) {
     return Status::InvalidArgument("chunked: chunk index out of range");
   }

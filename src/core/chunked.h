@@ -10,10 +10,13 @@
 
 namespace fcbench {
 
-/// Generic chunk-parallel adapter: wraps any registry method, splits the
-/// input into fixed-size element-aligned chunks, compresses the chunks in
-/// parallel on the shared pool, and emits a framed container that decodes
-/// either in parallel or one chunk at a time (random access).
+/// The FCPK chunk container codec: splits the input into fixed-size
+/// element-aligned chunks, compresses the chunks in parallel on the shared
+/// pool, and emits a framed container that decodes either in parallel or
+/// one chunk at a time (random access). It is the container's only writer
+/// and reader: a par-<m> adapter is a ChunkedCompressor with one implicit
+/// method, and the auto selectors (select/auto_compressor.h) derive from
+/// it and only choose each chunk's method.
 ///
 /// Container layout (all integers little-endian / varint):
 ///   u32     magic "FCPK"
@@ -30,18 +33,18 @@ namespace fcbench {
 /// Version 1 streams carry no method metadata — the wrapping layer (the
 /// par-<m> registry name, a ColumnStore manifest) names the method.
 /// Version 2 streams are self-describing mixed-method containers: every
-/// chunk names its own method via the table, which is what the online
-/// selector (select/auto_compressor.h) emits. Both versions checksum
-/// the whole header+directory, and a v2 method table may only name
-/// plain base methods — adapter names (par-*, auto*) are rejected at
-/// parse time so a hostile container cannot nest decoders.
+/// chunk names its own method via the table, in order of first use. The
+/// table is never empty: an empty container's names bitshuffle_lz4. Both
+/// versions checksum the whole header+directory, and a v2 method table
+/// may only name plain base methods — adapter names (par-*, auto*) are
+/// rejected at parse time so a hostile container cannot nest decoders.
 ///
-/// Determinism: the layout is a pure function of (input, wrapped method,
-/// chunk_raw_bytes). `CompressorConfig::threads` only bounds execution
-/// parallelism — the inner method always runs with threads=1 so that
-/// thread-count-sensitive wrapped formats (pFPC's chunk directory) cannot
-/// leak scheduling into the bytes. Output is byte-identical for any
-/// thread count.
+/// Determinism: the layout is a pure function of (input, per-chunk
+/// methods, chunk_raw_bytes). `CompressorConfig::threads` only bounds
+/// execution parallelism — the inner methods always run with threads=1
+/// so that thread-count-sensitive formats (pFPC's chunk directory) cannot
+/// leak scheduling into the bytes, and ChooseMethod runs serially in
+/// chunk order. Output is byte-identical for any thread count.
 class ChunkedCompressor : public Compressor {
  public:
   static constexpr size_t kDefaultChunkBytes = 256 << 10;
@@ -99,25 +102,6 @@ class ChunkedCompressor : public Compressor {
   /// plain-method naming rule.
   static Result<Index> ReadIndex(ByteSpan input);
 
-  /// Serializes a header+directory for `payload_sizes` chunks,
-  /// appending to `out`. With a non-empty `methods` table (and matching
-  /// `method_ids`) a version-2 mixed directory is written; otherwise
-  /// version 1. The payload bytes follow the returned header verbatim.
-  static Status WriteDirectory(uint64_t raw_bytes, uint64_t chunk_raw_bytes,
-                               const std::vector<std::string>& methods,
-                               const std::vector<uint32_t>& method_ids,
-                               const std::vector<uint64_t>& payload_sizes,
-                               Buffer* out);
-
-  /// Decodes chunk `chunk` of a parsed container: uses the directory's
-  /// recorded method for mixed streams, `fallback_method` for v1
-  /// streams. Shared by the par-* adapter and the auto selector.
-  static Status DecodeChunkWithIndex(const Index& idx, ByteSpan input,
-                                     const DataDesc& desc, size_t chunk,
-                                     std::string_view fallback_method,
-                                     const CompressorConfig& inner_config,
-                                     Buffer* out);
-
   /// Decodes only chunk `index`, appending its raw bytes to `out`. `desc`
   /// is the descriptor of the *whole* array (as passed to Decompress);
   /// used for element width and total-size validation. This is the
@@ -125,12 +109,30 @@ class ChunkedCompressor : public Compressor {
   Status DecompressChunk(ByteSpan input, const DataDesc& desc, size_t index,
                          Buffer* out);
 
+ protected:
+  /// A mixed-method codec with no implicit method and the given traits:
+  /// Compress takes every chunk's method from ChooseMethod and writes
+  /// version 2; Decompress and DecompressChunk reject version-1
+  /// containers, empty ones too, as naming no method.
+  ChunkedCompressor(CompressorTraits traits, const CompressorConfig& config);
+
+  /// Method for chunk `chunk` of the input, whose raw bytes are `raw`.
+  /// Compress calls it for every chunk, serially in chunk order and
+  /// before any chunk compresses, so a chooser with state sees the same
+  /// sequence for any thread count. By default the implicit method.
+  virtual std::string ChooseMethod(size_t chunk, ByteSpan raw,
+                                   const DataDesc& chunk_desc);
+
  private:
+  /// ReadIndex plus the checks against `desc` every decode needs.
+  Result<Index> OpenIndex(ByteSpan input, const DataDesc& desc) const;
+  /// Decodes chunk `chunk` with its recorded method (v2) or method_ (v1),
+  /// appending to `out`.
   Status DecodeOne(const Index& idx, ByteSpan input, const DataDesc& desc,
-                   size_t chunk, Buffer* out);
+                   size_t chunk, Buffer* out) const;
 
   CompressorTraits traits_;
-  std::string method_;
+  std::string method_;             // empty for a mixed-method codec
   CompressorConfig inner_config_;  // threads pinned to 1; see class doc
   size_t chunk_bytes_;
   int threads_;

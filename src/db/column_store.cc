@@ -172,7 +172,7 @@ Status DecodeRows(const PagedFile::Pages& file, uint64_t row_begin,
 
 Status ColumnStore::Write(const std::string& prefix,
                           const std::vector<ColumnSpec>& columns,
-                          size_t page_size) {
+                          size_t page_size, uint64_t* table_bytes) {
   if (columns.empty()) {
     return Status::InvalidArgument("column_store: no columns");
   }
@@ -261,7 +261,13 @@ Status ColumnStore::Write(const std::string& prefix,
   // temp-file + rename + fsync): a crash anywhere in Write leaves either
   // the previous table or the complete new one — never a manifest
   // pointing at missing or torn column files.
-  return fs::WriteFileAtomic(ManifestPath(prefix), manifest.span());
+  FCB_RETURN_IF_ERROR(fs::WriteFileAtomic(ManifestPath(prefix),
+                                          manifest.span()));
+  if (table_bytes != nullptr) {
+    *table_bytes = manifest.size();
+    for (const auto& info : infos) *table_bytes += info.file_bytes;
+  }
+  return Status::OK();
 }
 
 Result<std::vector<std::string>> ColumnStore::ListColumns(

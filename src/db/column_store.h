@@ -53,10 +53,12 @@ class ColumnStore {
   /// Writes `columns` (all the same length) under `prefix`. Columns are
   /// converted and compressed in parallel on the shared pool — one task
   /// per column, so a wide table saturates the host even when every
-  /// column uses a serial method.
+  /// column uses a serial method. When `table_bytes` is non-null it
+  /// receives the size of every file written: column files and manifest.
   static Status Write(const std::string& prefix,
                       const std::vector<ColumnSpec>& columns,
-                      size_t page_size = 64 << 10);
+                      size_t page_size = 64 << 10,
+                      uint64_t* table_bytes = nullptr);
 
   /// Lists the column names recorded in the manifest.
   static Result<std::vector<std::string>> ListColumns(

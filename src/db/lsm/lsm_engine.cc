@@ -250,10 +250,11 @@ Result<std::vector<std::string>> SegmentFileNames(
   return names;
 }
 
-/// On-disk footprint of a published segment: every `seg-<id>.*` file.
-/// Best-effort (0 on listing errors) — feeds metrics only.
-uint64_t SegmentDiskBytes(const std::string& dir, uint64_t id) {
-  auto names = SegmentFileNames(dir, {id});
+/// On-disk footprint of published segments: every `seg-<id>.*` file of
+/// each id in `ids`. Best-effort (0 on listing errors) — feeds stats only.
+uint64_t SegmentDiskBytes(const std::string& dir,
+                          const std::vector<uint64_t>& ids) {
+  auto names = SegmentFileNames(dir, ids);
   if (!names.ok()) return 0;
   uint64_t total = 0;
   for (const auto& name : names.value()) {
@@ -385,9 +386,7 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     if (!schema.empty() && !SchemaMatches(schema, m.schema)) {
       return Status::InvalidArgument("lsm: schema mismatch with manifest");
     }
-    // Keep caller-side compressor overrides when the shapes match;
-    // adopt the stored schema wholesale when none was given.
-    eng->schema_ = schema.empty() ? m.schema : schema;
+    eng->schema_ = std::move(m.schema);
     eng->next_segment_id_ = m.next_segment_id;
     v.wal_floor = m.wal_floor;
     for (const auto& info : m.segments) {
@@ -779,21 +778,18 @@ void IngestEngine::DoFlushAndPublish(FlushJob job) {
   std::vector<ColumnStore::ColumnSpec> specs(schema_.size());
   for (size_t c = 0; c < schema_.size(); ++c) {
     specs[c].name = schema_[c].name;
-    specs[c].compressor = schema_[c].compressor.empty()
-                              ? opt_.flush_compressor
-                              : schema_[c].compressor;
+    specs[c].compressor = opt_.flush_compressor;
     specs[c].dtype = schema_[c].dtype;
     specs[c].precision_digits = schema_[c].precision_digits;
     specs[c].values = imm.column(c);
   }
+  uint64_t seg_bytes = 0;
   Status st = RetryIo("lsm: flush of segment " + SegPrefix(seg_id),
                       [&]() -> Status {
                         FCB_FAIL_RETURN("lsm.flush", SegPrefix(seg_id));
                         return ColumnStore::Write(SegPrefix(seg_id), specs,
-                                                  opt_.page_size);
+                                                  opt_.page_size, &seg_bytes);
                       });
-  const uint64_t seg_bytes =
-      st.ok() && obs::Enabled() ? SegmentDiskBytes(dir_, seg_id) : 0;
 
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -998,12 +994,13 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
     specs[c].precision_digits = schema_[c].precision_digits;
     specs[c].values = std::move(batch.output(c));
   }
+  uint64_t out_bytes = 0;
   if (st.ok()) {
     st = RetryIo("lsm: compaction write of " + SegPrefix(new_id),
                  [&]() -> Status {
                    FCB_FAIL_RETURN("lsm.compact", SegPrefix(new_id));
                    return ColumnStore::Write(SegPrefix(new_id), specs,
-                                             opt_.page_size);
+                                             opt_.page_size, &out_bytes);
                  });
   }
 
@@ -1043,11 +1040,9 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   for (const auto& s : run) s->fate = Segment::Fate::kDrop;
   lk.unlock();
 
-  uint64_t in_bytes = 0, out_bytes = 0;
-  if (obs::Enabled()) {
-    for (const auto& s : run) in_bytes += SegmentDiskBytes(dir_, s->info.id);
-    out_bytes = SegmentDiskBytes(dir_, new_id);
-  }
+  std::vector<uint64_t> run_ids;
+  for (const auto& s : run) run_ids.push_back(s->info.id);
+  const uint64_t in_bytes = SegmentDiskBytes(dir_, run_ids);
   // Readers that captured the run before the install still hold it; the
   // last of them deletes the files.
   run.clear();
@@ -1202,7 +1197,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
   // records the quarantine, so a failure is finished by the next Open.
   version.reset();
   for (uint64_t id : report.quarantined_ids) {
-    if (SegmentDiskBytes(dir_, id) > 0) {
+    if (SegmentDiskBytes(dir_, {id}) > 0) {
       report.notes.push_back("quarantine move pending: segment " +
                              std::to_string(id) +
                              " is still held by a read or compaction, or "

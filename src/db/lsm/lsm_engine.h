@@ -27,10 +27,6 @@ struct ColumnDef {
   DType dtype = DType::kFloat64;
   /// BUFF's lossless decimal bound; 0 = full precision.
   int precision_digits = 0;
-  /// Per-column override of EngineOptions::flush_compressor ("" = use
-  /// the engine default). Auto selectors are accepted — each flushed
-  /// segment then re-probes the column's current bytes.
-  std::string compressor;
 };
 
 struct EngineOptions {

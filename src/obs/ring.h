@@ -22,6 +22,16 @@ namespace fcbench::obs {
 /// reader copies is a defined (TSan-clean) race; the reader trusts a
 /// slot only when both stamps equal the expected ticket around the
 /// copy, and skips it otherwise.
+///
+/// One writer fills a slot at a time. A writer claims its slot by moving
+/// `begin` from the ticket of the slot's last finished record
+/// (`begin == end`) to its own, with one compare-exchange. It gives its
+/// record up instead when the slot holds a newer ticket (the writer was
+/// lapped while delayed, so its record has already wrapped out) or is
+/// still being filled (by a writer a lap behind, whose late word stores
+/// would otherwise interleave with its own). A record given up that way
+/// is skipped by ForEach like a slot in flux, and counts in dropped()
+/// once it wraps.
 template <typename Record>
 class SeqlockRing {
   static_assert(std::is_trivially_copyable_v<Record>);
@@ -42,9 +52,9 @@ class SeqlockRing {
     for (size_t i = 0; i < n; ++i) {
       const uint64_t ticket = base + i + 1;
       Slot& s = slots_[ticket & (capacity_ - 1)];
+      if (!Claim(s, ticket)) continue;
       // begin != end marks the slot in flux until the final store; the
       // fence keeps the payload stores from passing the begin stamp.
-      s.begin.store(ticket, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_release);
       uint64_t words[kWords] = {};
       std::memcpy(words, &recs[i], sizeof(Record));
@@ -97,6 +107,22 @@ class SeqlockRing {
     std::atomic<uint64_t> end{0};
     std::atomic<uint64_t> words[kWords] = {};
   };
+
+  /// Moves `s.begin` to `ticket` if the slot's last writer finished and
+  /// held an older ticket. Tickets only grow, so begin never repeats a
+  /// value and the compare-exchange cannot succeed on a stale read. The
+  /// acquire load of `end` orders this writer's word stores after the
+  /// previous writer's.
+  static bool Claim(Slot& s, uint64_t ticket) {
+    uint64_t owner = s.begin.load(std::memory_order_relaxed);
+    while (owner < ticket && s.end.load(std::memory_order_acquire) == owner) {
+      if (s.begin.compare_exchange_weak(owner, ticket,
+                                        std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   const size_t capacity_;  // power of two
   std::unique_ptr<Slot[]> slots_;

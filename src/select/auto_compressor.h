@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "core/chunked.h"
-#include "core/compressor.h"
 #include "core/objective.h"
 #include "select/selector.h"
 
@@ -21,54 +20,38 @@ std::string_view AutoMethodName(Objective objective);
 /// non-null.
 bool ParseAutoMethod(std::string_view method, Objective* objective);
 
-/// Online adaptive compressor: splits the input into fixed-size
-/// element-aligned chunks (CompressorConfig::chunk_bytes, same knob as
-/// the par-* adapters), runs the Selector on every chunk, compresses
-/// each chunk with its chosen method, and emits a version-2 mixed
-/// FCPK container (core/chunked.h) that records the per-chunk method —
-/// self-describing, checksummed, random-access decodable.
+/// Online adaptive compressor: the FCPK chunk container codec
+/// (core/chunked.h, the par-* adapters' codec) with each chunk's method
+/// chosen by the Selector, written as a version-2 mixed container that
+/// records the per-chunk method — self-describing, checksummed,
+/// random-access decodable (ChunkedCompressor::DecompressChunk). Chunks
+/// are CompressorConfig::chunk_bytes, the same knob as the par-*
+/// adapters, and count in the same chunked.* metrics.
 ///
-/// Determinism: selection runs serially in chunk order (so the decision
-/// cache fills identically on every run) and inner methods are pinned
-/// to threads=1; only chunk *compression* uses the shared pool. Output
-/// is therefore byte-identical across thread counts, the same guarantee
-/// par-<m> gives.
+/// Determinism: ChunkedCompressor asks for the methods serially in chunk
+/// order, so the Selector's decision cache fills identically on every
+/// run, and only chunk compression uses the shared pool. Output is
+/// therefore byte-identical across thread counts, the same guarantee
+/// par-<m> gives. A version-1 container names no method, so decoding
+/// one (even an empty one) fails with Corruption.
 ///
 /// Attach a SelectionTrace via CompressorConfig::selection_trace to
 /// capture per-chunk decisions (the --explain API); entries are
 /// appended on every Compress call.
-class AutoCompressor : public Compressor {
+class AutoCompressor : public ChunkedCompressor {
  public:
   static std::unique_ptr<Compressor> Make(Objective objective,
                                           const CompressorConfig& config);
 
   AutoCompressor(Objective objective, const CompressorConfig& config);
 
-  const CompressorTraits& traits() const override { return traits_; }
-  const Selector& selector() const { return selector_; }
-
-  Status Compress(ByteSpan input, const DataDesc& desc,
-                  Buffer* out) override;
-  Status Decompress(ByteSpan input, const DataDesc& desc,
-                    Buffer* out) override;
-
-  /// Random access into a mixed container: decodes only chunk `index`
-  /// with its recorded method. Same contract as
-  /// ChunkedCompressor::DecompressChunk.
-  Status DecompressChunk(ByteSpan input, const DataDesc& desc, size_t index,
-                         Buffer* out);
+ protected:
+  std::string ChooseMethod(size_t chunk, ByteSpan raw,
+                           const DataDesc& chunk_desc) override;
 
  private:
-  Status ValidateContainer(const ChunkedCompressor::Index& idx,
-                           const DataDesc& desc) const;
-
-  CompressorTraits traits_;
-  Objective objective_;
   Selector selector_;
-  CompressorConfig inner_config_;  // threads pinned to 1
   SelectionTrace* trace_ = nullptr;
-  size_t chunk_bytes_;
-  int threads_;
 };
 
 }  // namespace fcbench::select

@@ -932,6 +932,54 @@ TEST_F(LsmEngineTest, CompactionMergesSmallSegmentsAndDropsOldFiles) {
   ExpectColumnsEqualPrefix(*eng.value(), 400);
 }
 
+/// Bytes of every `<prefix>.*` file in `dir`.
+uint64_t FilesBytes(const std::string& dir, const std::string& prefix) {
+  auto names = fs::ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  uint64_t total = 0;
+  for (const auto& n : names.value()) {
+    if (n.rfind(prefix + ".", 0) != 0) continue;
+    auto size = fs::FileSize(fs::JoinPath(dir, n));
+    EXPECT_TRUE(size.ok()) << n;
+    total += size.value();
+  }
+  return total;
+}
+
+TEST_F(LsmEngineTest, StatsCountSegmentBytesWithMetricsOff) {
+  // The engine's own cells count whether or not the process-wide
+  // registry records: flush and compaction bytes are the segments' files.
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(false);
+  struct Restore {
+    bool on;
+    ~Restore() { obs::SetEnabled(on); }
+  } restore{was_enabled};
+
+  auto eng = IngestEngine::Open(dir_, Schema(), FastOptions());
+  ASSERT_TRUE(eng.ok());
+  uint64_t flushed = 0;
+  for (uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(AppendRows(*eng.value(), s * 300, (s + 1) * 300, 50).ok());
+    ASSERT_TRUE(eng.value()->Flush().ok());
+    char prefix[16];
+    std::snprintf(prefix, sizeof(prefix), "seg-%06llu",
+                  static_cast<unsigned long long>(s));
+    flushed += FilesBytes(dir_, prefix);
+  }
+  EngineStats st = eng.value()->stats();
+  EXPECT_EQ(st.flushes, 4u);
+  EXPECT_GT(flushed, 0u);
+  EXPECT_EQ(st.flush_segment_bytes, flushed);
+
+  ASSERT_TRUE(eng.value()->Compact().ok());
+  st = eng.value()->stats();
+  EXPECT_EQ(st.compactions, 1u);
+  EXPECT_EQ(st.compact_in_bytes, flushed);
+  EXPECT_GT(st.compact_out_bytes, 0u);
+  EXPECT_EQ(st.compact_out_bytes, FilesBytes(dir_, "seg-000004"));
+}
+
 TEST_F(LsmEngineTest, AutoCompactionKeepsSegmentCountBounded) {
   EngineOptions opt = FastOptions();
   opt.background_flush = false;

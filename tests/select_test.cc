@@ -276,6 +276,31 @@ TEST(AutoCompressorTest, EmptyInputRoundTrips) {
   EXPECT_EQ(dec.size(), 0u);
 }
 
+// A version-1 (single-method) container names no method per chunk, so
+// auto refuses it whole and chunk by chunk, even when it has no chunks.
+TEST(AutoCompressorTest, RejectsSingleMethodContainers) {
+  RegisterAllCompressors();
+  CompressorConfig cfg;
+  cfg.chunk_bytes = 4096;
+  auto par = CompressorRegistry::Global().Create("par-gorilla", cfg);
+  ASSERT_TRUE(par.ok());
+  select::AutoCompressor comp(Objective::kBalanced, cfg);
+  auto v = SmoothWalk(2000, 23);
+  for (size_t n : {size_t(0), v.size()}) {
+    const DataDesc desc = Desc64(n);
+    Buffer v1;
+    ASSERT_TRUE(par.value()
+                    ->Compress(AsBytes(v.data(), n), desc, &v1)
+                    .ok());
+    Buffer out;
+    Status st = comp.Decompress(v1.span(), desc, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << n << " values";
+    st = comp.DecompressChunk(v1.span(), desc, 0, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << n << " values";
+    EXPECT_EQ(out.size(), 0u);
+  }
+}
+
 TEST(AutoCompressorTest, RejectsSizeMismatch) {
   RegisterAllCompressors();
   auto comp = CompressorRegistry::Global().Create("auto").TakeValue();

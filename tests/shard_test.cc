@@ -51,7 +51,7 @@ void RemoveTree(const std::string& dir) {
 }
 
 std::vector<ColumnDef> TestSchema() {
-  return {{"t", DType::kFloat64, 0, ""}, {"v", DType::kFloat64, 0, ""}};
+  return {{"t", DType::kFloat64, 0}, {"v", DType::kFloat64, 0}};
 }
 
 /// Fast deterministic defaults: no fsync, inline flushes, no compaction.
@@ -512,9 +512,9 @@ TEST_F(ShardTest, SnapshotReadReportsLowestFailingShard) {
 /// t and v as in Batch(), plus an f32 column f = (start + i) / 3, which
 /// rounds on its way into a segment and widens back per page.
 std::vector<ColumnDef> PageSchema() {
-  return {{"t", DType::kFloat64, 0, ""},
-          {"v", DType::kFloat64, 0, ""},
-          {"f", DType::kFloat32, 0, ""}};
+  return {{"t", DType::kFloat64, 0},
+          {"v", DType::kFloat64, 0},
+          {"f", DType::kFloat32, 0}};
 }
 
 double FValue(uint64_t row) {

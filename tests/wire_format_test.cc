@@ -170,11 +170,13 @@ std::vector<LzInput> LzCorpus(uint64_t seed) {
 
 // Streams of the methods built on the LZ matchers: bitshuffle's LZ4 and
 // LZH back-ends, SPDP's LZ4 stage, and the auto selectors that choose
-// among them, plus pFPC, whose predictor tables are reused per thread.
-// One xxHash64 per method chains every stream of corpus seeds 1 and 2, so
-// a matcher change that finds different matches fails here. Recorded
-// while each call still built a freshly -1-filled hash table (pFPC: while
-// each call still allocated fresh predictor tables).
+// among them, plus pFPC, whose predictor tables are reused per thread,
+// and three par-* chunk containers. One xxHash64 per method chains every
+// stream of corpus seeds 1 and 2, so a matcher change that finds
+// different matches fails here. Recorded while each call still built a
+// freshly -1-filled hash table (pFPC: while each call still allocated
+// fresh predictor tables); auto-speed and the par-* pins while auto still
+// had a chunk container writer of its own.
 TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
   const struct {
     const char* method;
@@ -186,6 +188,10 @@ TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
       {"auto", 0x9405a0b4c6ddad9bULL},
       {"auto-ratio", 0x537d549682b07c2dULL},
       {"pfpc", 0xf1408667506dbaa1ULL},
+      {"auto-speed", 0x9405a0b4c6ddad9bULL},
+      {"par-gorilla", 0xb36357d7861384f7ULL},
+      {"par-pfpc", 0xa6234962c35e9461ULL},
+      {"par-bitshuffle_lz4", 0x6a666986f973b360ULL},
   };
   for (const auto& pin : kPinned) {
     uint64_t chained = 0;
@@ -208,6 +214,102 @@ TEST(WireFormatTest, LzBackedMethodStreamsHashPinned) {
     }
     EXPECT_EQ(chained, pin.hash)
         << pin.method << ": stream drifted, got 0x" << std::hex << chained;
+  }
+}
+
+// The FCPK chunk container (core/chunked.h) with many chunks per call:
+// 16 KiB chunks cut each corpus input into 4 to 8 chunks, the last one
+// short for the ragged lengths. The par-* adapters write version 1, the
+// auto selectors version 2 with a per-chunk method table. The bytes must
+// not depend on the thread count, so every stream is written with 1 and
+// with 3 threads. Recorded while auto still had a chunk container writer
+// of its own.
+TEST(WireFormatTest, MultiChunkContainerStreamsHashPinned) {
+  const struct {
+    const char* method;
+    unsigned long long hash;
+  } kPinned[] = {
+      {"par-gorilla", 0xee02b3c79a3ae9f4ULL},
+      {"par-pfpc", 0x1071886e3de55d01ULL},
+      {"par-bitshuffle_lz4", 0xb438ebc55dbdaaddULL},
+      {"auto", 0x95dc0b2a4a44da8bULL},
+      {"auto-speed", 0x95dc0b2a4a44da8bULL},
+      {"auto-ratio", 0x3c4048c1cca27752ULL},
+  };
+  for (const auto& pin : kPinned) {
+    uint64_t chained = 0;
+    for (uint64_t seed : {1, 2}) {
+      for (const LzInput& in : LzCorpus(seed)) {
+        for (size_t len : {in.bytes.size(), in.bytes.size() - 8 * 1000}) {
+          const ByteSpan bytes = in.bytes.span().subspan(0, len);
+          const DataDesc desc =
+              DataDesc::Make(in.desc.dtype, {len / DTypeSize(in.desc.dtype)});
+          Buffer first;
+          for (int threads : {1, 3}) {
+            CompressorConfig cfg;
+            cfg.chunk_bytes = 16 << 10;
+            cfg.threads = threads;
+            auto comp = CompressorRegistry::Global().Create(pin.method, cfg);
+            ASSERT_TRUE(comp.ok()) << pin.method;
+            Buffer out;
+            ASSERT_TRUE(comp.value()->Compress(bytes, desc, &out).ok())
+                << pin.method;
+            if (threads == 1) {
+              chained = XxHash64(out.span(), chained);
+              first = std::move(out);
+              continue;
+            }
+            ASSERT_EQ(out.ToVector(), first.ToVector())
+                << pin.method << ": bytes depend on the thread count";
+            Buffer back;
+            ASSERT_TRUE(comp.value()->Decompress(out.span(), desc, &back)
+                            .ok())
+                << pin.method;
+            ASSERT_EQ(back.size(), len) << pin.method;
+            ASSERT_EQ(std::memcmp(back.data(), bytes.data(), len), 0)
+                << pin.method;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(chained, pin.hash)
+        << pin.method << ": stream drifted, got 0x" << std::hex << chained;
+  }
+}
+
+// An empty input still gets a whole container: par-* writes version 1
+// with no chunks, auto version 2 with no chunks and the one-entry method
+// table {bitshuffle_lz4} (the format needs a non-empty table). Spelled out
+// byte for byte, checksum included.
+TEST(WireFormatTest, EmptyInputContainersByteIdentical) {
+  for (DType dtype : {DType::kFloat32, DType::kFloat64}) {
+    const DataDesc desc = DataDesc::Make(dtype, {0});
+    for (const char* method :
+         {"auto", "auto-speed", "auto-ratio", "par-gorilla"}) {
+      const bool mixed = std::string(method).rfind("auto", 0) == 0;
+      Buffer want;
+      for (uint8_t b : {'F', 'C', 'P', 'K'}) want.PushBack(b);
+      want.PushBack(mixed ? 2 : 1);  // version
+      want.PushBack(0);              // raw_bytes
+      for (uint8_t b : {0x80, 0x80, 0x10}) want.PushBack(b);  // 256 KiB
+      if (mixed) {
+        want.PushBack(1);  // one method
+        want.PushBack(14);
+        want.Append("bitshuffle_lz4", 14);
+      }
+      want.PushBack(0);  // no chunks
+      const uint64_t sum = XxHash64(want.span());
+      for (int i = 0; i < 8; ++i) want.PushBack((sum >> (8 * i)) & 0xff);
+
+      auto comp = CompressorRegistry::Global().Create(method);
+      ASSERT_TRUE(comp.ok()) << method;
+      Buffer out;
+      ASSERT_TRUE(comp.value()->Compress(ByteSpan(), desc, &out).ok());
+      EXPECT_EQ(out.ToVector(), want.ToVector()) << method;
+      Buffer back;
+      ASSERT_TRUE(comp.value()->Decompress(out.span(), desc, &back).ok());
+      EXPECT_EQ(back.size(), 0u) << method;
+    }
   }
 }
 
