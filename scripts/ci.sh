@@ -15,8 +15,9 @@
 #                               # so failures reproduce locally; the
 #                               # ASan+UBSan pass also runs the codec suites
 #                               # (codecs, compressors, wire format,
-#                               # corruption, golden round trip) and the
-#                               # engine suites (lsm, shard)
+#                               # corruption, golden round trip), the
+#                               # engine suites (lsm, shard), the db and
+#                               # auto suites and obs_test
 #   scripts/ci.sh --tsan        # race lane: ThreadSanitizer build, run the
 #                               # concurrency- and fault-labeled suites
 #                               # (ctest -L 'concurrency|fault') so the
@@ -187,8 +188,9 @@ PY
   # their page tasks) and the query layer's branch-free Filter.
   # select_test and streaming_test drive the auto* methods through the
   # one chunk container codec (ChunkedCompressor with per-chunk methods)
-  # and StreamWriter::OpenChunked("auto-ratio").
-  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test select_test streaming_test"
+  # and StreamWriter::OpenChunked("auto-ratio"). obs_test runs the
+  # SeqlockRing stress and the snapshot's process page-fault gauges.
+  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test select_test streaming_test obs_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   # shellcheck disable=SC2086  # word-split the suite list into targets

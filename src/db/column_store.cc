@@ -210,14 +210,17 @@ Status ColumnStore::Write(const std::string& prefix,
         desc.extent = {rows};
         desc.precision_digits = c.precision_digits;
 
-        Buffer bytes(rows * DTypeSize(c.dtype));
+        // f64 columns compress straight from the caller's values; only
+        // f32 columns are staged, to narrow them.
+        ByteSpan bytes = AsBytes(c.values);
+        Buffer narrowed;
         if (c.dtype == DType::kFloat32) {
-          float* dst = reinterpret_cast<float*>(bytes.data());
+          narrowed = Buffer(rows * sizeof(float));
+          float* dst = reinterpret_cast<float*>(narrowed.data());
           for (size_t r = 0; r < rows; ++r) {
             dst[r] = static_cast<float>(c.values[r]);
           }
-        } else {
-          std::memcpy(bytes.data(), c.values.data(), rows * 8);
+          bytes = narrowed.span();
         }
 
         // Online per-column selection: probe the column's own bytes and
@@ -229,13 +232,13 @@ Status ColumnStore::Write(const std::string& prefix,
           select::Selector::Config sel_cfg;
           sel_cfg.objective = objective;
           select::Selector selector(sel_cfg);
-          resolved[i] = selector.Choose(bytes.span(), desc).method;
+          resolved[i] = selector.Choose(bytes, desc).method;
         }
 
         PagedFile::Options opt;
         opt.page_size = page_size;
         opt.compressor = resolved[i];
-        stats[i] = PagedFile::Write(ColumnPath(prefix, i), bytes.span(),
+        stats[i] = PagedFile::Write(ColumnPath(prefix, i), bytes,
                                     desc, opt, &infos[i]);
       },
       {/*grain=*/1});

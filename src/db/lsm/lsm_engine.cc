@@ -11,6 +11,7 @@
 #include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "util/alloc_policy.h"
 #include "util/bitio.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
@@ -373,6 +374,7 @@ struct IngestEngine::Segment {
 Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     const std::string& dir, const std::vector<ColumnDef>& schema,
     const EngineOptions& options) {
+  ApplyEngineAllocatorPolicy();
   auto eng = std::unique_ptr<IngestEngine>(new IngestEngine());
   eng->dir_ = dir;
   eng->opt_ = options;

@@ -173,6 +173,14 @@ class IngestEngine {
   /// Opens (creating or recovering) an engine at `dir`. On recovery the
   /// given schema must match the stored one; pass an empty schema to
   /// adopt the stored schema as-is.
+  ///
+  /// The first Open in a process also sets the process's allocator
+  /// policy (ApplyEngineAllocatorPolicy, util/alloc_policy.h): on glibc,
+  /// freed buffers under 32 MiB stay mapped, so a scan reuses the
+  /// previous scan's pages instead of faulting fresh ones in. The cost
+  /// is RSS: the process stays at its scan high-water mark instead of
+  /// shrinking between scans (each arena keeps at most 64 MiB free at
+  /// its top). ShardedIngestEngine opens its shards through here too.
   static Result<std::unique_ptr<IngestEngine>> Open(
       const std::string& dir, const std::vector<ColumnDef>& schema,
       const EngineOptions& options = {});

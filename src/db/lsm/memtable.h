@@ -53,8 +53,6 @@ class MemTable {
   void Clear();
 
   const std::vector<double>& column(size_t i) const { return cols_[i]; }
-  /// Moves column `i` out (flush path; the memtable is discarded after).
-  std::vector<double> TakeColumn(size_t i) { return std::move(cols_[i]); }
 
  private:
   std::vector<std::vector<double>> cols_;

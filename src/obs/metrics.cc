@@ -10,6 +10,8 @@
 #include <mutex>
 #include <sstream>
 
+#include <sys/resource.h>
+
 namespace fcbench::obs {
 
 namespace {
@@ -424,6 +426,21 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.gauges.reserve(impl_->gauges.size());
   for (const auto& [name, gauge] : impl_->gauges) {
     s.gauges.push_back({name, gauge->value()});
+  }
+  // The process's page faults, read from the kernel now: nothing counts
+  // them on a hot path.
+  struct rusage ru {};
+  if (getrusage(RUSAGE_SELF, &ru) == 0) {
+    const GaugeSnapshot faults[] = {{"process.major_faults", ru.ru_majflt},
+                                    {"process.minor_faults", ru.ru_minflt}};
+    for (const GaugeSnapshot& g : faults) {
+      auto at = std::lower_bound(
+          s.gauges.begin(), s.gauges.end(), g.name,
+          [](const GaugeSnapshot& a, const std::string& n) {
+            return a.name < n;
+          });
+      s.gauges.insert(at, g);
+    }
   }
   s.histograms.reserve(impl_->histograms.size());
   for (const auto& [name, h] : impl_->histograms) {

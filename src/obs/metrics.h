@@ -140,7 +140,9 @@ struct HistogramSnapshot {
 };
 
 /// Stable point-in-time view of every registered metric, alphabetical by
-/// name within each kind.
+/// name within each kind. The gauges also hold the process's page-fault
+/// totals, `process.minor_faults` and `process.major_faults`
+/// (getrusage(RUSAGE_SELF) at snapshot time).
 struct MetricsSnapshot {
   std::vector<CounterSnapshot> counters;
   std::vector<GaugeSnapshot> gauges;

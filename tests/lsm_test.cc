@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -78,7 +79,7 @@ TEST(MemTableTest, ScattersUnevenBatchesIntoExactColumns) {
   }
   EXPECT_FALSE(mem.empty());
   for (size_t c = 0; c < kCols; ++c) {
-    const std::vector<double> col = mem.TakeColumn(c);
+    const std::vector<double>& col = mem.column(c);
     ASSERT_EQ(col.size(), total);
     for (size_t r = 0; r < total; ++r) ASSERT_EQ(col[r], Cell(r, c));
   }
@@ -650,6 +651,48 @@ TEST_F(LsmEngineTest, FlushesRecycleTheMemtable) {
                          (kFlushes + 1) * kRows, 50).ok());
   EXPECT_EQ(eng.value()->buffered_bytes(), kRows * 3 * sizeof(double));
   ExpectColumnsEqualPrefix(*eng.value(), (kFlushes + 1) * kRows);
+}
+
+// glibc's malloc, not a sanitizer's replacement (which ignores mallopt).
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define FCBENCH_GLIBC_MALLOC 1
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#undef FCBENCH_GLIBC_MALLOC
+#endif
+#endif
+#endif
+
+TEST_F(LsmEngineTest, FreedScanSizedBuffersStayMappedAfterOpen) {
+  // A scan allocates multi-MB buffers and frees them. Once an engine is
+  // open, the next same-sized allocation must reuse those pages rather
+  // than fault fresh ones in. Under glibc's default dynamic thresholds
+  // the second round lands in a fresh arena heap and faults ~2,000 times.
+  auto eng = IngestEngine::Open(dir_, Schema(), FastOptions());
+  ASSERT_TRUE(eng.ok()) << eng.status().ToString();
+  constexpr size_t kBytes = size_t{8} << 20;
+  long faults[2] = {0, 0};
+  std::thread t([&] {
+    for (long& f : faults) {
+      struct rusage before {};
+      struct rusage after {};
+      ::getrusage(RUSAGE_THREAD, &before);
+      char* p = static_cast<char*>(std::malloc(kBytes));
+      ASSERT_NE(p, nullptr);
+      volatile char* touch = p;
+      for (size_t i = 0; i < kBytes; i += 4096) touch[i] = 1;
+      std::free(p);
+      ::getrusage(RUSAGE_THREAD, &after);
+      f = after.ru_minflt - before.ru_minflt;
+    }
+  });
+  t.join();
+#ifdef FCBENCH_GLIBC_MALLOC
+  EXPECT_LT(faults[1], 256) << "first round faulted " << faults[0];
+#else
+  GTEST_SKIP() << "not glibc malloc: the allocator policy does not apply";
+#endif
 }
 
 TEST_F(LsmEngineTest, MemtableRecoversFromWalAfterCrash) {

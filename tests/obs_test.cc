@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -292,6 +294,34 @@ TEST(MetricsRegistry, SnapshotIsAlphabeticalAndComplete) {
   EXPECT_EQ(s.FindGauge("test.g")->value, -3);
   ASSERT_NE(s.FindHistogram("test.h"), nullptr);
   EXPECT_EQ(s.FindHistogram("test.h")->count, 1u);
+}
+
+TEST(MetricsRegistry, SnapshotReportsProcessPageFaults) {
+  // Touching every page of a fresh 4 MiB mapping faults each one in.
+  MetricsRegistry reg;
+  const MetricsSnapshot before = reg.Snapshot();
+  ASSERT_NE(before.FindGauge("process.minor_faults"), nullptr);
+  ASSERT_NE(before.FindGauge("process.major_faults"), nullptr);
+  constexpr size_t kBytes = size_t{4} << 20;
+  void* region = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  volatile char* touch = static_cast<char*>(region);
+  for (size_t i = 0; i < kBytes; i += 4096) touch[i] = 1;
+  const MetricsSnapshot after = reg.Snapshot();
+  ::munmap(region, kBytes);
+  EXPECT_GE(after.FindGauge("process.minor_faults")->value -
+                before.FindGauge("process.minor_faults")->value,
+            512);
+  // Still alphabetical with the registered gauges around them.
+  reg.GetGauge("test.g")->Set(1);
+  reg.GetGauge("a.g")->Set(1);
+  const MetricsSnapshot s = reg.Snapshot();
+  EXPECT_TRUE(std::is_sorted(
+      s.gauges.begin(), s.gauges.end(),
+      [](const GaugeSnapshot& a, const GaugeSnapshot& b) {
+        return a.name < b.name;
+      }));
 }
 
 TEST(MetricsRegistry, ConcurrentGetAndSnapshot) {

@@ -43,6 +43,16 @@ std::vector<double> RandomBits(size_t n, uint64_t seed) {
   return v;
 }
 
+/// Heavy exact repeats in random order: 16 distinct random patterns.
+/// chimp128's history finds every repeat; bitshuffle_lz4 sees noise.
+std::vector<double> ShuffledRepeats(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> pool = RandomBits(16, seed);
+  std::vector<double> v(n);
+  for (auto& f : v) f = pool[rng.Next() % pool.size()];
+  return v;
+}
+
 // --- features ---------------------------------------------------------------
 
 TEST(FeaturesTest, ConstantDataIsDegenerate) {
@@ -174,6 +184,30 @@ TEST(SelectorTest, SpeedObjectiveShortlistsFastMethods) {
             select::Selector::DefaultCandidates().size());
 }
 
+TEST(SelectorTest, ObjectivesPartWhereFastAndTightMethodsDiffer) {
+  // The fast method and the tight one differ by far more than 2x in
+  // probe CR here: speed takes the fast one, the other objectives the
+  // tight one.
+  auto v = ShuffledRepeats(32768, 31);
+  const auto desc = Desc64(v.size());
+  auto speed = MakeSelector(Objective::kSpeed).Choose(AsBytes(v), desc);
+  EXPECT_EQ(speed.method, "bitshuffle_lz4");
+  auto storage =
+      MakeSelector(Objective::kStorageReduction).Choose(AsBytes(v), desc);
+  auto balanced = MakeSelector(Objective::kBalanced).Choose(AsBytes(v), desc);
+  double fast_cr = 0;
+  double tight_cr = 0;
+  for (const auto& c : storage.candidates) {
+    if (c.method == "bitshuffle_lz4") fast_cr = c.sample_cr;
+    if (c.method == storage.method) tight_cr = c.sample_cr;
+  }
+  ASSERT_GT(fast_cr, 0.0);
+  EXPECT_GT(tight_cr, 2.0 * fast_cr)
+      << storage.method << " " << tight_cr << " vs " << fast_cr;
+  EXPECT_NE(storage.method, "bitshuffle_lz4");
+  EXPECT_EQ(balanced.method, storage.method);
+}
+
 TEST(SelectorTest, CacheHitsSkipProbes) {
   auto v = SmoothWalk(8192, 24);
   auto sel = MakeSelector(Objective::kBalanced);
@@ -263,6 +297,25 @@ TEST(AutoCompressorTest, TraceRecordsEveryChunkWithEvidence) {
   std::string rendered = trace.ToString();
   EXPECT_NE(rendered.find(select::kVocabByteEntropy), std::string::npos);
   EXPECT_NE(rendered.find("decision-cache hits"), std::string::npos);
+}
+
+TEST(AutoCompressorTest, SpeedAndBalancedWriteDifferentStreams) {
+  // Where the objectives pick different methods, auto-speed's container
+  // is not auto's, and both decode to the input.
+  RegisterAllCompressors();
+  auto v = ShuffledRepeats(16384, 32);
+  Buffer out[2];
+  const char* methods[2] = {"auto", "auto-speed"};
+  for (size_t i = 0; i < 2; ++i) {
+    auto comp = CompressorRegistry::Global().Create(methods[i]).TakeValue();
+    ASSERT_TRUE(comp->Compress(AsBytes(v), Desc64(v.size()), &out[i]).ok());
+    Buffer back;
+    ASSERT_TRUE(
+        comp->Decompress(out[i].span(), Desc64(v.size()), &back).ok());
+    ASSERT_EQ(back.size(), v.size() * 8);
+    EXPECT_EQ(std::memcmp(back.data(), v.data(), back.size()), 0);
+  }
+  EXPECT_LT(out[0].size(), out[1].size());
 }
 
 TEST(AutoCompressorTest, EmptyInputRoundTrips) {
