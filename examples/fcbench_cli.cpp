@@ -38,7 +38,6 @@
 #include "data/dataset.h"
 #include "db/lsm/lsm_engine.h"
 #include "db/shard/sharded_engine.h"
-#include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "select/selector.h"
@@ -379,7 +378,7 @@ int CmdStats(int argc, char** argv) {
   if (rc != 0) return rc;
   if (HasFlag(argc, argv, "trace")) {
     std::printf("--- event trace (last 32) ---\n%s",
-                obs::EventTrace::Global().Dump().c_str());
+                obs::TraceCollector::Global().DumpEvents().c_str());
   }
   return 0;
 }
@@ -500,7 +499,7 @@ int CmdIngest(int argc, char** argv) {
   }
   if (!trace_out.empty()) {
     auto& coll = obs::TraceCollector::Global();
-    const std::string json = coll.ToChromeJson(&obs::EventTrace::Global());
+    const std::string json = coll.ToChromeJson();
     Status wst = WriteFile(
         trace_out, ByteSpan(reinterpret_cast<const uint8_t*>(json.data()),
                             json.size()));
@@ -508,7 +507,7 @@ int CmdIngest(int argc, char** argv) {
       std::fprintf(stderr, "trace-out: %s\n", wst.ToString().c_str());
       return 1;
     }
-    std::printf("trace: %llu spans recorded (%llu dropped) -> %s\n",
+    std::printf("trace: %llu records (%llu dropped) -> %s\n",
                 static_cast<unsigned long long>(coll.recorded()),
                 static_cast<unsigned long long>(coll.dropped()),
                 trace_out.c_str());
@@ -585,7 +584,7 @@ int CmdTrace(int argc, char** argv) {
   ::rmdir(dir.c_str());
 
   auto& coll = obs::TraceCollector::Global();
-  const std::string json = coll.ToChromeJson(&obs::EventTrace::Global());
+  const std::string json = coll.ToChromeJson();
   if (out_path.empty()) {
     std::fputs(json.c_str(), stdout);
     std::fputc('\n', stdout);
@@ -597,8 +596,7 @@ int CmdTrace(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", wst.ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr,
-                 "trace: %llu spans recorded (%llu dropped) -> %s\n",
+    std::fprintf(stderr, "trace: %llu records (%llu dropped) -> %s\n",
                  static_cast<unsigned long long>(coll.recorded()),
                  static_cast<unsigned long long>(coll.dropped()),
                  out_path.c_str());

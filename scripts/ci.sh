@@ -159,7 +159,8 @@ if [[ "${1:-}" == "--faults" ]]; then
   # uploaded by the workflow. The python check proves the file parses
   # before it is called an artifact, and that spans and lifecycle events
   # share one timeline: an errno-tagged io.attempt span next to the
-  # retry-backoff instant event the same fault recorded.
+  # retry-backoff instant event the same fault recorded, which names the
+  # engine dir it retried in.
   FCBENCH_FAILPOINTS="lsm.flush=err@1" \
     "${BUILD_DIR}-faults/examples/fcbench_cli" trace \
     --out="${BUILD_DIR}-faults/fault_trace.json" --series=16 --rows=1024
@@ -170,6 +171,9 @@ assert any(e["ph"] == "X" and e["name"] == "io.attempt" and e["args"]["tag"]
            for e in events), "no errno-tagged io.attempt span"
 assert any(e["ph"] == "i" and e["name"] == "retry-backoff"
            for e in events), "no retry-backoff instant event"
+assert all(e["args"]["detail"] for e in events
+           if e["ph"] == "i" and e["name"] == "retry-backoff"), \
+    "retry-backoff instant event without its engine dir"
 PY
   echo "fault-lane trace artifact: ${BUILD_DIR}-faults/fault_trace.json"
   # Pass 2: ASan+UBSan — every injected error path runs under the

@@ -8,7 +8,6 @@
 #include <span>
 
 #include "db/column_store.h"
-#include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/alloc_policy.h"
@@ -521,8 +520,8 @@ Status IngestEngine::RetryIo(const std::string& what, Op&& op) {
     const uint64_t backoff_ms = BackoffMs(opt_.io_retry_backoff_ms, i);
     if (i > 0) {
       Count<&EngineStats::retry_attempts>();
-      obs::EventTrace::Global().Record(obs::EventKind::kRetryBackoff, dir_,
-                                       static_cast<uint64_t>(i), backoff_ms);
+      obs::RecordEvent("retry-backoff", dir_, static_cast<uint64_t>(i),
+                       backoff_ms);
     }
     if (backoff_ms > 0) {
       std::unique_lock<std::mutex> lk(retry_cancel_.mu);
@@ -771,8 +770,7 @@ void IngestEngine::DoFlushAndPublish(FlushJob job) {
   // under the caller for inline flushes.
   obs::ScopedSpan span("lsm.flush", seg_id, raw_bytes);
   obs::ScopedWatch watch("lsm.flush", dir_, opt_.watchdog_budget_ms);
-  obs::EventTrace::Global().Record(obs::EventKind::kFlushStart, dir_,
-                                   seg_id, raw_bytes);
+  obs::RecordEvent("flush-start", dir_, seg_id, raw_bytes);
   Timer flush_timer;
 
   // Compress and write the segment off-lock. Columns are *copied* out of
@@ -835,21 +833,19 @@ void IngestEngine::DoFlushAndPublish(FlushJob job) {
       reg.GetHistogram("lsm.flush.cr_pct", obs::Unit::kCount)
           ->Record(raw_bytes * 100 / seg_bytes);
     }
-    obs::EventTrace::Global().Record(obs::EventKind::kFlushPublish, dir_,
-                                     seg_id, seg_bytes);
+    obs::RecordEvent("flush-publish", dir_, seg_id, seg_bytes);
   } else {
     Count<&EngineStats::flush_failures>();
     obs::MetricsRegistry::Global()
         .GetCounter("lsm.degraded.count")
         ->Increment();
-    obs::EventTrace::Global().Record(obs::EventKind::kFlushFail, dir_,
-                                     seg_id, raw_bytes);
-    obs::EventTrace::Global().Record(obs::EventKind::kDegraded, dir_,
-                                     seg_id, 0);
-    // The flight recorder's reason to exist: the moments leading up to
-    // a shard going read-only, dumped at the moment it happens.
-    obs::EventTrace::Global().DumpToStderr(
-        "engine degraded to read-only: " + dir_);
+    obs::RecordEvent("flush-fail", dir_, seg_id, raw_bytes);
+    obs::RecordEvent("degraded", dir_, seg_id, 0);
+    // The event tail's reason to exist: the moments leading up to a
+    // shard going read-only, dumped at the moment it happens.
+    std::fprintf(
+        stderr, "fcbench: event trace (engine degraded to read-only: %s):\n%s",
+        dir_.c_str(), obs::TraceCollector::Global().DumpEvents().c_str());
   }
 
   if (st.ok()) {
@@ -1051,8 +1047,7 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   Count<&EngineStats::compactions>();
   Count<&EngineStats::compact_in_bytes>(in_bytes);
   Count<&EngineStats::compact_out_bytes>(out_bytes);
-  obs::EventTrace::Global().Record(obs::EventKind::kCompact, dir_, run_len,
-                                   total_rows);
+  obs::RecordEvent("compact", dir_, run_len, total_rows);
   *merged = true;
   return Status::OK();
 }
@@ -1174,8 +1169,7 @@ Result<ScrubReport> IngestEngine::Scrub() {
     report.notes.push_back("segment " + std::to_string(q.id) +
                            " quarantined: " + q.reason);
     Count<&EngineStats::quarantined_segments>();
-    obs::EventTrace::Global().Record(obs::EventKind::kQuarantine, dir_,
-                                     q.id, q.rows);
+    obs::RecordEvent("quarantine", dir_, q.id, q.rows);
   }
 
   // WAL verification runs under the lock: no appender can be mid-commit,
@@ -1209,9 +1203,8 @@ Result<ScrubReport> IngestEngine::Scrub() {
   obs::MetricsRegistry::Global()
       .GetCounter("lsm.scrub.segments_checked")
       ->Add(report.segments_checked);
-  obs::EventTrace::Global().Record(obs::EventKind::kScrub, dir_,
-                                   report.segments_checked,
-                                   report.quarantined_ids.size());
+  obs::RecordEvent("scrub", dir_, report.segments_checked,
+                   report.quarantined_ids.size());
   return report;
 }
 

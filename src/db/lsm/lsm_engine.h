@@ -68,8 +68,8 @@ struct EngineOptions {
   /// Stall-watchdog budget for flush/compaction/scrub, in milliseconds:
   /// an operation still running past this fires a `stall` event, the
   /// obs.watchdog.stalls counter, and a stderr dump of open spans plus
-  /// the EventTrace tail. 0 = the FCBENCH_WATCHDOG_MS default (30 s);
-  /// negative disables the watchdog for this engine.
+  /// the trace collector's event tail. 0 = the FCBENCH_WATCHDOG_MS
+  /// default (30 s); negative disables the watchdog for this engine.
   int64_t watchdog_budget_ms = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/bitio.h"
@@ -194,8 +193,7 @@ Status Wal::Rotate() {
   obs::ScopedSpan span("wal.rotate", seq_ + 1);
   FCB_FAIL_RETURN("wal.rotate", fs::JoinPath(dir_, SegmentFileName(seq_)));
   obs::MetricsRegistry::Global().GetCounter("wal.rotations")->Increment();
-  obs::EventTrace::Global().Record(obs::EventKind::kWalRotate, dir_,
-                                   seq_ + 1, file_.offset());
+  obs::RecordEvent("wal-rotate", dir_, seq_ + 1, file_.offset());
   Status st;
   if (segment_open_) {
     // Close seals a durable segment: it cuts the zero tail and fsyncs.

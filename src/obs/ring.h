@@ -1,6 +1,7 @@
 #ifndef FCBENCH_OBS_RING_H_
 #define FCBENCH_OBS_RING_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -10,8 +11,9 @@
 
 namespace fcbench::obs {
 
-/// Fixed-capacity lock-free ring of trivially copyable records, shared
-/// by the EventTrace flight recorder and the span TraceCollector.
+/// Fixed-capacity lock-free ring of trivially copyable records: the
+/// storage of the TraceCollector, which holds spans and lifecycle
+/// events on one timeline.
 ///
 /// Writers reserve tickets with one fetch_add per published batch, then
 /// fill each record's slot with relaxed word stores between a `begin`
@@ -37,10 +39,15 @@ class SeqlockRing {
   static_assert(std::is_trivially_copyable_v<Record>);
 
  public:
-  /// `capacity` is rounded up to a power of two, at least `min_capacity`.
+  /// At most this many records: capacities come from outside input
+  /// (FCBENCH_TRACE_CAP), and std::bit_ceil is undefined past 2^63.
+  static constexpr size_t kMaxCapacity = size_t{1} << 20;
+
+  /// `capacity` is clamped to [min_capacity, kMaxCapacity], then rounded
+  /// up to a power of two.
   SeqlockRing(size_t capacity, size_t min_capacity)
-      : capacity_(std::bit_ceil(capacity < min_capacity ? min_capacity
-                                                        : capacity)),
+      : capacity_(std::bit_ceil(
+            std::min(std::max(capacity, min_capacity), kMaxCapacity))),
         slots_(new Slot[capacity_]) {}
   SeqlockRing(const SeqlockRing&) = delete;
   SeqlockRing& operator=(const SeqlockRing&) = delete;

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <thread>
 
-#include "obs/event_trace.h"
 #include "obs/metrics.h"
 
 namespace fcbench::obs {
@@ -22,6 +21,10 @@ constexpr int kMaxDepth = 16;
 /// Completed sampled spans buffered per thread before one batched
 /// publish into the collector.
 constexpr size_t kThreadBufCap = 64;
+
+/// A span's SetTag label, NUL included. Shorter than SpanRecord::tag,
+/// which also holds an event's detail.
+constexpr size_t kSpanTagBytes = 16;
 
 constexpr int8_t kNotPushed = -1;
 constexpr int8_t kOverflow = -2;
@@ -82,7 +85,7 @@ struct Frame {
   uint64_t start = 0;
   uint64_t a = 0;
   uint64_t b = 0;
-  char tag[sizeof(SpanRecord{}.tag)] = {};
+  char tag[kSpanTagBytes] = {};
 };
 
 /// Per-thread tracer state. Registered in a global list so the watchdog
@@ -360,6 +363,21 @@ TraceCollector& TraceCollector::Global() {
   return *c;
 }
 
+void TraceCollector::RecordEvent(const char* name, std::string_view detail,
+                                 uint64_t a, uint64_t b) {
+  SpanRecord r;
+  r.start_nanos = MonotonicNanos();
+  // Correlate with any sampled span trace live on this thread.
+  const TraceContext ctx = CurrentTraceContext();
+  r.trace_id = ctx.trace_id;
+  r.parent_id = ctx.parent_span;
+  r.a = a;
+  r.b = b;
+  CopyTag(r.name, sizeof(r.name), name);
+  std::memcpy(r.tag, detail.data(), std::min(detail.size(), sizeof(r.tag) - 1));
+  ring_.Publish(&r, 1);
+}
+
 std::vector<SpanRecord> TraceCollector::Snapshot() const {
   std::vector<SpanRecord> out;
   out.reserve(std::min<uint64_t>(recorded(), capacity()));
@@ -376,7 +394,7 @@ namespace {
 
 /// JSON-escapes into a fixed buffer: `"` and `\` get a backslash,
 /// control bytes become spaces. Names are literals and tags short
-/// labels, but neither is trusted to be JSON-clean.
+/// labels or event details, but neither is trusted to be JSON-clean.
 const char* JsonEscape(const char* in, char* buf, size_t cap) {
   size_t o = 0;
   for (size_t i = 0; in[i] != '\0' && o + 2 < cap; ++i) {
@@ -390,49 +408,68 @@ const char* JsonEscape(const char* in, char* buf, size_t cap) {
 
 }  // namespace
 
-std::string TraceCollector::ToChromeJson(const EventTrace* events) const {
-  const std::vector<SpanRecord> spans = Snapshot();
-  const std::vector<TraceEvent> evs =
-      events != nullptr ? events->Snapshot() : std::vector<TraceEvent>{};
+std::string TraceCollector::DumpEvents(size_t max_events) const {
+  std::vector<SpanRecord> events = Snapshot();
+  std::erase_if(events, [](const SpanRecord& r) { return r.span_id != 0; });
+  const size_t skip =
+      events.size() > max_events ? events.size() - max_events : 0;
   std::string out;
-  out.reserve((spans.size() + evs.size()) * 220 + 64);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[384];
-  char name_esc[52], tag_esc[36], detail_esc[100];
-  const char* sep = "";
-  for (const SpanRecord& s : spans) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n{\"name\":\"%s\",\"cat\":\"fcbench\",\"ph\":\"X\",\"pid\":1,"
-        "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace\":\"%llx\","
-        "\"span\":\"%llx\",\"parent\":\"%llx\",\"a\":%llu,\"b\":%llu,"
-        "\"tag\":\"%s\"}}",
-        sep, JsonEscape(s.name, name_esc, sizeof(name_esc)), s.tid,
-        static_cast<double>(s.start_nanos) / 1e3,
-        static_cast<double>(s.dur_nanos) / 1e3,
-        static_cast<unsigned long long>(s.trace_id),
-        static_cast<unsigned long long>(s.span_id),
-        static_cast<unsigned long long>(s.parent_id),
-        static_cast<unsigned long long>(s.a),
-        static_cast<unsigned long long>(s.b),
-        JsonEscape(s.tag, tag_esc, sizeof(tag_esc)));
+  char buf[192];
+  for (size_t i = skip; i < events.size(); ++i) {
+    const SpanRecord& e = events[i];
+    std::snprintf(buf, sizeof(buf), "[%9.3f ms] %-13s a=%llu b=%llu %s",
+                  static_cast<double>(e.start_nanos) / 1e6, e.name,
+                  static_cast<unsigned long long>(e.a),
+                  static_cast<unsigned long long>(e.b), e.tag);
     out += buf;
-    sep = ",";
+    if (e.trace_id != 0) {
+      std::snprintf(buf, sizeof(buf), " trace=%llx",
+                    static_cast<unsigned long long>(e.trace_id));
+      out += buf;
+    }
+    out.push_back('\n');
   }
-  // Lifecycle events are not tied to a span thread: process-scoped
-  // instants, stamped on the same MonotonicNanos epoch as the spans.
-  for (const TraceEvent& e : evs) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"p\","
-        "\"pid\":1,\"tid\":0,\"ts\":%.3f,\"args\":{\"seq\":%llu,\"a\":%llu,"
-        "\"b\":%llu,\"detail\":\"%s\",\"trace\":\"%llx\"}}",
-        sep, EventKindName(e.kind), static_cast<double>(e.nanos) / 1e3,
-        static_cast<unsigned long long>(e.seq),
-        static_cast<unsigned long long>(e.a),
-        static_cast<unsigned long long>(e.b),
-        JsonEscape(e.detail, detail_esc, sizeof(detail_esc)),
-        static_cast<unsigned long long>(e.trace_id));
+  return out;
+}
+
+std::string TraceCollector::ToChromeJson() const {
+  const std::vector<SpanRecord> recs = Snapshot();
+  std::string out;
+  out.reserve(recs.size() * 220 + 64);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  char buf[512];
+  char name_esc[52], tag_esc[100];
+  const char* sep = "";
+  for (const SpanRecord& s : recs) {
+    JsonEscape(s.name, name_esc, sizeof(name_esc));
+    JsonEscape(s.tag, tag_esc, sizeof(tag_esc));
+    if (s.span_id == 0) {
+      // A lifecycle event is not tied to a span thread: a process-scoped
+      // instant, stamped on the same MonotonicNanos epoch as the spans.
+      std::snprintf(
+          buf, sizeof(buf),
+          "%s\n{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"p\","
+          "\"pid\":1,\"tid\":0,\"ts\":%.3f,\"args\":{\"a\":%llu,\"b\":%llu,"
+          "\"detail\":\"%s\",\"trace\":\"%llx\"}}",
+          sep, name_esc, static_cast<double>(s.start_nanos) / 1e3,
+          static_cast<unsigned long long>(s.a),
+          static_cast<unsigned long long>(s.b), tag_esc,
+          static_cast<unsigned long long>(s.trace_id));
+    } else {
+      std::snprintf(
+          buf, sizeof(buf),
+          "%s\n{\"name\":\"%s\",\"cat\":\"fcbench\",\"ph\":\"X\",\"pid\":1,"
+          "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace\":\"%llx\","
+          "\"span\":\"%llx\",\"parent\":\"%llx\",\"a\":%llu,\"b\":%llu,"
+          "\"tag\":\"%s\"}}",
+          sep, name_esc, s.tid, static_cast<double>(s.start_nanos) / 1e3,
+          static_cast<double>(s.dur_nanos) / 1e3,
+          static_cast<unsigned long long>(s.trace_id),
+          static_cast<unsigned long long>(s.span_id),
+          static_cast<unsigned long long>(s.parent_id),
+          static_cast<unsigned long long>(s.a),
+          static_cast<unsigned long long>(s.b), tag_esc);
+    }
     out += buf;
     sep = ",";
   }
@@ -533,8 +570,8 @@ void Watchdog::Impl::Fire(Watchdog* dog, const Op& op, uint64_t now) {
       MetricsRegistry::Global().GetCounter("obs.watchdog.stalls");
   stalls->Increment();
   const uint64_t elapsed_ms = (now - op.start_nanos) / 1'000'000ull;
-  EventTrace::Global().Record(EventKind::kStall, op.detail, elapsed_ms,
-                              static_cast<uint64_t>(op.budget_ms));
+  RecordEvent("stall", op.detail, elapsed_ms,
+              static_cast<uint64_t>(op.budget_ms));
   std::fprintf(stderr,
                "fcbench: watchdog: %s stalled (%s): %llu ms elapsed, budget "
                "%lld ms\n",
@@ -544,7 +581,8 @@ void Watchdog::Impl::Fire(Watchdog* dog, const Op& op, uint64_t now) {
   const std::string open = DumpOpenSpans();
   std::fprintf(stderr, "fcbench: open spans:\n%s",
                open.empty() ? "  (none)\n" : open.c_str());
-  EventTrace::Global().DumpToStderr(std::string("watchdog stall: ") + op.what);
+  std::fprintf(stderr, "fcbench: event trace (watchdog stall: %s):\n%s",
+               op.what, TraceCollector::Global().DumpEvents().c_str());
 }
 
 Watchdog::Watchdog() : impl_(new Impl) {}

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/ring.h"
@@ -30,8 +31,8 @@ namespace fcbench::obs {
 /// any span — sampled or not — whose duration crosses the threshold
 /// emits a one-line JSON record to stderr with its full span path.
 
-/// Steady-clock nanos since process start. Shared epoch with the
-/// EventTrace flight recorder so span timelines and ring dumps align.
+/// Steady-clock nanos since process start: the one time axis of spans
+/// and lifecycle events.
 uint64_t MonotonicNanos();
 
 /// True when span tracking is on (sampling enabled OR a slow-op
@@ -49,9 +50,16 @@ uint64_t TraceSampleN();
 void SetSlowOpThresholdMs(uint64_t ms);
 uint64_t SlowOpThresholdMs();
 
-/// One completed span. Ids are process-unique and nonzero for sampled
-/// spans; `parent_id` is 0 for a trace root. `tid` is a small
-/// per-thread index (also the Chrome-trace tid).
+/// One completed span, or one lifecycle event. Ids are process-unique
+/// and nonzero for sampled spans; `parent_id` is 0 for a trace root.
+/// `tid` is a small per-thread index (also the Chrome-trace tid).
+///
+/// An event (RecordEvent) is a zero-duration record with `span_id` 0
+/// and `tid` 0: `name` is its kind ("wal-rotate", "retry-backoff",
+/// "degraded", ...), `a`/`b` its kind-specific payload (bytes, attempt
+/// number, segment id...), `tag` its truncated detail (usually the
+/// engine dir), and `trace_id`/`parent_id` the sampled span open on the
+/// recording thread (0 when none).
 struct SpanRecord {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
@@ -62,7 +70,7 @@ struct SpanRecord {
   uint64_t a = 0;
   uint64_t b = 0;
   char name[24] = {};
-  char tag[16] = {};
+  char tag[48] = {};
 };
 
 /// The (trace id, innermost open span id) pair of the calling thread;
@@ -113,20 +121,20 @@ class ScopedSpan {
   bool recording_ = false;
 };
 
-class EventTrace;
-
-/// Process-wide ring of completed sampled spans: a SeqlockRing, the
-/// same ring EventTrace uses, with one ticket reservation per drained
-/// batch (not per span). The ring wraps, keeping the newest `capacity`
-/// spans, and dropped() counts what wrapping discarded. Fixed memory,
-/// allocated once.
+/// Process-wide ring of completed sampled spans and lifecycle events —
+/// one timeline. A SeqlockRing with one ticket reservation per drained
+/// span batch (not per span) and one per event, so recording is safe
+/// from any engine thread including failure paths. The ring wraps,
+/// keeping the newest `capacity` records, and dropped() counts what
+/// wrapping discarded. Fixed memory, allocated once.
 class TraceCollector {
  public:
-  /// `capacity` is rounded up to a power of two, minimum 64.
+  /// `capacity` is clamped to [64, 2^20], then rounded up to a power of
+  /// two.
   explicit TraceCollector(size_t capacity = 8192) : ring_(capacity, 64) {}
 
   /// The process-wide collector (leaked singleton). Capacity from
-  /// FCBENCH_TRACE_CAP (spans, default 8192).
+  /// FCBENCH_TRACE_CAP (spans and events, default 8192).
   static TraceCollector& Global();
 
   /// Publish `n` completed spans with one ticket reservation.
@@ -134,26 +142,43 @@ class TraceCollector {
     ring_.Publish(recs, n);
   }
 
-  /// The retained spans, oldest first. Torn slots are skipped.
+  /// Publishes one lifecycle event (see SpanRecord) stamped now, whatever
+  /// the sampling rate. `detail` is truncated to sizeof(tag) - 1 bytes.
+  void RecordEvent(const char* name, std::string_view detail, uint64_t a = 0,
+                   uint64_t b = 0);
+
+  /// The retained records, oldest first. Torn slots are skipped.
   std::vector<SpanRecord> Snapshot() const;
 
+  /// The last `max_events` retained events (span_id 0) as text, one
+  /// line each, oldest first: the post-mortem tail the degradation hook,
+  /// the watchdog and `fcbench_cli stats --trace` print.
+  std::string DumpEvents(size_t max_events = 32) const;
+
   /// Chrome-trace / Perfetto-loadable JSON: {"traceEvents": [...]} with
-  /// the spans as "ph":"X" complete events (ts/dur in microseconds) and,
-  /// when `events` is non-null, its retained lifecycle events as "ph":"i"
-  /// instant events on the same epoch — one timeline. Load at
+  /// the spans as "ph":"X" complete events (ts/dur in microseconds) and
+  /// the events as "ph":"i" instants on the same epoch. Load at
   /// https://ui.perfetto.dev or chrome://tracing. Nesting on a track is
   /// by time containment; cross-thread causality travels in
   /// args.trace/args.parent.
-  std::string ToChromeJson(const EventTrace* events) const;
+  std::string ToChromeJson() const;
 
   uint64_t recorded() const { return ring_.recorded(); }
-  /// Spans lost to ring wraparound (recorded - capacity, floored at 0).
+  /// Records lost to ring wraparound (recorded - capacity, floored at 0).
   uint64_t dropped() const { return ring_.dropped(); }
   size_t capacity() const { return ring_.capacity(); }
 
  private:
   SeqlockRing<SpanRecord> ring_;
 };
+
+/// TraceCollector::Global().RecordEvent: the storage stack's lifecycle
+/// moments (WAL rotate, flush start/publish/fail, compaction,
+/// retry/backoff, read-only degradation, quarantine, scrub, stall).
+inline void RecordEvent(const char* name, std::string_view detail,
+                        uint64_t a = 0, uint64_t b = 0) {
+  TraceCollector::Global().RecordEvent(name, detail, a, b);
+}
 
 /// Every thread's currently-open span stack as text (one line per
 /// thread with open spans). Best-effort: stacks are read with relaxed
@@ -163,8 +188,8 @@ std::string DumpOpenSpans();
 /// Deadline watchdog for long-running storage operations. One lazily
 /// started (and leaked) thread sleeps until the earliest armed
 /// deadline; an operation still armed past its budget fires exactly
-/// once: a `stall` EventTrace event, the obs.watchdog.stalls counter,
-/// and a stderr dump of the open span stacks plus the EventTrace tail.
+/// once: a `stall` event, the obs.watchdog.stalls counter, and a stderr
+/// dump of the open span stacks plus the collector's event tail.
 class Watchdog {
  public:
   static Watchdog& Global();

@@ -25,7 +25,6 @@
 #include "db/lsm/lsm_engine.h"
 #include "db/lsm/wal.h"
 #include "db/shard/sharded_engine.h"
-#include "obs/event_trace.h"
 #include "obs/span.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
@@ -476,61 +475,72 @@ TEST_F(EngineFaultTest, ExhaustedFlushRetriesDegradeToReadOnly) {
   CheckRecovery(dir_, acked);
 }
 
-TEST_F(EngineFaultTest, DegradationLeavesRetryAndDegradedEventsInTrace) {
-  // The flight recorder is the post-mortem artifact: after an injected
-  // fault exhausts the flush retries and degrades the engine, the tail
-  // of the global EventTrace must tell the story — the retry/backoff
-  // attempts and the degradation itself, attributed to the failed
-  // engine's dir.
+/// The event tail is the post-mortem artifact: after an injected fault
+/// exhausts the flush retries and degrades a fresh engine in `dir`, the
+/// tail of the global collector's events must tell the story — the
+/// retry/backoff attempts and the degradation itself, attributed to the
+/// failed engine's dir.
+void DegradeAndCheckEventTail(const std::string& dir) {
   auto opts = FaultOptions();
   opts.memtable_bytes = 1 << 20;
-  auto engr = IngestEngine::Open(dir_, FaultSchema(), opts);
+  auto engr = IngestEngine::Open(dir, FaultSchema(), opts);
   ASSERT_TRUE(engr.ok());
   auto& eng = engr.value();
   ASSERT_TRUE(eng->AppendBatch(BatchRows(0, 20)).ok());
 
-  const uint64_t before = obs::EventTrace::Global().recorded();
+  const uint64_t t0 = obs::MonotonicNanos();
   ASSERT_TRUE(fail::FailPoints::Set("lsm.flush", "err").ok());
   EXPECT_FALSE(eng->Flush().ok());
   fail::FailPoints::ClearAll();
   ASSERT_TRUE(eng->read_only());
 
-  // Only events recorded by THIS degradation (seq > before): the trace
-  // is process-global and other suites in the binary share it.
+  // Only events recorded by THIS degradation (stamped after t0): the
+  // collector is process-global and other suites in the binary share it.
+  // Snapshot() is publish order.
   bool saw_retry = false, saw_fail = false, saw_degraded = false;
-  uint64_t retry_seq = 0, degraded_seq = 0;
-  for (const obs::TraceEvent& e : obs::EventTrace::Global().Snapshot()) {
-    if (e.seq <= before) continue;
-    if (std::string(e.detail).find(dir_.substr(0, 40)) == std::string::npos) {
+  size_t retry_pos = 0, degraded_pos = 0;
+  const std::vector<obs::SpanRecord> recs =
+      obs::TraceCollector::Global().Snapshot();
+  for (size_t i = 0; i < recs.size(); ++i) {
+    const obs::SpanRecord& e = recs[i];
+    if (e.span_id != 0 || e.start_nanos < t0) continue;  // spans, old events
+    if (std::string(e.tag).find(dir.substr(0, 40)) == std::string::npos) {
       continue;  // not ours
     }
-    switch (e.kind) {
-      case obs::EventKind::kRetryBackoff:
-        saw_retry = true;
-        retry_seq = e.seq;
-        EXPECT_GE(e.a, 1u);  // a = attempt index
-        break;
-      case obs::EventKind::kFlushFail:
-        saw_fail = true;
-        break;
-      case obs::EventKind::kDegraded:
-        saw_degraded = true;
-        degraded_seq = e.seq;
-        break;
-      default:
-        break;
+    const std::string name(e.name);
+    if (name == "retry-backoff") {
+      saw_retry = true;
+      retry_pos = i;
+      EXPECT_GE(e.a, 1u);  // a = attempt index
+    } else if (name == "flush-fail") {
+      saw_fail = true;
+    } else if (name == "degraded") {
+      saw_degraded = true;
+      degraded_pos = i;
     }
   }
   EXPECT_TRUE(saw_retry);
   EXPECT_TRUE(saw_fail);
   EXPECT_TRUE(saw_degraded);
-  EXPECT_LT(retry_seq, degraded_seq);  // backoff precedes degradation
+  EXPECT_LT(retry_pos, degraded_pos);  // backoff precedes degradation
 
   // The rendered dump (what the degradation hook printed to stderr)
   // names both phases.
-  const std::string dump = obs::EventTrace::Global().Dump();
+  const std::string dump = obs::TraceCollector::Global().DumpEvents();
   EXPECT_NE(dump.find("retry-backoff"), std::string::npos);
   EXPECT_NE(dump.find("degraded"), std::string::npos);
+}
+
+TEST_F(EngineFaultTest, DegradationLeavesRetryAndDegradedEventsInTrace) {
+  DegradeAndCheckEventTail(dir_);
+}
+
+TEST_F(EngineFaultTest, DegradationEventsSurviveFullSampling) {
+  // Every root sampled: the flush's spans share the collector's ring
+  // with its events, and the event tail must tell the same story.
+  obs::SetTraceSampling(1);
+  DegradeAndCheckEventTail(dir_);
+  obs::SetTraceSampling(0);
 }
 
 TEST_F(EngineFaultTest, WalPoisonedWhenHealFails) {
@@ -1308,7 +1318,7 @@ TEST_F(EngineFaultTest, InjectedFlushStallTripsWatchdogExactlyOnce) {
   // passes mid-flush. The stall must fire exactly once — the flush,
   // compaction and scrub watches all share the dog, and a retry ladder
   // must not refire per attempt — and leave a `stall` event in the
-  // flight recorder attributed to this engine's dir.
+  // trace collector attributed to this engine's dir.
   auto opts = FaultOptions();
   opts.memtable_bytes = 1 << 20;
   opts.io_retry_backoff_ms = 30;
@@ -1319,7 +1329,7 @@ TEST_F(EngineFaultTest, InjectedFlushStallTripsWatchdogExactlyOnce) {
   ASSERT_TRUE(eng->AppendBatch(BatchRows(0, 20)).ok());
 
   const uint64_t stalls_before = obs::Watchdog::Global().stalls_fired();
-  const uint64_t events_before = obs::EventTrace::Global().recorded();
+  const uint64_t t0 = obs::MonotonicNanos();
   ASSERT_TRUE(fail::FailPoints::Set("lsm.flush", "err").ok());
   Status st = eng->Flush();
   EXPECT_FALSE(st.ok());
@@ -1327,15 +1337,15 @@ TEST_F(EngineFaultTest, InjectedFlushStallTripsWatchdogExactlyOnce) {
 
   EXPECT_EQ(obs::Watchdog::Global().stalls_fired(), stalls_before + 1);
   bool saw_stall = false;
-  for (const obs::TraceEvent& e : obs::EventTrace::Global().Snapshot()) {
-    if (e.seq <= events_before) continue;  // seq is 1-based
-    if (e.kind != obs::EventKind::kStall) continue;
+  for (const obs::SpanRecord& e : obs::TraceCollector::Global().Snapshot()) {
+    if (e.span_id != 0 || e.start_nanos < t0) continue;  // spans, old events
+    if (std::string(e.name) != "stall") continue;
     saw_stall = true;
-    EXPECT_EQ(std::string(e.detail), dir_.substr(0, sizeof(e.detail) - 1));
+    EXPECT_EQ(std::string(e.tag), dir_.substr(0, sizeof(e.tag) - 1));
     EXPECT_GE(e.a, 5u) << "elapsed_ms at firing";
     EXPECT_EQ(e.b, 5u) << "budget_ms";
   }
-  EXPECT_TRUE(saw_stall) << "no stall event in the flight recorder";
+  EXPECT_TRUE(saw_stall) << "no stall event in the trace collector";
 
   // The watch disarmed with the flush: quiet from here on.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -1,8 +1,9 @@
 // Tests for the observability subsystem (src/obs/): metric primitives
 // under concurrency, histogram bucket math and snapshot algebra, the
 // registry's conflict detection and self-check, the exposition formats,
-// the shared SeqlockRing's wraparound and seqlock behavior (through
-// EventTrace and TraceCollector), span tracing, and the watchdog.
+// the SeqlockRing's wraparound and seqlock behavior (through the
+// TraceCollector's lifecycle events and spans), span tracing, and the
+// watchdog.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/event_trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -401,105 +401,123 @@ TEST(Exposition, TextSmoke) {
 }
 
 // ---------------------------------------------------------------------------
-// EventTrace
+// Lifecycle events: zero-duration records in the TraceCollector
 // ---------------------------------------------------------------------------
 
-TEST(EventTrace, RecordsInOrderWithPayload) {
-  EventTrace trace(16);
-  trace.Record(EventKind::kFlushStart, "dir-a", 1, 100);
-  trace.Record(EventKind::kFlushPublish, "dir-a", 1, 42);
-  std::vector<TraceEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, EventKind::kFlushStart);
-  EXPECT_EQ(events[0].seq, 1u);
+TEST(Event, RecordsInOrderWithPayload) {
+  TraceCollector coll(64);
+  coll.RecordEvent("flush-start", "dir-a", 1, 100);
+  coll.RecordEvent("flush-publish", "dir-a", 1, 42);
+  EXPECT_EQ(coll.recorded(), 2u);
+  std::vector<SpanRecord> events = coll.Snapshot();
+  ASSERT_EQ(events.size(), 2u);  // publish order
+  EXPECT_STREQ(events[0].name, "flush-start");
+  EXPECT_EQ(events[0].span_id, 0u);
+  EXPECT_EQ(events[0].dur_nanos, 0u);
+  EXPECT_EQ(events[0].tid, 0u);
   EXPECT_EQ(events[0].a, 1u);
   EXPECT_EQ(events[0].b, 100u);
-  EXPECT_STREQ(events[0].detail, "dir-a");
-  EXPECT_EQ(events[1].kind, EventKind::kFlushPublish);
-  EXPECT_EQ(events[1].seq, 2u);
-  EXPECT_LE(events[0].nanos, events[1].nanos);
+  EXPECT_STREQ(events[0].tag, "dir-a");
+  EXPECT_STREQ(events[1].name, "flush-publish");
+  EXPECT_EQ(events[1].b, 42u);
+  EXPECT_LE(events[0].start_nanos, events[1].start_nanos);
 }
 
-TEST(EventTrace, WraparoundKeepsOnlyTheTail) {
-  EventTrace trace(8);  // minimum capacity
-  ASSERT_EQ(trace.capacity(), 8u);
-  for (uint64_t i = 1; i <= 20; ++i) {
-    trace.Record(EventKind::kCompact, "d", i, 0);
+TEST(Event, WraparoundKeepsOnlyTheTail) {
+  TraceCollector coll(64);  // minimum capacity
+  ASSERT_EQ(coll.capacity(), 64u);
+  for (uint64_t i = 1; i <= 80; ++i) {
+    coll.RecordEvent("compact", "d", i, 0);
   }
-  EXPECT_EQ(trace.recorded(), 20u);
-  std::vector<TraceEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 8u);
+  EXPECT_EQ(coll.recorded(), 80u);
+  std::vector<SpanRecord> events = coll.Snapshot();
+  ASSERT_EQ(events.size(), 64u);
   // The retained window is exactly the last capacity() events, in order.
   for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, 13 + i);
-    EXPECT_EQ(events[i].a, 13 + i);
+    EXPECT_EQ(events[i].a, 17 + i);
   }
 }
 
-TEST(EventTrace, DetailIsTruncatedNotOverflowed) {
-  EventTrace trace(8);
+TEST(Event, DetailIsTruncatedNotOverflowed) {
+  TraceCollector coll(64);
   const std::string longdetail(200, 'x');
-  trace.Record(EventKind::kDegraded, longdetail, 0, 0);
-  std::vector<TraceEvent> events = trace.Snapshot();
+  coll.RecordEvent("degraded", longdetail, 0, 0);
+  std::vector<SpanRecord> events = coll.Snapshot();
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(std::string(events[0].detail),
-            std::string(EventTrace::kDetailBytes - 1, 'x'));
+  EXPECT_EQ(std::string(events[0].tag),
+            std::string(sizeof(SpanRecord{}.tag) - 1, 'x'));
 }
 
-TEST(EventTrace, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(EventTrace(1).capacity(), 8u);
-  EXPECT_EQ(EventTrace(9).capacity(), 16u);
-  EXPECT_EQ(EventTrace(1024).capacity(), 1024u);
+TEST(Event, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(TraceCollector(1).capacity(), 64u);
+  EXPECT_EQ(TraceCollector(65).capacity(), 128u);
+  EXPECT_EQ(TraceCollector(1024).capacity(), 1024u);
 }
 
-TEST(EventTrace, DumpRendersTheTail) {
-  EventTrace trace(16);
-  trace.Record(EventKind::kWalRotate, "shard-3", 7, 0);
-  trace.Record(EventKind::kDegraded, "shard-3", 0, 0);
-  const std::string dump = trace.Dump(/*max_events=*/1);
+TEST(SeqlockRing, CapacityIsClampedToTheCap) {
+  // FCBENCH_TRACE_CAP reaches the ring unchecked: a huge value must
+  // neither hit std::bit_ceil's undefined range nor allocate without
+  // bound. One-word records keep the clamped ring small.
+  using Ring = SeqlockRing<uint64_t>;
+  EXPECT_EQ(Ring::kMaxCapacity, size_t{1} << 20);
+  EXPECT_EQ(Ring(Ring::kMaxCapacity, 8).capacity(), Ring::kMaxCapacity);
+  EXPECT_EQ(Ring(SIZE_MAX, 8).capacity(), Ring::kMaxCapacity);
+  EXPECT_EQ(Ring((size_t{1} << 63) + 1, 8).capacity(), Ring::kMaxCapacity);
+}
+
+TEST(Event, DumpRendersTheTail) {
+  TraceCollector coll(64);
+  coll.RecordEvent("wal-rotate", "shard-3", 7, 0);
+  coll.RecordEvent("degraded", "shard-3", 0, 0);
+  // A span published after the events is not part of the event tail.
+  SpanRecord span;
+  span.trace_id = 1;
+  span.span_id = 5;
+  std::snprintf(span.name, sizeof(span.name), "test.span");
+  coll.PublishBatch(&span, 1);
+  const std::string dump = coll.DumpEvents(/*max_events=*/1);
   EXPECT_EQ(dump.find("wal-rotate"), std::string::npos) << dump;
   EXPECT_NE(dump.find("degraded"), std::string::npos) << dump;
   EXPECT_NE(dump.find("shard-3"), std::string::npos) << dump;
+  EXPECT_EQ(dump.find("test.span"), std::string::npos) << dump;
 }
 
-TEST(EventTrace, ConcurrentRecordNeverTearsAnEvent) {
-  // Many writers lapping a tiny ring while a reader snapshots: every
+TEST(Event, ConcurrentRecordNeverTearsAnEvent) {
+  // Many writers lapping a small ring while a reader snapshots: every
   // event a snapshot returns must be internally consistent (the seqlock
   // stamps filter torn slots).
-  EventTrace trace(16);
+  TraceCollector coll(64);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 25000;
   std::atomic<bool> stop{false};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      for (const TraceEvent& e : trace.Snapshot()) {
-        // Writer t records a = t, b = t * 1000 + i, detail = "w<t>".
+      for (const SpanRecord& e : coll.Snapshot()) {
+        // Writer t records a = t, b = t * 1000000 + i, detail = "w<t>".
         const uint64_t t = e.a;
         ASSERT_LT(t, static_cast<uint64_t>(kThreads));
         ASSERT_EQ(e.b / 1000000, t);
         std::string want("w");
         want += std::to_string(t);
-        ASSERT_EQ(std::string(e.detail), want);
+        ASSERT_EQ(std::string(e.tag), want);
       }
     }
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&trace, t] {
+    writers.emplace_back([&coll, t] {
       std::string detail("w");
       detail += std::to_string(t);
       for (int i = 0; i < kPerThread; ++i) {
-        trace.Record(EventKind::kRetryBackoff, detail,
-                     static_cast<uint64_t>(t),
-                     static_cast<uint64_t>(t) * 1000000 + i);
+        coll.RecordEvent("retry-backoff", detail, static_cast<uint64_t>(t),
+                         static_cast<uint64_t>(t) * 1000000 + i);
       }
     });
   }
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  EXPECT_EQ(trace.recorded(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(coll.recorded(), static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 // ---------------------------------------------------------------------------
@@ -797,13 +815,10 @@ TEST(Span, ChromeJsonIsWellFormedAndPreservesNesting) {
   std::snprintf(other.name, sizeof(other.name), "solo");
   const SpanRecord recs[] = {child, parent, other};
   coll.PublishBatch(recs, 3);
+  EXPECT_EQ(coll.ToChromeJson().find("\"ph\":\"i\""), std::string::npos);
   // Lifecycle events join the same timeline as instant events.
-  EventTrace events(8);
-  events.Record(EventKind::kRetryBackoff, "shard\"0", 1, 2);
-
-  EXPECT_EQ(coll.ToChromeJson(nullptr).find("\"ph\":\"i\""),
-            std::string::npos);
-  const std::string json = coll.ToChromeJson(&events);
+  coll.RecordEvent("retry-backoff", "shard\"0", 1, 2);
+  const std::string json = coll.ToChromeJson();
   size_t pos = 0;
   EXPECT_TRUE(ValidJson(json, &pos)) << json;
   SkipWs(json, &pos);
@@ -843,7 +858,8 @@ TEST(Span, ChromeJsonIsWellFormedAndPreservesNesting) {
   const size_t ts_at = json.find("\"ts\":", ev_at);
   ASSERT_NE(ts_at, std::string::npos);
   EXPECT_NEAR(std::atof(json.c_str() + ts_at + 5),
-              static_cast<double>(events.Snapshot()[0].nanos) / 1e3, 1e-3);
+              static_cast<double>(coll.Snapshot().back().start_nanos) / 1e3,
+              1e-3);
 }
 
 TEST(Span, ContextPropagatesAcrossThreads) {
@@ -871,6 +887,31 @@ TEST(Span, ContextPropagatesAcrossThreads) {
   EXPECT_NE(child->tid, root->tid) << "recorded on the worker's track";
 }
 
+TEST(Span, EventInsideASampledSpanCarriesItsTraceId) {
+  SamplingGuard guard;
+  SetTraceSampling(1, 1);
+  const uint64_t mark = TraceCollector::Global().recorded();
+  {
+    ScopedSpan root("test.ev.root");
+    ASSERT_TRUE(root.recording());
+    RecordEvent("test-inside", "dir-ev", 3, 4);
+  }
+  RecordEvent("test-outside", "dir-ev", 3, 5);
+  const std::vector<SpanRecord> recs = RecordsAfter(mark);
+  const SpanRecord* root = FindByName(recs, "test.ev.root");
+  const SpanRecord* inside = FindByName(recs, "test-inside");
+  const SpanRecord* outside = FindByName(recs, "test-outside");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(inside, nullptr);
+  ASSERT_NE(outside, nullptr);
+  EXPECT_EQ(inside->trace_id, root->trace_id);
+  EXPECT_EQ(inside->parent_id, root->span_id);
+  EXPECT_EQ(inside->span_id, 0u);
+  EXPECT_EQ(inside->tid, 0u) << "events create no per-thread track";
+  EXPECT_STREQ(inside->tag, "dir-ev");
+  EXPECT_EQ(outside->trace_id, 0u);
+}
+
 TEST(Span, ConcurrentTracedAppendersNeverTearRecords) {
   // TSan lane: writers publishing sampled span trees while a reader
   // snapshots the shared collector. Every record a snapshot returns
@@ -883,7 +924,12 @@ TEST(Span, ConcurrentTracedAppendersNeverTearRecords) {
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (const SpanRecord& r : TraceCollector::Global().Snapshot()) {
-        ASSERT_NE(r.span_id, 0u);
+        // Lifecycle events share the ring: zero-duration, no thread.
+        if (r.span_id == 0) {
+          ASSERT_EQ(r.dur_nanos, 0u);
+          ASSERT_EQ(r.tid, 0u);
+          continue;
+        }
         ASSERT_NE(r.trace_id, 0u);
         const std::string name(r.name);
         ASSERT_FALSE(name.empty());
