@@ -51,14 +51,6 @@ std::vector<RunResult> RunFullSweep(const std::vector<std::string>& methods) {
   return runner.RunAll(methods, data::AllDatasets());
 }
 
-std::vector<data::DatasetInfo> DatasetsOfDomain(data::Domain d) {
-  std::vector<data::DatasetInfo> out;
-  for (const auto& info : data::AllDatasets()) {
-    if (info.domain == d) out.push_back(info);
-  }
-  return out;
-}
-
 TablePrinter::TablePrinter(std::vector<std::string> headers, int col_width,
                            int first_width)
     : headers_(std::move(headers)),

@@ -25,11 +25,10 @@ uint64_t BenchBytes(uint64_t fallback = 2ull << 20);
 /// paper uses 10).
 int BenchRepeats(int fallback = 2);
 
-/// Runs the full (methods x 33 datasets) sweep with the standard options.
+/// Runs the full (methods x 33 datasets) sweep with the standard options
+/// (BenchBytes() per dataset, BenchRepeats() repeats). paper_report runs
+/// it once and renders Tables 4-6 and Figures 5-7 and 9 from the result.
 std::vector<RunResult> RunFullSweep(const std::vector<std::string>& methods);
-
-/// Datasets restricted to one domain.
-std::vector<data::DatasetInfo> DatasetsOfDomain(data::Domain d);
 
 /// Fixed-width table printing.
 class TablePrinter {

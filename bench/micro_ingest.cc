@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -166,6 +167,32 @@ ModeResult RunMode(const std::string& tag, uint64_t nrows, size_t batch_rows,
   return r;
 }
 
+/// One side of an A/B overhead check: switches the process into its
+/// configuration before each of its runs.
+struct Side {
+  const char* tag;
+  void (*enter)();
+};
+
+/// Best nosync append throughput of sides `a` and `b` over `reps` reps of
+/// one run each. The side that runs first alternates every rep, so
+/// neither side always inherits the other's page cache and allocator
+/// state, and machine-load drift hits both sides alike.
+std::pair<double, double> AlternatingBest(int reps, uint64_t nrows,
+                                          const Side& a, const Side& b) {
+  const Side* sides[2] = {&a, &b};
+  double best[2] = {0, 0};
+  for (int rep = 0; rep < reps; ++rep) {
+    for (int k = 0; k < 2; ++k) {
+      const int s = (rep + k) % 2;
+      sides[s]->enter();
+      ModeResult r = RunMode(sides[s]->tag, nrows, kBatchRows, false);
+      if (r.ok) best[s] = std::max(best[s], r.ct_gbps);
+    }
+  }
+  return {best[0], best[1]};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -226,18 +253,10 @@ int main(int argc, char** argv) {
   // regression with collection enabled vs idle). The nosync mode is the
   // honest worst case — no fsync to hide the counter adds behind.
   {
-    const int overhead_reps = std::max(repeats, 3);
-    double on_best = 0, off_best = 0;
-    obs::SetEnabled(true);
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      ModeResult r = RunMode("overhead-on", nrows, kBatchRows, false);
-      if (r.ok) on_best = std::max(on_best, r.ct_gbps);
-    }
-    obs::SetEnabled(false);
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      ModeResult r = RunMode("overhead-off", nrows, kBatchRows, false);
-      if (r.ok) off_best = std::max(off_best, r.ct_gbps);
-    }
+    const auto [on_best, off_best] = AlternatingBest(
+        std::max(repeats, 3), nrows,
+        {"overhead-on", [] { obs::SetEnabled(true); }},
+        {"overhead-off", [] { obs::SetEnabled(false); }});
     obs::SetEnabled(true);
     const double overhead_pct =
         off_best > 0 ? (off_best - on_best) / off_best * 100.0 : 0.0;
@@ -257,18 +276,10 @@ int main(int argc, char** argv) {
   // one-relaxed-load-per-span fast path that every production append
   // pays; the sampled side bounds the cost of turning tracing on.
   {
-    const int overhead_reps = std::max(repeats, 3);
-    double off_best = 0, sampled_best = 0;
-    // Interleaved A/B: machine-load drift during the measurement hits
-    // both sides equally instead of biasing whichever ran last.
-    for (int rep = 0; rep < overhead_reps; ++rep) {
-      obs::SetTraceSampling(0);
-      ModeResult off = RunMode("trace-off", nrows, kBatchRows, false);
-      if (off.ok) off_best = std::max(off_best, off.ct_gbps);
-      obs::SetTraceSampling(64, 1);
-      ModeResult on = RunMode("trace-sampled", nrows, kBatchRows, false);
-      if (on.ok) sampled_best = std::max(sampled_best, on.ct_gbps);
-    }
+    const auto [off_best, sampled_best] = AlternatingBest(
+        std::max(repeats, 3), nrows,
+        {"trace-off", [] { obs::SetTraceSampling(0); }},
+        {"trace-sampled", [] { obs::SetTraceSampling(64, 1); }});
     obs::SetTraceSampling(0);
     const double overhead_pct =
         off_best > 0 ? (off_best - sampled_best) / off_best * 100.0 : 0.0;

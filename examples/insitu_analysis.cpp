@@ -13,6 +13,7 @@
 #include "data/dataset.h"
 #include "db/dataframe.h"
 #include "db/paged_file.h"
+#include "util/fs.h"
 #include "util/timer.h"
 
 using namespace fcbench;
@@ -45,7 +46,7 @@ int main() {
       std::printf("stage failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    double stored = static_cast<double>(db::PagedFile::FileSize(path).value());
+    double stored = static_cast<double>(fs::FileSize(path).value());
 
     // Analyze: read back, compute field statistics (the "query" half of
     // Figure 4's staging/query split).

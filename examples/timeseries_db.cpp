@@ -13,6 +13,7 @@
 #include "data/dataset.h"
 #include "db/dataframe.h"
 #include "db/paged_file.h"
+#include "util/fs.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -44,7 +45,7 @@ int main() {
       std::printf("%s write: %s\n", method, st.ToString().c_str());
       return 1;
     }
-    auto size = db::PagedFile::FileSize(path).value();
+    auto size = fs::FileSize(path).value();
 
     db::PagedFile::ReadTiming timing;
     auto bytes = db::PagedFile::Read(path, &timing);

@@ -28,9 +28,10 @@
 #                               # curve), micro_select (oracle-vs-auto
 #                               # adaptive selection) and micro_ingest
 #                               # (WAL ingest/recovery), micro_shard_ingest
-#                               # (sharded multi-tenant scaling; + a reduced
-#                               # micro_codecs pass when built) and write
-#                               # BENCH_*.json artifacts. One gate is
+#                               # (sharded multi-tenant scaling), paper_report
+#                               # (the paper's 14 x 33 sweep, once; + a
+#                               # reduced micro_codecs pass when built) and
+#                               # write BENCH_*.json artifacts. One gate is
 #                               # enforced: span tracing must stay within
 #                               # its 2% append-overhead budget (the
 #                               # trace-overhead row); the other JSON rows
@@ -115,6 +116,12 @@ PYEOF
   FCBENCH_BENCH_BYTES=${FCBENCH_BENCH_BYTES:-2097152} \
   FCBENCH_BENCH_REPEATS=${FCBENCH_BENCH_REPEATS:-3} \
     "${BUILD_DIR}/bench/micro_shard_ingest" --json=BENCH_ingest_scaling.json
+  # The paper's measurement matrix: one 14-method x 33-dataset sweep
+  # renders Tables 4-6 and Figures 5-7 and 9, and writes one row per
+  # (method, dataset).
+  FCBENCH_BENCH_BYTES=${FCBENCH_BENCH_BYTES:-2097152} \
+  FCBENCH_BENCH_REPEATS=${FCBENCH_BENCH_REPEATS:-3} \
+    "${BUILD_DIR}/bench/paper_report" --json=BENCH_paper_sweep.json
   if [[ -x "${BUILD_DIR}/bench/micro_codecs" ]]; then
     "${BUILD_DIR}/bench/micro_codecs" \
       --benchmark_filter='BM_(Huffman|Fse|Simple8b|TimestampCodec)' \

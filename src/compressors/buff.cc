@@ -217,157 +217,125 @@ Status BuffCompressor::Decompress(ByteSpan input, const DataDesc& desc,
   return Status::OK();
 }
 
-Result<std::vector<bool>> BuffCompressor::SubColumnScan(ByteSpan compressed,
-                                                        Predicate pred,
-                                                        double constant) {
-  size_t off = 0;
+namespace {
+
+using Predicate = BuffCompressor::Predicate;
+
+/// `value <pred> constant` bound to one compressed BUFF stream: the
+/// parsed header, the byte planes, and the constant quantized into the
+/// records' fixed-point bytes. The one evaluation path of SubColumnScan
+/// and FilteredAggregate.
+struct PlaneScan {
   BuffHeader h;
-  {
-    auto r = BuffHeader::Get(compressed, &off);
-    if (!r.ok()) return r.status();
-    h = r.value();
+  const uint8_t* planes = nullptr;
+  size_t n = 0;
+  size_t vbytes = 0;
+  Predicate pred = Predicate::kEqual;
+  /// The constant lies outside the encoded range, so the predicate is
+  /// decided for every record at once: all of them hit iff `all_hit`.
+  bool decided = false;
+  bool all_hit = false;
+  uint8_t tbytes[8] = {0};
+
+  /// Sub-column pattern matching with early disqualification: record `i`
+  /// is compared byte-plane by byte-plane, most significant first, and
+  /// the first plane that differs from the constant decides it. Only
+  /// meaningful when !decided.
+  bool Hit(size_t i) const {
+    for (size_t b = 0; b < vbytes; ++b) {
+      const uint8_t vb = planes[b * n + i];
+      if (vb == tbytes[b]) continue;  // still undecided at this plane
+      switch (pred) {
+        case Predicate::kLess:
+          return vb < tbytes[b];
+        case Predicate::kGreaterEqual:
+          return vb > tbytes[b];
+        case Predicate::kEqual:
+          break;
+      }
+      return false;
+    }
+    // All bytes equal.
+    return pred == Predicate::kEqual || pred == Predicate::kGreaterEqual;
   }
-  const size_t n = h.count;
-  const size_t vbytes = h.value_bytes();
-  if (n > (compressed.size() - off) / vbytes) {  // overflow-safe
+
+  /// Record `i` reassembled from its byte planes.
+  uint64_t Record(size_t i) const {
+    uint64_t rec = 0;
+    for (size_t b = 0; b < vbytes; ++b) {
+      rec = (rec << 8) | planes[b * n + i];
+    }
+    return rec;
+  }
+};
+
+Result<PlaneScan> BindPredicate(ByteSpan compressed, Predicate pred,
+                                double constant) {
+  PlaneScan s;
+  size_t off = 0;
+  FCB_ASSIGN_OR_RETURN(s.h, BuffHeader::Get(compressed, &off));
+  s.n = s.h.count;
+  s.vbytes = s.h.value_bytes();
+  if (s.n > (compressed.size() - off) / s.vbytes) {  // overflow-safe
     return Status::Corruption("buff: truncated sub-columns");
   }
-  const uint8_t* planes = compressed.data() + off;
+  s.planes = compressed.data() + off;
+  s.pred = pred;
 
   // Encode the constant into the same fixed-point representation. For
   // values outside the representable range the comparison short-circuits.
-  std::vector<bool> hits(n, false);
-  int total_bits = h.int_bits + h.frac_bits;
-  double range_max =
-      h.min + (std::pow(2.0, total_bits) - 1.0) /
-                  static_cast<double>(uint64_t(1) << h.frac_bits);
-  if (constant < h.min) {
-    if (pred == Predicate::kGreaterEqual) hits.assign(n, true);
-    return hits;
+  const int total_bits = s.h.int_bits + s.h.frac_bits;
+  const double range_max =
+      s.h.min + (std::pow(2.0, total_bits) - 1.0) /
+                    static_cast<double>(uint64_t(1) << s.h.frac_bits);
+  if (constant < s.h.min) {
+    s.decided = true;
+    s.all_hit = pred == Predicate::kGreaterEqual;
+  } else if (constant > range_max) {
+    s.decided = true;
+    s.all_hit = pred == Predicate::kLess;
+  } else {
+    const uint64_t target = Quantize(constant, s.h);
+    // BuffHeader::Get caps the widths at 64 bits: vbytes <= 8.
+    for (size_t b = 0; b < s.vbytes && b < sizeof(s.tbytes); ++b) {
+      s.tbytes[b] = static_cast<uint8_t>(target >> (8 * (s.vbytes - 1 - b)));
+    }
   }
-  if (constant > range_max) {
-    if (pred == Predicate::kLess) hits.assign(n, true);
-    return hits;
-  }
-  uint64_t target = Quantize(constant, h);
-  uint8_t tbytes[8];
-  for (size_t b = 0; b < vbytes; ++b) {
-    tbytes[b] = static_cast<uint8_t>(target >> (8 * (vbytes - 1 - b)));
-  }
+  return s;
+}
 
-  // Sub-column pattern matching with early disqualification: records are
-  // compared byte-plane by byte-plane, most significant first, and drop
-  // out of the undecided set as soon as a sub-column disqualifies them.
-  for (size_t i = 0; i < n; ++i) {
-    bool decided = false;
-    for (size_t b = 0; b < vbytes && !decided; ++b) {
-      uint8_t vb = planes[b * n + i];
-      if (vb == tbytes[b]) continue;  // still undecided at this plane
-      decided = true;
-      switch (pred) {
-        case Predicate::kEqual:
-          hits[i] = false;
-          break;
-        case Predicate::kLess:
-          hits[i] = vb < tbytes[b];
-          break;
-        case Predicate::kGreaterEqual:
-          hits[i] = vb > tbytes[b];
-          break;
-      }
-    }
-    if (!decided) {
-      // All bytes equal.
-      hits[i] = (pred == Predicate::kEqual) ||
-                (pred == Predicate::kGreaterEqual);
-    }
-  }
+}  // namespace
+
+Result<std::vector<bool>> BuffCompressor::SubColumnScan(ByteSpan compressed,
+                                                        Predicate pred,
+                                                        double constant) {
+  FCB_ASSIGN_OR_RETURN(PlaneScan scan,
+                       BindPredicate(compressed, pred, constant));
+  std::vector<bool> hits(scan.n, scan.all_hit);
+  if (scan.decided) return hits;
+  for (size_t i = 0; i < scan.n; ++i) hits[i] = scan.Hit(i);
   return hits;
 }
 
 Result<BuffCompressor::AggregateResult> BuffCompressor::FilteredAggregate(
     ByteSpan compressed, Predicate pred, double constant, Aggregate agg) {
-  size_t off = 0;
-  BuffHeader h;
-  {
-    auto r = BuffHeader::Get(compressed, &off);
-    if (!r.ok()) return r.status();
-    h = r.value();
-  }
-  const size_t n = h.count;
-  const size_t vbytes = h.value_bytes();
-  if (n > (compressed.size() - off) / vbytes) {  // overflow-safe
-    return Status::Corruption("buff: truncated sub-columns");
-  }
-  const uint8_t* planes = compressed.data() + off;
-
+  FCB_ASSIGN_OR_RETURN(PlaneScan scan,
+                       BindPredicate(compressed, pred, constant));
   AggregateResult result;
   result.value = (agg == Aggregate::kMin)
                      ? std::numeric_limits<double>::infinity()
                  : (agg == Aggregate::kMax)
                      ? -std::numeric_limits<double>::infinity()
                      : 0.0;
+  if (scan.decided && !scan.all_hit) return result;
 
-  // Range short-circuit, mirroring SubColumnScan: outside the encoded
-  // range the predicate is decided for every record at once.
-  int total_bits = h.int_bits + h.frac_bits;
-  double range_max =
-      h.min + (std::pow(2.0, total_bits) - 1.0) /
-                  static_cast<double>(uint64_t(1) << h.frac_bits);
-  bool all_hit = false;
-  bool none_hit = false;
-  uint8_t tbytes[8] = {0};
-  if (constant < h.min) {
-    all_hit = (pred == Predicate::kGreaterEqual);
-    none_hit = !all_hit;
-  } else if (constant > range_max) {
-    all_hit = (pred == Predicate::kLess);
-    none_hit = !all_hit;
-  } else {
-    uint64_t target = Quantize(constant, h);
-    for (size_t b = 0; b < vbytes; ++b) {
-      tbytes[b] = static_cast<uint8_t>(target >> (8 * (vbytes - 1 - b)));
-    }
-  }
-  if (none_hit) return result;
-
-  for (size_t i = 0; i < n; ++i) {
-    bool hit;
-    if (all_hit) {
-      hit = true;
-    } else {
-      bool decided = false;
-      hit = false;
-      for (size_t b = 0; b < vbytes && !decided; ++b) {
-        uint8_t vb = planes[b * n + i];
-        if (vb == tbytes[b]) continue;
-        decided = true;
-        switch (pred) {
-          case Predicate::kEqual:
-            hit = false;
-            break;
-          case Predicate::kLess:
-            hit = vb < tbytes[b];
-            break;
-          case Predicate::kGreaterEqual:
-            hit = vb > tbytes[b];
-            break;
-        }
-      }
-      if (!decided) {
-        hit = (pred == Predicate::kEqual) || (pred == Predicate::kGreaterEqual);
-      }
-    }
-    if (!hit) continue;
+  for (size_t i = 0; i < scan.n; ++i) {
+    if (!scan.decided && !scan.Hit(i)) continue;
     ++result.count;
     if (agg == Aggregate::kCount) continue;
     // Only qualifying records are dequantized — this is the aggregation
     // pushdown that avoids paying full decompression.
-    uint64_t rec = 0;
-    for (size_t b = 0; b < vbytes; ++b) {
-      rec = (rec << 8) | planes[b * n + i];
-    }
-    double v = Dequantize(rec, h);
+    const double v = Dequantize(scan.Record(i), scan.h);
     switch (agg) {
       case Aggregate::kSum:
         result.value += v;

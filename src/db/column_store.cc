@@ -321,8 +321,8 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
       stats->io_seconds += timing.io_seconds;
       stats->decode_seconds += timing.decode_seconds;
       stats->bytes_decoded += bytes.size();
-      auto fs = PagedFile::FileSize(path);
-      if (fs.ok()) stats->bytes_on_disk += fs.value();
+      auto size = fs::FileSize(path);
+      if (size.ok()) stats->bytes_on_disk += size.value();
     }
 
     std::vector<double> col(bytes.size() / DTypeSize(desc.dtype));

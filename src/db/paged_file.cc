@@ -44,8 +44,7 @@ Status PagedFile::Write(const std::string& path, ByteSpan data,
   const bool raw = options.compressor == "none";
   std::unique_ptr<Compressor> comp;
   if (!raw) {
-    auto r = CompressorRegistry::Global().Create(options.compressor,
-                                                 options.config);
+    auto r = CompressorRegistry::Global().Create(options.compressor);
     if (!r.ok()) return r.status();
     comp = std::move(r).TakeValue();
   }
@@ -101,7 +100,7 @@ Status PagedFile::Write(const std::string& path, ByteSpan data,
     info->file_hash = XxHash64(out.span());
     info->file_bytes = out.size();
   }
-  return fs::WriteFileAtomic(path, out.span(), options.durable);
+  return fs::WriteFileAtomic(path, out.span());
 }
 
 namespace {
@@ -268,56 +267,6 @@ Result<Buffer> PagedFile::Read(const std::string& path, ReadTiming* timing,
     timing->decoded_bytes = out.size();
   }
   return out;
-}
-
-Result<Buffer> PagedFile::ReadElementRange(const std::string& path,
-                                           uint64_t first, uint64_t count,
-                                           ReadTiming* timing,
-                                           DataDesc* desc) {
-  FCB_ASSIGN_OR_RETURN(Pages file, Pages::Open(path, timing));
-  if (desc != nullptr) *desc = file.desc();
-  // The byte range depends on the stored dtype, known only now. The
-  // header bounds the array at kMaxTotalBytes, so the multiplications
-  // below cannot overflow once the element range is inside it.
-  const uint64_t esize = DTypeSize(file.desc().dtype);
-  const uint64_t total_elems = file.desc().num_bytes() / esize;
-  if (first > total_elems || count > total_elems - first) {
-    return Status::OutOfRange("paged file: range past end of array");
-  }
-  if (count == 0) return Buffer();
-  const uint64_t offset = first * esize;
-  const uint64_t length = count * esize;
-  // The header's page count covers the whole array, so both pages exist.
-  const size_t first_page = static_cast<size_t>(offset / file.page_bytes());
-  const size_t last_page =
-      static_cast<size_t>((offset + length - 1) / file.page_bytes());
-  const uint64_t page_raw_begin = first_page * file.page_bytes();
-
-  Timer decode_timer;
-  Buffer decoded;  // raw bytes of the touched pages only
-  decoded.Reserve(static_cast<size_t>(
-      (last_page - first_page) * file.page_bytes() +
-      file.page_raw_bytes(last_page)));
-  for (size_t p = first_page; p <= last_page; ++p) {
-    FCB_RETURN_IF_ERROR(file.DecodePage(p, &decoded));
-  }
-  if (timing != nullptr) {
-    timing->decode_seconds = decode_timer.ElapsedSeconds();
-    timing->decoded_bytes = decoded.size();
-  }
-  // A range that starts on a page boundary is a prefix of the decoded
-  // pages: trim the tail instead of copying the slice out.
-  if (offset == page_raw_begin) {
-    decoded.Resize(static_cast<size_t>(length));
-    return decoded;
-  }
-  Buffer out;
-  out.Append(decoded.data() + (offset - page_raw_begin), length);
-  return out;
-}
-
-Result<uint64_t> PagedFile::FileSize(const std::string& path) {
-  return fs::FileSize(path);
 }
 
 }  // namespace fcbench::db

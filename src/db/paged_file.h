@@ -27,11 +27,6 @@ class PagedFile {
     size_t page_size = 64 << 10;
     /// Registry name of the compression filter ("none" = raw pages).
     std::string compressor = "none";
-    CompressorConfig config;
-    /// fsync the container and its directory as part of the atomic
-    /// temp-file + rename publish. Writes are atomic either way; turning
-    /// this off only trades power-loss durability for speed.
-    bool durable = true;
   };
 
   /// Timing breakdown of a read, matching the paper's file I/O vs. data
@@ -39,9 +34,7 @@ class PagedFile {
   struct ReadTiming {
     double io_seconds = 0;
     double decode_seconds = 0;
-    /// Raw bytes actually decompressed. For ReadElementRange this counts
-    /// the whole touched pages, not just the returned slice — the honest
-    /// decode cost of a pushdown read.
+    /// Raw bytes actually decompressed.
     uint64_t decoded_bytes = 0;
   };
 
@@ -55,19 +48,20 @@ class PagedFile {
     uint64_t file_bytes = 0;
   };
 
-  /// Compresses `data` page by page and writes the container to `path`.
-  /// When `info` is non-null it receives the whole-file hash and size of
-  /// the published container.
+  /// Compresses `data` page by page and publishes the container at
+  /// `path` atomically and durably (temp file + fsync + rename + directory
+  /// fsync). When `info` is non-null it receives the whole-file hash and
+  /// size of the published container.
   static Status Write(const std::string& path, ByteSpan data,
                       const DataDesc& desc, const Options& options,
                       WriteInfo* info = nullptr);
 
   /// A container read whole into memory with its header and page
   /// directory validated: the unit of the one page decoder every read
-  /// goes through (Read and ReadElementRange below, ColumnStore's row
-  /// reads and the engines' page tasks). Pages decode independently, and
-  /// DecodePage may run concurrently on one Pages from many threads:
-  /// each thread decodes with its own instance of the page codec.
+  /// goes through (Read below, ColumnStore's row reads and the engines'
+  /// page tasks). Pages decode independently, and DecodePage may run
+  /// concurrently on one Pages from many threads: each thread decodes
+  /// with its own instance of the page codec.
   class Pages {
    public:
     Pages() = default;
@@ -112,24 +106,6 @@ class PagedFile {
   /// descriptor parsed from that same read.
   static Result<Buffer> Read(const std::string& path, ReadTiming* timing,
                              DataDesc* desc = nullptr);
-
-  /// Reads the raw bytes of elements [first, first + count) of the
-  /// stored array, decoding only the pages that overlap the range
-  /// (chunk-granular pushdown: a point or range query touches one page,
-  /// not the column). The range is in elements because the element size
-  /// is stored in the header. The file is read whole, once — the saving
-  /// is decode work, which dominates for compressed columns (§6.2.2) —
-  /// and `desc`, when non-null, receives the stored descriptor from that
-  /// read. The touched pages decode back to back into one buffer sized
-  /// for them up front; a range starting on a page boundary is returned
-  /// in it directly, without copying the slice out.
-  static Result<Buffer> ReadElementRange(const std::string& path,
-                                         uint64_t first, uint64_t count,
-                                         ReadTiming* timing = nullptr,
-                                         DataDesc* desc = nullptr);
-
-  /// Total on-disk size of the container, or error.
-  static Result<uint64_t> FileSize(const std::string& path);
 };
 
 }  // namespace fcbench::db
