@@ -2,7 +2,8 @@
 // the simulated in-memory database: compressed pages on disk -> file I/O
 // -> per-page decompression -> columnar dataframe -> 10 full-table-scan
 // queries driven by a histogram of the first column (paper §6.2.2,
-// footnote 14).
+// footnote 14). The file is mapped, not copied, so the read column times
+// the map and paging the stored bytes in counts as decode.
 
 #include <cstdio>
 #include <string>

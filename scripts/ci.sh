@@ -201,7 +201,10 @@ PY
   # one chunk container codec (ChunkedCompressor with per-chunk methods)
   # and StreamWriter::OpenChunked("auto-ratio"). obs_test runs the
   # SeqlockRing stress and the snapshot's process page-fault gauges.
-  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test select_test streaming_test obs_test"
+  # util_test holds fs::MapReadOnly's tests (empty, missing and failing
+  # maps, and a mapping read after its file is unlinked), the mapping
+  # every column read decodes from.
+  SAN_SUITES="codecs_test compressors_test wire_format_test corruption_test golden_roundtrip_test lsm_test shard_test column_store_test db_test query_test select_test streaming_test obs_test util_test"
   cmake -B "${BUILD_DIR}-faults-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
   # shellcheck disable=SC2086  # word-split the suite list into targets

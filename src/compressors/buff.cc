@@ -179,34 +179,52 @@ Status BuffCompressor::Compress(ByteSpan input, const DataDesc& desc,
   return Status::OK();
 }
 
-Status BuffCompressor::Decompress(ByteSpan input, const DataDesc& desc,
-                                  Buffer* out) {
-  size_t off = 0;
-  BuffHeader h;
-  {
-    auto r = BuffHeader::Get(input, &off);
-    if (!r.ok()) return r.status();
-    h = r.value();
-  }
-  const size_t n = h.count;
-  const size_t vbytes = h.value_bytes();
-  // Overflow-safe: a flooded count field makes n * vbytes wrap uint64 and
-  // sail past a naive `off + n * vbytes > size` check.
-  if (n > (input.size() - off) / vbytes) {
-    return Status::Corruption("buff: truncated sub-columns");
-  }
-  const uint8_t* planes = input.data() + off;
+namespace {
 
-  size_t base = out->size();
-  const size_t esize = DTypeSize(desc.dtype);
-  out->Resize(base + n * esize);
-  uint8_t* dst = out->data() + base;
-  for (size_t i = 0; i < n; ++i) {
+/// A compressed BUFF stream's parsed header and byte planes: the one
+/// record path of Decompress, SubColumnScan and FilteredAggregate.
+struct Planes {
+  BuffHeader h;
+  const uint8_t* planes = nullptr;
+  size_t n = 0;
+  size_t vbytes = 0;
+
+  static Result<Planes> Parse(ByteSpan compressed) {
+    Planes p;
+    size_t off = 0;
+    FCB_ASSIGN_OR_RETURN(p.h, BuffHeader::Get(compressed, &off));
+    p.n = p.h.count;
+    p.vbytes = p.h.value_bytes();
+    // Overflow-safe: a flooded count field makes n * vbytes wrap uint64
+    // and sail past a naive `off + n * vbytes > size` check.
+    if (p.n > (compressed.size() - off) / p.vbytes) {
+      return Status::Corruption("buff: truncated sub-columns");
+    }
+    p.planes = compressed.data() + off;
+    return p;
+  }
+
+  /// Record `i` reassembled from its byte planes.
+  uint64_t Record(size_t i) const {
     uint64_t rec = 0;
     for (size_t b = 0; b < vbytes; ++b) {
       rec = (rec << 8) | planes[b * n + i];
     }
-    double v = Dequantize(rec, h);
+    return rec;
+  }
+};
+
+}  // namespace
+
+Status BuffCompressor::Decompress(ByteSpan input, const DataDesc& desc,
+                                  Buffer* out) {
+  FCB_ASSIGN_OR_RETURN(const Planes p, Planes::Parse(input));
+  const size_t base = out->size();
+  const size_t esize = DTypeSize(desc.dtype);
+  out->Resize(base + p.n * esize);
+  uint8_t* dst = out->data() + base;
+  for (size_t i = 0; i < p.n; ++i) {
+    const double v = Dequantize(p.Record(i), p.h);
     if (desc.dtype == DType::kFloat32) {
       float f = static_cast<float>(v);
       std::memcpy(dst + i * 4, &f, 4);
@@ -221,15 +239,11 @@ namespace {
 
 using Predicate = BuffCompressor::Predicate;
 
-/// `value <pred> constant` bound to one compressed BUFF stream: the
-/// parsed header, the byte planes, and the constant quantized into the
-/// records' fixed-point bytes. The one evaluation path of SubColumnScan
-/// and FilteredAggregate.
-struct PlaneScan {
-  BuffHeader h;
-  const uint8_t* planes = nullptr;
-  size_t n = 0;
-  size_t vbytes = 0;
+/// `value <pred> constant` bound to one compressed BUFF stream: its
+/// planes and the constant quantized into the records' fixed-point
+/// bytes. The one evaluation path of SubColumnScan and
+/// FilteredAggregate.
+struct PlaneScan : Planes {
   Predicate pred = Predicate::kEqual;
   /// The constant lies outside the encoded range, so the predicate is
   /// decided for every record at once: all of them hit iff `all_hit`.
@@ -258,29 +272,12 @@ struct PlaneScan {
     // All bytes equal.
     return pred == Predicate::kEqual || pred == Predicate::kGreaterEqual;
   }
-
-  /// Record `i` reassembled from its byte planes.
-  uint64_t Record(size_t i) const {
-    uint64_t rec = 0;
-    for (size_t b = 0; b < vbytes; ++b) {
-      rec = (rec << 8) | planes[b * n + i];
-    }
-    return rec;
-  }
 };
 
 Result<PlaneScan> BindPredicate(ByteSpan compressed, Predicate pred,
                                 double constant) {
-  PlaneScan s;
-  size_t off = 0;
-  FCB_ASSIGN_OR_RETURN(s.h, BuffHeader::Get(compressed, &off));
-  s.n = s.h.count;
-  s.vbytes = s.h.value_bytes();
-  if (s.n > (compressed.size() - off) / s.vbytes) {  // overflow-safe
-    return Status::Corruption("buff: truncated sub-columns");
-  }
-  s.planes = compressed.data() + off;
-  s.pred = pred;
+  FCB_ASSIGN_OR_RETURN(const Planes planes, Planes::Parse(compressed));
+  PlaneScan s{planes, pred};
 
   // Encode the constant into the same fixed-point representation. For
   // values outside the representable range the comparison short-circuits.

@@ -105,7 +105,7 @@ uint64_t StoredRows(const PagedFile::Pages& file) {
   return file.desc().num_bytes() / DTypeSize(file.desc().dtype);
 }
 
-/// The first half of every row read: one manifest read, then one read
+/// The first half of every row read: one manifest read, then one map
 /// and validation of the column file, which must hold rows
 /// [row_begin, row_begin + row_count).
 Result<PagedFile::Pages> OpenRows(const std::string& prefix,
@@ -333,26 +333,13 @@ Result<DataFrame> ColumnStore::Read(const std::string& prefix,
   return DataFrame::FromColumns(std::move(out_names), std::move(out_cols));
 }
 
-Status ColumnStore::ReadRowsInto(const std::string& prefix,
-                                 const std::string& column,
-                                 uint64_t row_begin, std::span<double> dst,
-                                 ReadStats* stats) {
-  PagedFile::ReadTiming timing;
-  FCB_ASSIGN_OR_RETURN(
-      PagedFile::Pages file,
-      OpenRows(prefix, column, row_begin, dst.size(), &timing));
-  FCB_RETURN_IF_ERROR(DecodeRows(file, row_begin, dst, stats));
-  if (stats != nullptr) stats->io_seconds += timing.io_seconds;
-  return Status::OK();
-}
-
 Result<std::vector<double>> ColumnStore::ReadRows(const std::string& prefix,
                                                   const std::string& column,
                                                   uint64_t row_begin,
                                                   uint64_t row_count,
                                                   ReadStats* stats) {
-  // Same read as ReadRowsInto; the vector is sized only after the range
-  // has been checked against the stored column.
+  // The vector is sized only after the range has been checked against
+  // the stored column.
   PagedFile::ReadTiming timing;
   FCB_ASSIGN_OR_RETURN(
       PagedFile::Pages file,
@@ -404,21 +391,35 @@ Status ColumnStore::Drop(const std::string& prefix) {
   return fs::RemoveFile(ManifestPath(prefix));
 }
 
+ColumnSlot::ColumnSlot(std::string prefix, std::string column, uint64_t rows)
+    : prefix_(std::move(prefix)), column_(std::move(column)), rows_(rows) {}
+
+ColumnSlot::~ColumnSlot() { delete pages_.load(std::memory_order_acquire); }
+
+Result<const PagedFile::Pages*> ColumnSlot::Open() const {
+  FCB_ASSIGN_OR_RETURN(PagedFile::Pages file,
+                       OpenRows(prefix_, column_, 0, rows_, nullptr));
+  auto opened = std::make_unique<const PagedFile::Pages>(std::move(file));
+  const PagedFile::Pages* published = nullptr;
+  if (pages_.compare_exchange_strong(published, opened.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    return opened.release();
+  }
+  return published;  // a racing Open won; ours is unmapped here
+}
+
 size_t ColumnReadBatch::AddOutput(uint64_t rows) {
   outputs_.push_back({rows, {}});
   return outputs_.size() - 1;
 }
 
-void ColumnReadBatch::AddTable(size_t output, uint64_t offset, uint64_t rows,
-                               std::string prefix, std::string column,
-                               std::shared_ptr<const void> holder) {
+void ColumnReadBatch::AddTable(size_t output, uint64_t offset,
+                               std::shared_ptr<const ColumnSlot> column) {
   Table t;
   t.output = output;
   t.offset = offset;
-  t.rows = rows;
-  t.prefix = std::move(prefix);
   t.column = std::move(column);
-  t.holder = std::move(holder);
   tables_.push_back(std::move(t));
 }
 
@@ -429,24 +430,34 @@ void ColumnReadBatch::AddFill(size_t output, uint64_t offset, uint64_t rows,
 
 std::vector<Status> ColumnReadBatch::Run() {
   ThreadPool& pool = ThreadPool::Shared();
-  // Phase 1: allocate the outputs and open every table.
-  pool.ParallelFor(
-      outputs_.size() + tables_.size(),
-      [&](size_t i) {
-        if (i < outputs_.size()) {
-          outputs_[i].values.resize(outputs_[i].rows);
-          return;
-        }
-        Table& t = tables_[i - outputs_.size()];
-        obs::ScopedSpan span("segment.open", t.rows);
-        auto r = OpenRows(t.prefix, t.column, 0, t.rows, nullptr);
-        if (r.ok()) {
-          t.file = std::move(r).value();
-        } else {
-          t.status = r.status();
-        }
-      },
-      {/*grain=*/1});
+  // Phase 1: allocate the outputs and open the tables no earlier read
+  // opened. With every table open already, the outputs are allocated
+  // inline and the page tasks are the read's only pool round.
+  std::vector<size_t> to_open;
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    tables_[t].file = tables_[t].column->pages();
+    if (tables_[t].file == nullptr) to_open.push_back(t);
+  }
+  auto phase1 = [&](size_t i) {
+    if (i < outputs_.size()) {
+      outputs_[i].values.resize(outputs_[i].rows);
+      return;
+    }
+    Table& t = tables_[to_open[i - outputs_.size()]];
+    obs::ScopedSpan span("segment.open", t.column->rows());
+    auto r = t.column->Open();
+    if (r.ok()) {
+      t.file = r.value();
+    } else {
+      t.status = r.status();
+    }
+  };
+  if (to_open.empty()) {
+    for (size_t i = 0; i < outputs_.size(); ++i) phase1(i);
+  } else {
+    pool.ParallelFor(outputs_.size() + to_open.size(), phase1,
+                     {/*grain=*/1});
+  }
 
   // Phase 2: every page of every opened table, then the fills.
   struct PageTask {
@@ -459,13 +470,13 @@ std::vector<Status> ColumnReadBatch::Run() {
   for (size_t t = 0; t < tables_.size(); ++t) {
     first_page[t] = pages.size();
     if (!tables_[t].status.ok()) continue;
-    const PagedFile::Pages& file = tables_[t].file;
+    const PagedFile::Pages& file = *tables_[t].file;
+    const uint64_t rows = tables_[t].column->rows();
     const uint64_t page_rows =
         file.page_bytes() / DTypeSize(file.desc().dtype);
-    for (uint64_t row = 0; row < tables_[t].rows; row += page_rows) {
-      pages.push_back({t, row,
-                       static_cast<size_t>(
-                           std::min(page_rows, tables_[t].rows - row))});
+    for (uint64_t row = 0; row < rows; row += page_rows) {
+      pages.push_back(
+          {t, row, static_cast<size_t>(std::min(page_rows, rows - row))});
     }
   }
   first_page[tables_.size()] = pages.size();
@@ -483,7 +494,7 @@ std::vector<Status> ColumnReadBatch::Run() {
         const Table& t = tables_[pt.table];
         obs::ScopedSpan span("segment.page", pt.row, pt.rows);
         page_status[i] = DecodeRows(
-            t.file, pt.row,
+            *t.file, pt.row,
             std::span<double>(outputs_[t.output].values)
                 .subspan(t.offset + pt.row, pt.rows));
       },

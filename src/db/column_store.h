@@ -1,6 +1,7 @@
 #ifndef FCBENCH_DB_COLUMN_STORE_H_
 #define FCBENCH_DB_COLUMN_STORE_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <span>
@@ -77,21 +78,15 @@ class ColumnStore {
                                 const std::vector<std::string>& names = {},
                                 ReadStats* stats = nullptr);
 
-  /// Reads rows [row_begin, row_begin + dst.size()) of one column into
-  /// `dst`, decoding only the pages that overlap the range
-  /// (chunk-granular pushdown for point/range queries; the rest of the
-  /// column is never decompressed). Cost: one manifest read, one read of
-  /// the column file, then each touched page decoded into the calling
-  /// thread's page scratch and copied (f64) or widened (f32) into its
-  /// rows of `dst`. `stats->decode_seconds` covers decode and copy. On
-  /// error `dst` may be partially written.
-  static Status ReadRowsInto(const std::string& prefix,
-                             const std::string& column, uint64_t row_begin,
-                             std::span<double> dst,
-                             ReadStats* stats = nullptr);
-
-  /// ReadRowsInto into a vector of `row_count` values, allocated once
-  /// the range has been checked against the stored column.
+  /// Reads rows [row_begin, row_begin + row_count) of one column,
+  /// decoding only the pages that overlap the range (chunk-granular
+  /// pushdown for point/range queries; the rest of the column is never
+  /// decompressed). Cost: one manifest read, one map of the column file,
+  /// then each touched page decoded into the calling thread's page
+  /// scratch and copied (f64) or widened (f32) into its rows of the
+  /// result, which is allocated only once the range has been checked
+  /// against the stored column (OutOfRange past its end).
+  /// `stats->decode_seconds` covers decode and copy.
   static Result<std::vector<double>> ReadRows(const std::string& prefix,
                                               const std::string& column,
                                               uint64_t row_begin,
@@ -112,13 +107,50 @@ class ColumnStore {
   static Status Drop(const std::string& prefix);
 };
 
+/// One column of a published ColumnStore table, opened by its first read
+/// and then kept open (a mapped PagedFile::Pages) until the slot is
+/// destroyed. A published table never changes, so every later read
+/// reuses the open column and only decodes pages. An engine's segment
+/// handle owns one slot per schema column.
+///
+/// No lock is held across an open: two racing first opens may both
+/// open, the first to publish wins and the loser's mapping is dropped.
+/// A failed open publishes nothing, so the next read tries again.
+class ColumnSlot {
+ public:
+  /// The column named `column` of the table at `prefix`, which must hold
+  /// `rows` rows.
+  ColumnSlot(std::string prefix, std::string column, uint64_t rows);
+  ~ColumnSlot();
+  ColumnSlot(const ColumnSlot&) = delete;
+  ColumnSlot& operator=(const ColumnSlot&) = delete;
+
+  uint64_t rows() const { return rows_; }
+
+  /// The open column, or null until an Open succeeded.
+  const PagedFile::Pages* pages() const {
+    return pages_.load(std::memory_order_acquire);
+  }
+
+  /// Reads the table's manifest, maps and validates the column file and
+  /// checks that it holds rows(), then publishes it unless a racing Open
+  /// published first. Returns the published column.
+  Result<const PagedFile::Pages*> Open() const;
+
+ private:
+  const std::string prefix_;
+  const std::string column_;
+  const uint64_t rows_;
+  mutable std::atomic<const PagedFile::Pages*> pages_{nullptr};
+};
+
 /// Column reads assembled from many tables (an engine's segments) as one
 /// flat list of page tasks on ThreadPool::Shared():
 ///
-///  - Phase 1 is one ParallelFor over every queued table and output.
-///    A table task reads and validates the table's manifest and column
-///    file once (ColumnStore::ReadRowsInto's first half); an output task
-///    allocates its vector.
+///  - Phase 1 opens the queued tables whose slot no earlier read opened
+///    (ColumnSlot::Open) and allocates the outputs, as one ParallelFor.
+///    When every slot is open already, it only allocates the outputs,
+///    inline, and phase 2 is the read's only pool round.
 ///  - Phase 2 is one ParallelFor over every page of every table, plus
 ///    the queued fills. A page task decodes its page into the thread's
 ///    page scratch and copies or widens it straight into its rows of the
@@ -133,13 +165,12 @@ class ColumnReadBatch {
   /// reports one status per output.
   size_t AddOutput(uint64_t rows);
 
-  /// Queues rows [0, rows) of `column` of the table at `prefix` into
-  /// rows [offset, offset + rows) of output `output`. `holder` is kept
-  /// until the batch is destroyed (an engine's segment handle, which
-  /// keeps the table's files alive).
-  void AddTable(size_t output, uint64_t offset, uint64_t rows,
-                std::string prefix, std::string column,
-                std::shared_ptr<const void> holder = nullptr);
+  /// Queues every row of `column` into rows [offset, offset +
+  /// column->rows()) of output `output`. The batch holds `column` until
+  /// it is destroyed; an engine passes an aliasing pointer that owns the
+  /// segment handle, which keeps the table's files alive.
+  void AddTable(size_t output, uint64_t offset,
+                std::shared_ptr<const ColumnSlot> column);
 
   /// Queues `fill`, run in phase 2 on rows [offset, offset + rows) of
   /// output `output` (say, an engine's memtable rows).
@@ -163,12 +194,9 @@ class ColumnReadBatch {
   struct Table {
     size_t output = 0;
     uint64_t offset = 0;
-    uint64_t rows = 0;
-    std::string prefix;
-    std::string column;
-    std::shared_ptr<const void> holder;
-    PagedFile::Pages file;  // opened in phase 1
-    Status status;          // phase 1's verdict
+    std::shared_ptr<const ColumnSlot> column;
+    const PagedFile::Pages* file = nullptr;  // open after phase 1
+    Status status;                           // phase 1's verdict
   };
   struct Fill {
     size_t output = 0;

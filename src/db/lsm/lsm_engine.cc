@@ -354,19 +354,34 @@ Status ReadOnlyStatus(const Status& bg) {
 struct IngestEngine::Segment {
   enum class Fate { kKeep, kDrop, kQuarantine };
 
-  Segment(const SegmentInfo& i, std::string p)
-      : info(i), prefix(std::move(p)) {}
+  Segment(const SegmentInfo& i, std::string p,
+          const std::vector<ColumnDef>& schema)
+      : info(i), prefix(std::move(p)) {
+    for (const auto& c : schema) {
+      columns.push_back(
+          std::make_unique<const ColumnSlot>(prefix, c.name, info.rows));
+    }
+  }
   ~Segment() {
     // Best-effort: Open sweeps a dropped segment's leftovers and
-    // finishes a quarantine move.
+    // finishes a quarantine move. The open columns unmap after this.
     if (fate == Fate::kDrop) ColumnStore::Drop(prefix);
     if (fate == Fate::kQuarantine) {
       QuarantineFiles(fs::DirOf(prefix), {info.id});
     }
   }
 
+  /// Schema column `c` of this segment, as a pointer that keeps the
+  /// whole handle alive (for ColumnReadBatch::AddTable).
+  static std::shared_ptr<const ColumnSlot> Column(
+      const std::shared_ptr<const Segment>& s, size_t c) {
+    return {s, s->columns[c].get()};
+  }
+
   const SegmentInfo info;
   const std::string prefix;
+  /// One slot per schema column, opened by the column's first read.
+  std::vector<std::unique_ptr<const ColumnSlot>> columns;
   mutable std::atomic<Fate> fate{Fate::kKeep};
 };
 
@@ -391,8 +406,8 @@ Result<std::unique_ptr<IngestEngine>> IngestEngine::Open(
     eng->next_segment_id_ = m.next_segment_id;
     v.wal_floor = m.wal_floor;
     for (const auto& info : m.segments) {
-      v.segments.push_back(
-          std::make_shared<const Segment>(info, eng->SegPrefix(info.id)));
+      v.segments.push_back(std::make_shared<const Segment>(
+          info, eng->SegPrefix(info.id), eng->schema_));
     }
     v.quarantined = std::move(m.quarantined);
   } else {
@@ -798,7 +813,7 @@ void IngestEngine::DoFlushAndPublish(FlushJob job) {
       // the rows stay safe in the WAL.
       Version next = *current_;
       next.segments.push_back(std::make_shared<const Segment>(
-          SegmentInfo{seg_id, rows, 0}, SegPrefix(seg_id)));
+          SegmentInfo{seg_id, rows, 0}, SegPrefix(seg_id), schema_));
       next.wal_floor = job.floor;
       obs::ScopedSpan manifest_span("lsm.manifest", seg_id);
       st = InstallLocked("lsm: manifest publish", std::move(next));
@@ -971,13 +986,15 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
   }
   span.SetArgs(run_len, total_rows);
   // Every column of every segment of the run is read as one batch of
-  // page tasks (inline when the compaction runs on a pool worker).
+  // page tasks (inline when the compaction runs on a pool worker),
+  // through the same slots the reads use: columns a read opened are not
+  // opened again.
   ColumnReadBatch batch;
   for (size_t c = 0; c < schema_.size(); ++c) {
     const size_t out = batch.AddOutput(total_rows);
     uint64_t pos = 0;
     for (const auto& s : run) {
-      batch.AddTable(out, pos, s->info.rows, s->prefix, schema_[c].name);
+      batch.AddTable(out, pos, Segment::Column(s, c));
       pos += s->info.rows;
     }
   }
@@ -1016,7 +1033,7 @@ Status IngestEngine::CompactOnce(size_t min_run, bool* merged) {
           next.segments.erase(it, it + run_len),
           std::make_shared<const Segment>(
               SegmentInfo{new_id, total_rows, max_level + 1},
-              SegPrefix(new_id)));
+              SegPrefix(new_id), schema_));
       obs::ScopedSpan manifest_span("lsm.manifest", new_id);
       st = InstallLocked("lsm: compaction manifest publish", std::move(next));
     }
@@ -1080,10 +1097,11 @@ Result<size_t> IngestEngine::AddColumnRead(const std::string& column,
   const uint64_t mem_rows = imm_rows + tail.size();
   const size_t out = batch->AddOutput(seg_rows + mem_rows);
   // Each segment's pages decode into its slice; its handle, held by the
-  // batch, keeps its files alive. The memtables fill the end.
+  // batch, keeps its files (and its open columns) alive. The memtables
+  // fill the end.
   uint64_t pos = 0;
   for (const auto& s : version->segments) {
-    batch->AddTable(out, pos, s->info.rows, s->prefix, column, s);
+    batch->AddTable(out, pos, Segment::Column(s, col));
     pos += s->info.rows;
   }
   if (mem_rows > 0) {

@@ -244,11 +244,21 @@ class IngestEngine {
   /// segment handles keep those files alive, so a compaction or scrub
   /// that installs a successor meanwhile never waits for the read: the
   /// last release of a retired segment drops (or quarantines) its
-  /// files. The read runs as page tasks (ColumnReadBatch): every
-  /// segment's column file is read and validated once, then every page
+  /// files. The read runs as page tasks (ColumnReadBatch): every page
   /// decodes straight into its rows of the result, fanned out on
   /// ThreadPool::Shared() (whose callers never run queued tasks) and
   /// inline when called from a pool task.
+  ///
+  /// Open-once contract. A segment's column is opened (its manifest
+  /// read, its file mapped read-only and validated) by the first read
+  /// of it, or by a compaction merging it, and kept open in the segment
+  /// handle until the segment is retired (compaction, quarantine) or
+  /// the engine is destroyed; later reads only decode pages. An open
+  /// column keeps serving from its mapping even if its file is later
+  /// removed or replaced by rename: reads do not re-check the disk, and
+  /// finding on-disk damage is Scrub's job. The engine never modifies a
+  /// published column file in place; truncating one from outside is out
+  /// of contract (the mapped reader would get SIGBUS).
   Result<std::vector<double>> ReadColumn(const std::string& column) const;
 
   /// ReadColumn's capture and page tasks, queued into `batch` rather
@@ -316,8 +326,10 @@ class IngestEngine {
   const std::string& dir() const { return dir_; }
 
  private:
-  /// A published segment's SegmentInfo, file prefix and retirement fate
-  /// (lsm_engine.cc); its files stay until the last handle is released.
+  /// A published segment's SegmentInfo, file prefix, retirement fate
+  /// and one lazily opened slot per schema column (ReadColumn's
+  /// open-once contract; lsm_engine.cc). Its files and open columns
+  /// stay until the last handle is released.
   struct Segment;
   using SegmentSet = std::vector<std::shared_ptr<const Segment>>;
 

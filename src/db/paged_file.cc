@@ -212,7 +212,7 @@ Result<PagedFile::Pages> PagedFile::Pages::Open(const std::string& path,
                                                 ReadTiming* timing) {
   Timer io_timer;
   Pages f;
-  FCB_ASSIGN_OR_RETURN(f.file_, fs::ReadFile(path));
+  FCB_ASSIGN_OR_RETURN(f.file_, fs::MapReadOnly(path));
   if (timing != nullptr) timing->io_seconds = io_timer.ElapsedSeconds();
 
   FCB_ASSIGN_OR_RETURN(ParsedHeader h, ParseHeader(f.file_.span()));

@@ -8,6 +8,7 @@
 #include "core/compressor.h"
 #include "core/format.h"
 #include "util/buffer.h"
+#include "util/fs.h"
 #include "util/status.h"
 
 namespace fcbench::db {
@@ -56,19 +57,28 @@ class PagedFile {
                       const DataDesc& desc, const Options& options,
                       WriteInfo* info = nullptr);
 
-  /// A container read whole into memory with its header and page
-  /// directory validated: the unit of the one page decoder every read
-  /// goes through (Read below, ColumnStore's row reads and the engines'
-  /// page tasks). Pages decode independently, and DecodePage may run
-  /// concurrently on one Pages from many threads: each thread decodes
-  /// with its own instance of the page codec.
+  /// A container mapped read-only (fs::MapReadOnly) with its header and
+  /// page directory validated: the unit of the one page decoder every
+  /// read goes through (Read below, ColumnStore's row reads and the
+  /// engines' page tasks). Pages decode independently, and DecodePage
+  /// may run concurrently on one Pages from many threads: each thread
+  /// decodes with its own instance of the page codec.
+  ///
+  /// The mapping costs no heap and is never copied: the page cache backs
+  /// it, and a page's stored bytes are paged in on their first decode.
+  /// An open Pages keeps serving the bytes it mapped until it is
+  /// destroyed, even if its file is later removed or replaced by rename
+  /// (both keep the mapped inode). Modifying or truncating the file in
+  /// place is out of contract: a decode touching a truncated page gets
+  /// SIGBUS. No writer in this library does either; PagedFile::Write
+  /// always publishes a new file.
   class Pages {
    public:
     Pages() = default;
 
-    /// Reads `path` whole (timed into timing->io_seconds when non-null)
-    /// and validates it. An unknown page codec is an error here, before
-    /// any page is decoded.
+    /// Maps `path` (the map is timed into timing->io_seconds when
+    /// non-null) and validates it. An unknown page codec is an error
+    /// here, before any page is decoded.
     static Result<Pages> Open(const std::string& path,
                               ReadTiming* timing = nullptr);
 
@@ -90,7 +100,7 @@ class PagedFile {
     Status DecodePage(size_t p, Buffer* out) const;
 
    private:
-    Buffer file_;
+    fs::MappedFile file_;
     std::string compressor_;
     uint64_t page_ = 0;
     DataDesc desc_;
@@ -99,11 +109,13 @@ class PagedFile {
     std::vector<uint64_t> page_offsets_ = {0};
   };
 
-  /// Reads the container back: file I/O and per-page decompression are
-  /// timed separately. Returns the raw little-endian element bytes, each
-  /// page decoded straight onto the end of the result. The file is read
-  /// once; when `desc` is non-null it receives the stored array
-  /// descriptor parsed from that same read.
+  /// Reads the container back: the file map and per-page decompression
+  /// are timed separately (io_seconds times the map only; paging the
+  /// stored bytes in on first touch lands in decode_seconds). Returns the
+  /// raw little-endian element bytes, each page decoded straight onto
+  /// the end of the result. The file is mapped once; when `desc` is
+  /// non-null it receives the stored array descriptor parsed from that
+  /// same map.
   static Result<Buffer> Read(const std::string& path, ReadTiming* timing,
                              DataDesc* desc = nullptr);
 };

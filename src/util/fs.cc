@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -121,6 +122,46 @@ Result<Buffer> ReadFile(const std::string& path) {
                            std::to_string(buf.size()) + " bytes");
   }
   return buf;
+}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    if (size_ > 0) ::munmap(const_cast<uint8_t*>(data_), size_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+  }
+  return *this;
+}
+
+MappedFile::~MappedFile() {
+  if (size_ > 0) ::munmap(const_cast<uint8_t*>(data_), size_);
+}
+
+Result<MappedFile> MapReadOnly(const std::string& path) {
+  FCB_FAIL_RETURN("fs.read", path);
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("cannot open", path, errno);
+  MappedFile f;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status s = ErrnoStatus("cannot stat", path, errno);
+    ::close(fd);
+    return s;
+  }
+  // mmap rejects a zero length; an empty file is an empty span.
+  if (st.st_size > 0) {
+    void* p = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
+                     MAP_PRIVATE, fd, 0);
+    if (p == MAP_FAILED) {
+      Status s = ErrnoStatus("cannot map", path, errno);
+      ::close(fd);
+      return s;
+    }
+    f.data_ = static_cast<const uint8_t*>(p);
+    f.size_ = static_cast<size_t>(st.st_size);
+  }
+  ::close(fd);  // the mapping holds its own reference to the file
+  return f;
 }
 
 Status RemoveFile(const std::string& path) {

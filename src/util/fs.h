@@ -2,6 +2,7 @@
 #define FCBENCH_UTIL_FS_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/buffer.h"
@@ -37,6 +38,36 @@ Result<uint64_t> FileSize(const std::string& path);
 
 /// Reads the whole file into a Buffer.
 Result<Buffer> ReadFile(const std::string& path);
+
+/// A whole file mapped read-only (mmap PROT_READ, MAP_PRIVATE), unmapped
+/// on destruction. The mapping keeps the file's data reachable even after
+/// the path is unlinked or renamed over, so the bytes a reader sees never
+/// change under it. Truncating the file in place, or writing into it, is
+/// outside the contract: a reader touching a truncated page gets SIGBUS.
+/// Move-only; an empty file maps as an empty span.
+class MappedFile {
+ public:
+  MappedFile() = default;
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
+  MappedFile& operator=(MappedFile&& other) noexcept;
+  ~MappedFile();
+
+  ByteSpan span() const { return ByteSpan(data_, size_); }
+  size_t size() const { return size_; }
+
+ private:
+  friend Result<MappedFile> MapReadOnly(const std::string& path);
+
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// Maps the whole file read-only (the same "fs.read" failpoint as
+/// ReadFile). Costs no heap: the page cache backs the bytes, paged in on
+/// first touch.
+Result<MappedFile> MapReadOnly(const std::string& path);
 
 /// Removes `path`; OK when the file does not exist (idempotent cleanup).
 Status RemoveFile(const std::string& path);

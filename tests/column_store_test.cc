@@ -187,7 +187,7 @@ TEST_F(ColumnStoreTest, ReadRowsPushdownDecodesOnlyTouchedPages) {
   EXPECT_LE(stats.bytes_decoded, 2 * 4096u);
 }
 
-TEST_F(ColumnStoreTest, ReadRowsIntoMatchesFullReadBitForBit) {
+TEST_F(ColumnStoreTest, ReadRowsMatchesFullReadBitForBit) {
   // 4096-byte pages hold 512 f64 rows or 1024 f32 rows, so the ranges
   // below start page-aligned for both dtypes (0, 1024), aligned for f64
   // only (512), and unaligned for both (777, 4090).
@@ -206,12 +206,6 @@ TEST_F(ColumnStoreTest, ReadRowsIntoMatchesFullReadBitForBit) {
         Range{4090, 10}, Range{0, 1}}) {
     for (size_t c = 0; c < cols.size(); ++c) {
       const double* want = df.value().column(c).data() + begin;
-      std::vector<double> into(count, -1.0);
-      ASSERT_TRUE(
-          ColumnStore::ReadRowsInto(prefix_, cols[c].name, begin, into).ok())
-          << cols[c].name << " [" << begin << ", +" << count << ")";
-      EXPECT_EQ(std::memcmp(into.data(), want, count * sizeof(double)), 0)
-          << cols[c].name << " [" << begin << ", +" << count << ")";
       auto rows = ColumnStore::ReadRows(prefix_, cols[c].name, begin, count);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
       ASSERT_EQ(rows.value().size(), count);
@@ -221,8 +215,8 @@ TEST_F(ColumnStoreTest, ReadRowsIntoMatchesFullReadBitForBit) {
           << cols[c].name << " [" << begin << ", +" << count << ")";
     }
   }
-  std::vector<double> past_end(20);
-  EXPECT_EQ(ColumnStore::ReadRowsInto(prefix_, "temperature", 4990, past_end)
+  EXPECT_EQ(ColumnStore::ReadRows(prefix_, "temperature", 4990, 20)
+                .status()
                 .code(),
             StatusCode::kOutOfRange);
 }

@@ -1458,5 +1458,84 @@ TEST_F(LsmEngineTest, PageTasksMatchPerSegmentReadsAndBothMemtables) {
   ExpectColumnsEqualPrefix(eng, kRows);
 }
 
+TEST_F(LsmEngineTest, RacingFirstReadsOfAColumnBothGetExactValues) {
+  // Two readers released together race to open every segment's column
+  // (the slot's first open). Both may open; one publishes, and both must
+  // read the exact column. Runs in the TSan lane.
+  auto opened = IngestEngine::Open(dir_, Schema(), FastOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  IngestEngine& eng = *opened.value();
+  for (uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(AppendRows(eng, s * 700, (s + 1) * 700, 100).ok());
+    ASSERT_TRUE(eng.Flush().ok());
+  }
+  const char* names[] = {"ts", "value", "flag"};
+  for (size_t c = 0; c < 3; ++c) {
+    std::atomic<bool> go{false};
+    std::vector<Result<std::vector<double>>> got(2, Status::Internal("unread"));
+    std::vector<std::thread> readers;
+    for (size_t r = 0; r < got.size(); ++r) {
+      readers.emplace_back([&, r] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        got[r] = eng.ReadColumn(names[c]);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& t : readers) t.join();
+    const std::vector<double> want = ExpectedColumn(c, 2800);
+    for (size_t r = 0; r < got.size(); ++r) {
+      ASSERT_TRUE(got[r].ok()) << names[c] << ": "
+                               << got[r].status().ToString();
+      EXPECT_EQ(got[r].value(), want) << names[c] << " reader " << r;
+    }
+  }
+}
+
+TEST_F(LsmEngineTest, CompactionMergesFromOpenColumnsAndDropsFilesAtLastRelease) {
+  // Reads open every column of four segments. A compaction then merges
+  // through those open columns without reading a file again, and the
+  // retired segments' files stay until the last reader holding them
+  // lets go; that reader still gets the exact rows.
+  auto opened = IngestEngine::Open(dir_, Schema(), FastOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  IngestEngine& eng = *opened.value();
+  for (uint64_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(AppendRows(eng, s * 300, (s + 1) * 300, 50).ok());
+    ASSERT_TRUE(eng.Flush().ok());
+  }
+  ExpectColumnsEqualPrefix(eng, 1200);
+
+  {
+    ColumnReadBatch held;
+    auto out = eng.AddColumnRead("value", &held);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+    fail::FailPoints::EnableCounting(true);
+    fail::FailPoints::ResetCounters();
+    const Status compacted = eng.Compact();
+    const uint64_t file_reads = fail::FailPoints::HitCount("fs.read");
+    fail::FailPoints::EnableCounting(false);
+    fail::FailPoints::ResetCounters();
+    ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+    EXPECT_EQ(file_reads, 0u) << "compaction reopened an open column";
+    ASSERT_EQ(eng.segments().size(), 1u);
+    EXPECT_EQ(eng.segments()[0].rows, 1200u);
+    ExpectColumnsEqualPrefix(eng, 1200);
+
+    for (uint64_t id = 0; id < 4; ++id) {
+      EXPECT_FALSE(SegmentFiles(dir_, id).empty())
+          << "segment " << id << " dropped while a reader holds it";
+    }
+    const std::vector<Status> read = held.Run();
+    ASSERT_TRUE(read[out.value()].ok()) << read[out.value()].ToString();
+    EXPECT_EQ(held.output(out.value()), ExpectedColumn(1, 1200));
+  }
+  for (uint64_t id = 0; id < 4; ++id) {
+    EXPECT_TRUE(SegmentFiles(dir_, id).empty())
+        << "segment " << id << " outlived its last reader";
+  }
+  ExpectColumnsEqualPrefix(eng, 1200);
+}
+
 }  // namespace
 }  // namespace fcbench::db::lsm

@@ -758,7 +758,8 @@ TEST_F(ShardTest, CorruptMiddlePageFailsEveryReadOfItsShard) {
   // v, fails the snapshot with Corruption annotated with shard 2 while
   // the other shards' pages decode on other threads; the shard's own
   // ReadColumn and a compaction over the segment fail the same way, and
-  // column t still reads. A missing column file fails cleanly too.
+  // column t still reads. A missing file of a column not opened yet
+  // fails cleanly too; an open column keeps serving without its file.
   auto opened = ShardedIngestEngine::Open(dir_, PageSchema(), PageOptions());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   auto& eng = *opened.value();
@@ -796,17 +797,91 @@ TEST_F(ShardTest, CorruptMiddlePageFailsEveryReadOfItsShard) {
   ASSERT_TRUE(t.ok()) << t.status().ToString();
   EXPECT_EQ(t.value()[2].size(), 4010u);
 
+  // A missing file of a column no read has opened yet fails that
+  // column's reads cleanly, annotated with its shard; the open columns
+  // keep serving.
   lsm::IngestEngine& shard3 = *eng.shard(3);
-  ASSERT_TRUE(
-      fs::RemoveFile(SegmentPrefix(shard3, shard3.segments()[1].id) + ".0.col")
-          .ok());
-  auto missing = eng.SnapshotReadShards("t");
+  const std::string seg3 = SegmentPrefix(shard3, shard3.segments()[1].id);
+  ASSERT_TRUE(fs::RemoveFile(seg3 + ".2.col").ok());  // column 2 is f
+  auto missing = eng.SnapshotReadShards("f");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError)
       << missing.status().ToString();
   EXPECT_EQ(missing.status().message().rfind("shard 3: ", 0), 0u)
       << missing.status().ToString();
-  EXPECT_TRUE(eng.SnapshotReadShards("f").ok());
+  EXPECT_TRUE(eng.SnapshotReadShards("t").ok());
+
+  // An open column serves from its mapping until its segment retires,
+  // even once its file is gone. Finding that is Scrub's job, and a read
+  // error is a finding, not a corruption verdict: nothing is quarantined.
+  ASSERT_TRUE(fs::RemoveFile(seg3 + ".0.col").ok());  // column 0 is t
+  auto still = eng.SnapshotReadShards("t");
+  ASSERT_TRUE(still.ok()) << still.status().ToString();
+  EXPECT_EQ(still.value(), t.value());
+  auto scrub = shard3.Scrub();
+  ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
+  EXPECT_TRUE(scrub.value().quarantined_ids.empty());
+  ASSERT_EQ(scrub.value().notes.size(), 1u);
+  EXPECT_NE(scrub.value().notes[0].find("verify error"), std::string::npos)
+      << scrub.value().notes[0];
+  EXPECT_NE(scrub.value().notes[0].find(seg3 + ".0.col"), std::string::npos)
+      << scrub.value().notes[0];
+  EXPECT_EQ(shard3.segments().size(), 2u);
+}
+
+/// `fs.read` hits (manifest reads and column-file maps) of `read`.
+template <typename Read>
+uint64_t FileReadsOf(Read&& read) {
+  fail::FailPoints::EnableCounting(true);
+  fail::FailPoints::ResetCounters();
+  read();
+  const uint64_t hits = fail::FailPoints::HitCount("fs.read");
+  fail::FailPoints::EnableCounting(false);
+  fail::FailPoints::ResetCounters();
+  return hits;
+}
+
+TEST_F(ShardTest, SnapshotReadOpensEachSegmentColumnOnce) {
+  // Every shard holds two segments. The first snapshot of a column reads
+  // each segment's manifest and maps its column file (two fs.read hits
+  // per segment); every later snapshot of it only decodes pages. Reading
+  // another column opens that column's files and no others.
+  auto opened = ShardedIngestEngine::Open(dir_, PageSchema(), PageOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto& eng = *opened.value();
+  const std::vector<uint64_t> key_of = KeyPerShard(eng);
+  for (uint64_t start : {0, 1500}) {
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      ASSERT_TRUE(
+          eng.AppendBatch(key_of[k], PageBatch(key_of[k], start, 1500)).ok());
+    }
+    ASSERT_TRUE(eng.Flush().ok());
+  }
+  const uint64_t segments = 2 * eng.num_shards();
+  auto expect_exact = [&](const std::string& column,
+                          const Result<std::vector<std::vector<double>>>& r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    for (size_t k = 0; k < eng.num_shards(); ++k) {
+      EXPECT_EQ(r.value()[k], SegmentRows(*eng.shard(k), column))
+          << column << " shard " << k;
+    }
+  };
+
+  Result<std::vector<std::vector<double>>> snap = Status::Internal("unread");
+  EXPECT_EQ(FileReadsOf([&] { snap = eng.SnapshotReadShards("v"); }),
+            2 * segments);
+  expect_exact("v", snap);
+  EXPECT_EQ(FileReadsOf([&] { snap = eng.SnapshotReadShards("v"); }), 0u);
+  expect_exact("v", snap);
+  EXPECT_EQ(FileReadsOf([&] { snap = eng.SnapshotReadShards("f"); }),
+            2 * segments);
+  expect_exact("f", snap);
+  EXPECT_EQ(FileReadsOf([&] {
+              snap = eng.SnapshotReadShards("v");
+              if (snap.ok()) snap = eng.SnapshotReadShards("f");
+            }),
+            0u);
+  expect_exact("f", snap);
 }
 
 // ---------------------------------------------------------------------------

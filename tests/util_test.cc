@@ -19,6 +19,7 @@
 #include "util/buffer.h"
 #include "util/fs.h"
 #include "util/entropy.h"
+#include "util/failpoint.h"
 #include "util/float_bits.h"
 #include "util/mem_tracker.h"
 #include "util/rng.h"
@@ -826,6 +827,88 @@ TEST(FsTest, MissingPathsAreHandledGracefully) {
   // CreateDir is likewise OK when the directory already exists.
   const std::string dir = FsTestDir("mkdir");
   EXPECT_TRUE(fs::CreateDir(dir).ok());
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, MapReadOnlyMapsTheWholeFile) {
+  const std::string dir = FsTestDir("map");
+  const std::string path = fs::JoinPath(dir, "blob");
+  const uint8_t v[] = {5, 4, 3, 2, 1};
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(v, 5), false).ok());
+  auto m = fs::MapReadOnly(path);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(std::vector<uint8_t>(m.value().span().begin(),
+                                 m.value().span().end()),
+            (std::vector<uint8_t>{5, 4, 3, 2, 1}));
+  // A move hands the mapping over and leaves the source empty.
+  fs::MappedFile moved = std::move(m).TakeValue();
+  EXPECT_EQ(moved.size(), 5u);
+  fs::MappedFile other;
+  other = std::move(moved);
+  EXPECT_EQ(moved.size(), 0u);
+  EXPECT_EQ(other.span()[0], 5);
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, MapReadOnlyOfAnEmptyFileIsAnEmptySpan) {
+  const std::string dir = FsTestDir("map_empty");
+  const std::string path = fs::JoinPath(dir, "empty");
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(), false).ok());
+  auto m = fs::MapReadOnly(path);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m.value().size(), 0u);
+  EXPECT_TRUE(m.value().span().empty());
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, MapReadOnlyOfAMissingFileIsAnIoError) {
+  const std::string missing = "/tmp/fcbench_fs_map_missing_" +
+                              std::to_string(::getpid());
+  auto m = fs::MapReadOnly(missing);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kIoError);
+  EXPECT_NE(m.status().message().find(missing), std::string::npos)
+      << m.status().ToString();
+}
+
+TEST(FsTest, MapReadOnlyFiresTheReadFailpoint) {
+  const std::string dir = FsTestDir("map_fail");
+  const std::string path = fs::JoinPath(dir, "blob");
+  const uint8_t b = 7;
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(&b, 1), false).ok());
+  ASSERT_TRUE(fail::FailPoints::Set("fs.read", "err").ok());
+  auto failed = fs::MapReadOnly(path);
+  fail::FailPoints::ClearAll();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_NE(failed.status().message().find("fs.read"), std::string::npos)
+      << failed.status().ToString();
+  EXPECT_TRUE(fs::MapReadOnly(path).ok());
+  FsTestCleanup(dir);
+}
+
+TEST(FsTest, MappingOutlivesUnlinkAndRenameOver) {
+  // The contract the engine's open columns rely on: once mapped, the
+  // bytes stay what they were, whatever later happens to the path.
+  const std::string dir = FsTestDir("map_unlink");
+  const std::string path = fs::JoinPath(dir, "blob");
+  std::vector<uint8_t> v(3 * 4096 + 17);
+  std::iota(v.begin(), v.end(), uint8_t{0});
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(v), false).ok());
+  auto unlinked = fs::MapReadOnly(path);
+  ASSERT_TRUE(unlinked.ok());
+  ASSERT_TRUE(fs::RemoveFile(path).ok());
+  EXPECT_FALSE(fs::FileExists(path));
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), unlinked.value().span().begin(),
+                         unlinked.value().span().end()));
+
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(v), false).ok());
+  auto replaced = fs::MapReadOnly(path);
+  ASSERT_TRUE(replaced.ok());
+  const uint8_t other[] = {42};
+  ASSERT_TRUE(fs::WriteFileAtomic(path, ByteSpan(other, 1), false).ok());
+  EXPECT_TRUE(std::equal(v.begin(), v.end(), replaced.value().span().begin(),
+                         replaced.value().span().end()));
   FsTestCleanup(dir);
 }
 
